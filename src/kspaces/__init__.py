@@ -41,6 +41,7 @@ from .gauge import (
     TaggedPartition,
     cousin_partition,
     hk_integrate,
+    integrate_boxes,
     integrate_nd,
     integrate_nd_result,
     is_delta_fine,

@@ -15,14 +15,14 @@ produce byte-identical tables.
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
-
-import jsonschema
 
 from .boxes import TailFamily
 from .errors import KSError
@@ -103,6 +103,8 @@ class RunConfig:
     def from_sources(args) -> "RunConfig":
         cfg = RunConfig()
         if getattr(args, "config", None):
+            import jsonschema  # only config files need it; keeps startup lean
+
             try:
                 with open(args.config) as fh:
                     data = json.load(fh)
@@ -240,9 +242,10 @@ def _emit(rows, fmt: str, out) -> None:
         payload = [dict(zip(COLUMNS, row)) for row in rows]
         print(json.dumps(payload, indent=2), file=out)
         return
-    print(",".join(COLUMNS), file=out)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(COLUMNS)
     for row in rows:
-        print(",".join(_fmt_num(v) if isinstance(v, (int, float)) else str(v) for v in row), file=out)
+        writer.writerow(_fmt_num(v) if isinstance(v, (int, float)) else str(v) for v in row)
 
 
 class _Timer:
@@ -381,7 +384,9 @@ def _cmd_verify(args, cfg: RunConfig):
     return rows, any_failed
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``ks`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ks",
         description="Gauge integration and Kuelbs-Steadman K^p computations",

@@ -9,8 +9,21 @@ Two modes:
   declared singular points so that improper/highly oscillatory integrands
   (the ones that are HK- but not Lebesgue-integrable) converge.
 
-:func:`integrate_nd` is the tensor-product quadrature used by the
-higher-dimensional modules.
+:func:`integrate_boxes` is the tensor-product quadrature used by the
+higher-dimensional modules, over many boxes in one pass;
+:func:`integrate_nd` is its one-box case.
+
+One pass, two drivers.  :func:`_adaptive` refines one interval;
+``hk_integrate`` runs it on its segments and shells, which must run one
+after another.  :func:`_adaptive_many` runs many independent intervals in
+lock step, with one integrand call and one GK15 call per round over the
+active panels of all of them, and takes on every interval exactly the
+decisions ``_adaptive`` would.  Boxes are integrated by a recursion over
+axes: the integrand of the first axis solves the inner problems of all its
+nodes in one recursive call, so f is called once per round of the innermost
+lock step, never once per node.  At most ``_MAX_IN_FLIGHT``
+intervals are in flight at each level; larger batches run as consecutive
+groups, which bounds memory (a 6-D integral peaks near 5 MB).
 
 Integrands are callables of one array argument (n arguments for
 ``integrate_nd``).  NumPy-vectorized callables are evaluated in batches;
@@ -40,6 +53,10 @@ COUSIN_THETA = 0.9
 
 _EPS = float(np.finfo(np.float64).eps)
 _MIN_REL_WIDTH = 4.0 * _EPS
+# Intervals that _adaptive_many advances together.  Larger batches run as
+# consecutive groups, which bounds the memory of nested integrals: every
+# level of a d-dimensional integral holds at most this many intervals.
+_MAX_IN_FLIGHT = 1024
 
 
 @dataclass(frozen=True)
@@ -190,67 +207,73 @@ def riemann_sum(f, partition: TaggedPartition) -> float:
     return kernels.neumaier_sum(terms)
 
 
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = int(limit)
-
-    def spend(self, n: int):
-        self.remaining -= n
-        if self.remaining < 0:
-            raise ToleranceNotMet("evaluation budget exhausted before convergence")
-
-
 class _VecFn:
-    """Wraps an integrand; batch-evaluates and auto-detects vectorization."""
+    """Wraps an integrand; batch-evaluates and auto-detects vectorization.
 
-    def __init__(self, f, budget: _Budget):
+    ``fn(xs)`` evaluates f at the points ``xs`` (m, 15).  For n-argument
+    integrands, ``lead`` (m, j) holds each panel's leading coordinates,
+    passed to f as (m, 1) columns before ``xs``.  Evaluations are counted
+    per root problem, ``roots[j]`` being the one panel j is charged to, and
+    each root has its own ``max_evals`` budget.
+    """
+
+    def __init__(self, f, max_evals: int, n_roots: int = 1):
         self.f = f
-        self.budget = budget
         self.vectorized = None
+        self.evals = np.zeros(n_roots, dtype=np.int64)
+        self.max_evals = max_evals
 
-    def _elementwise(self, xs: np.ndarray) -> np.ndarray:
-        flat = xs.ravel()
-        out = np.empty(flat.shape)
-        for i, x in enumerate(flat):
-            try:
-                out[i] = float(self.f(float(x)))
-            except Exception as exc:
-                raise EvaluationError(f"integrand failed at x={x}") from exc
-        return out.reshape(xs.shape)
+    def _elementwise(self, xs, lead):
+        out = np.empty(xs.shape)
+        for j, row in enumerate(lead.tolist()):
+            for q, x in enumerate(xs[j].tolist()):
+                try:
+                    out[j, q] = float(self.f(*row, x))
+                except Exception as exc:
+                    raise EvaluationError(f"integrand failed at {(*row, x)}") from exc
+        return out
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        self.budget.spend(xs.size)
+    def _vectorized(self, xs, lead):
+        cols = [lead[:, c : c + 1] for c in range(lead.shape[1])]
+        r = np.asarray(self.f(*cols, xs), dtype=np.float64)
+        if r.shape != xs.shape:
+            # constant, or a function of the leading coordinates only
+            r = np.broadcast_to(r, xs.shape)
+        return r
+
+    def __call__(self, xs, lead=None, roots=None):
+        if roots is None:
+            self.evals[0] += xs.size
+        else:
+            self.evals += xs.shape[1] * np.bincount(roots, minlength=self.evals.size)
+        if self.evals.max() > self.max_evals:
+            raise ToleranceNotMet("evaluation budget exhausted before convergence")
+        if lead is None:
+            lead = np.empty((xs.shape[0], 0))
         with np.errstate(all="ignore"):
             if self.vectorized is None:
                 try:
-                    r = np.asarray(self.f(xs), dtype=np.float64)
-                    if r.shape == xs.shape:
-                        self.vectorized = True
-                    elif r.ndim == 0:
-                        # constant function; broadcast is exact
-                        self.vectorized = True
-                        r = np.broadcast_to(r, xs.shape)
-                    else:
-                        raise ValueError
+                    r = self._vectorized(xs, lead)
+                    self.vectorized = True
                 except EvaluationError:
                     raise
                 except Exception:
                     self.vectorized = False
-                    r = self._elementwise(xs)
+                    r = self._elementwise(xs, lead)
             elif self.vectorized:
-                r = np.asarray(self.f(xs), dtype=np.float64)
-                if r.ndim == 0:
-                    r = np.broadcast_to(r, xs.shape)
+                r = self._vectorized(xs, lead)
             else:
-                r = self._elementwise(xs)
+                r = self._elementwise(xs, lead)
         if not np.isfinite(r).all():
-            bad = xs[~np.isfinite(r)].ravel()
-            raise EvaluationError(
-                f"integrand non-finite near x={bad[0]!r}; "
-                "declare the point as singular if this is an improper integral"
-            )
+            j, q = np.argwhere(~np.isfinite(r))[0]
+            if lead.shape[1]:
+                where = f"at {(*lead[j].tolist(), float(xs[j, q]))}"
+            else:
+                where = (
+                    f"near x={float(xs[j, q])!r}; declare the point as singular "
+                    "if this is an improper integral"
+                )
+            raise EvaluationError(f"integrand non-finite {where}")
         return r
 
 
@@ -309,6 +332,95 @@ def _adaptive(fn, lo: float, hi: float, tol: float):
     value = kernels.neumaier_sum(val_all[order])
     error = kernels.neumaier_sum(err_all[order])
     return value, error
+
+
+def _interval_sums(x, seg, n):
+    """Sum of ``x`` over the panels of each of ``n`` intervals, bit for bit
+    what ``x[seg == i].sum()`` gives; ``seg`` is sorted.
+
+    NumPy sums fewer than 8 terms left to right from zero, which is what
+    ``bincount`` does; its pairwise order for longer runs is reproduced by
+    summing those runs one by one.
+    """
+    out = np.bincount(seg, weights=x, minlength=n)
+    counts = np.bincount(seg, minlength=n)
+    long_runs = (counts >= 8).nonzero()[0]
+    if long_runs.size:
+        ends = counts.cumsum()
+        for i in long_runs:
+            out[i] = x[ends[i] - counts[i] : ends[i]].sum()
+    return out
+
+
+def _adaptive_many(fn, lo, hi, tol):
+    """Many independent :func:`_adaptive` runs, advanced in lock step.
+
+    Interval i is [lo[i], hi[i]] with tolerance tol[i].  Each round makes
+    one ``fn(seg, xs)`` call and one ``gk15_batch`` over the active panels
+    of all intervals, where panel j belongs to interval ``seg[j]``; every
+    interval takes exactly the decisions :func:`_adaptive` takes on it and
+    sums its panels in ascending ``lo``.  At most ``_MAX_IN_FLIGHT``
+    intervals are in flight; larger batches run as consecutive groups.
+    Returns (values, errors) arrays.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), lo.shape)
+    values, errors = np.zeros(lo.size), np.zeros(lo.size)
+    for g in range(0, lo.size, _MAX_IN_FLIGHT):
+        grp = slice(g, g + _MAX_IN_FLIGHT)
+        values[grp], errors[grp] = _lockstep(fn, g, lo[grp], hi[grp], tol[grp])
+    return values, errors
+
+
+def _lockstep(fn, offset, lo, hi, tol):
+    """One group of :func:`_adaptive_many`; ``fn`` sees ``seg + offset``."""
+    n = lo.size
+    total_w = hi - lo
+    values, errors = np.zeros(n), np.zeros(n)
+    # Active panels stay sorted by interval and ascending within it.
+    seg = (total_w > 0.0).nonzero()[0]
+    active_lo, active_hi = lo[seg], hi[seg]
+    acc_err_sum = np.zeros(n)
+    accepted = []
+
+    while seg.size:
+        centers = 0.5 * (active_lo + active_hi)
+        halfw = 0.5 * (active_hi - active_lo)
+        xs = centers[:, None] + halfw[:, None] * kernels.GK15_NODES
+        vals, errs = kernels.gk15_batch(fn(seg + offset, xs), halfw)
+
+        stop = acc_err_sum + _interval_sums(errs, seg, n) <= tol
+        widths = active_hi - active_lo
+        budgets = tol[seg] * widths / total_w[seg]
+        scale = np.maximum(np.maximum(np.abs(active_lo), np.abs(active_hi)), 1.0)
+        done = stop[seg] | (errs <= budgets) | (widths <= _MIN_REL_WIDTH * scale)
+        accepted.append((seg[done], active_lo[done], vals[done], errs[done]))
+        acc_err_sum += _interval_sums(errs[done], seg[done], n)
+
+        split = ~done
+        m = centers[split]
+        lo_s, hi_s = active_lo[split], active_hi[split]
+        seg = seg[split].repeat(2)
+        active_lo = np.empty(2 * m.size)
+        active_hi = np.empty(2 * m.size)
+        active_lo[0::2], active_lo[1::2] = lo_s, m
+        active_hi[0::2], active_hi[1::2] = m, hi_s
+
+    if not accepted:
+        return values, errors
+    seg_all, lo_all, val_all, err_all = (np.concatenate(c) for c in zip(*accepted))
+    order = np.lexsort((lo_all, seg_all))
+    seg_all, val_all, err_all = seg_all[order], val_all[order], err_all[order]
+    counts = np.bincount(seg_all, minlength=n)
+    starts = counts.cumsum() - counts
+    ids = counts.nonzero()[0]
+    values[ids], errors[ids] = val_all[starts[ids]], err_all[starts[ids]]
+    for i in (counts > 1).nonzero()[0]:
+        part = slice(starts[i], starts[i] + counts[i])
+        values[i] = kernels.neumaier_sum(val_all[part])
+        errors[i] = kernels.neumaier_sum(err_all[part])
+    return values, errors
 
 
 def _shell_integrate(fn, s, far, tol_q, cauchy_tol, ratio, max_shells):
@@ -402,8 +514,7 @@ def hk_integrate(
         raise ValueError("tol must be positive")
     if iv.width == 0.0:
         return IntegralResult(0.0, 0.0, 0)
-    budget = _Budget(max_evals)
-    fn = _VecFn(f, budget)
+    fn = _VecFn(f, max_evals)
     segs = _segments(iv, singular_points)
     n_sing = sum(1 for _, _, side in segs if side is not None)
     cauchy_tol = tol / (4.0 * max(1, n_sing))
@@ -425,12 +536,12 @@ def hk_integrate(
             parts.append(v)
             errs.append(e)
     except ToleranceNotMet as exc:
-        exc.evaluations = max_evals - budget.remaining
+        exc.evaluations = int(fn.evals[0])
         raise
 
     value = kernels.neumaier_sum(parts)
     error = kernels.neumaier_sum(errs)
-    evals = max_evals - budget.remaining
+    evals = int(fn.evals[0])
     if error > tol:
         raise ToleranceNotMet(
             f"final error estimate {error:.3g} exceeds tol {tol:.3g}",
@@ -441,69 +552,67 @@ def hk_integrate(
     return IntegralResult(value, error, evals)
 
 
-class _VecFnND:
-    """n-argument integrand wrapper: fixed leading scalars, one array axis."""
+def _integrate_boxes(fn: _VecFn, roots, lead, lo, hi, tol):
+    """Integrals over the boxes [lo[i], hi[i]] with ``lead[i]`` held fixed.
 
-    def __init__(self, f, budget: _Budget):
-        self.f = f
-        self.budget = budget
-        self.vectorized = None
-
-    def _elementwise(self, fixed, xs):
-        flat = xs.ravel()
-        out = np.empty(flat.shape)
-        for i, x in enumerate(flat):
-            try:
-                out[i] = float(self.f(*fixed, float(x)))
-            except Exception as exc:
-                raise EvaluationError(
-                    f"integrand failed at {(*fixed, float(x))}"
-                ) from exc
-        return out.reshape(xs.shape)
-
-    def call(self, fixed, xs):
-        self.budget.spend(xs.size)
-        with np.errstate(all="ignore"):
-            if self.vectorized is None:
-                try:
-                    r = np.asarray(self.f(*fixed, xs), dtype=np.float64)
-                    if r.ndim == 0:
-                        r = np.broadcast_to(r, xs.shape)
-                    elif r.shape != xs.shape:
-                        raise ValueError
-                    self.vectorized = True
-                except EvaluationError:
-                    raise
-                except Exception:
-                    self.vectorized = False
-                    r = self._elementwise(fixed, xs)
-            elif self.vectorized:
-                r = np.asarray(self.f(*fixed, xs), dtype=np.float64)
-                if r.ndim == 0:
-                    r = np.broadcast_to(r, xs.shape)
-            else:
-                r = self._elementwise(fixed, xs)
-        if not np.isfinite(r).all():
-            raise EvaluationError("integrand returned non-finite values")
-        return r
-
-
-def _integrate_axis(fnd: _VecFnND, fixed, box, tol):
-    iv = box[0]
-    if len(box) == 1:
-        return _adaptive(lambda xs: fnd.call(fixed, xs), iv.lo, iv.hi, tol)
-    w = max(iv.width, _EPS)
+    The first axis is integrated by :func:`_adaptive_many`; its integrand
+    solves the inner problems of all its nodes in one recursive call.  Inner
+    integrals get tol/(2w) and the outer one tol/2, so w * inner_tol is
+    added to the outer error as if every inner integral met its share.
+    """
+    if lo.shape[1] == 1:
+        return _adaptive_many(
+            lambda seg, xs: fn(xs, lead[seg], roots[seg]), lo[:, 0], hi[:, 0], tol
+        )
+    w = np.maximum(hi[:, 0] - lo[:, 0], _EPS)
     inner_tol = tol / (2.0 * w)
 
-    def g(xs):
-        flat = xs.ravel()
-        out = np.empty(flat.shape)
-        for i, x in enumerate(flat):
-            out[i], _ = _integrate_axis(fnd, fixed + (float(x),), box[1:], inner_tol)
-        return out.reshape(xs.shape)
+    def outer(seg, xs):
+        i = np.repeat(seg, xs.shape[1])
+        v, _ = _integrate_boxes(
+            fn,
+            roots[i],
+            np.column_stack((lead[i], xs.ravel())),
+            lo[i, 1:],
+            hi[i, 1:],
+            inner_tol[i],
+        )
+        return v.reshape(xs.shape)
 
-    v, e = _adaptive(g, iv.lo, iv.hi, 0.5 * tol)
+    v, e = _adaptive_many(outer, lo[:, 0], hi[:, 0], 0.5 * tol)
     return v, e + w * inner_tol
+
+
+def integrate_boxes(
+    f,
+    lo,
+    hi,
+    tol,
+    dim_cap: int = DEFAULT_DIM_CAP,
+    max_evals: int = DEFAULT_MAX_EVALS,
+):
+    """Tensor-product adaptive quadrature over many boxes in one pass.
+
+    Box i spans ``lo[i]`` to ``hi[i]`` (arrays of shape (m, d)) with
+    tolerance ``tol[i]`` (or one tol for all).  Every box is integrated as
+    :func:`integrate_nd_result` would integrate it alone, with its own
+    ``max_evals`` budget; boxes with a zero-width axis are 0.  Returns
+    (values, errors, evaluations) arrays of length m.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if lo.shape[1] > dim_cap:
+        raise DimensionCapExceeded(f"dimension {lo.shape[1]} exceeds cap {dim_cap}")
+    tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), lo.shape[:1])
+    fn = _VecFn(f, max_evals, lo.shape[0])
+    values, errors = np.zeros(lo.shape[0]), np.zeros(lo.shape[0])
+    live = np.flatnonzero((hi > lo).all(axis=1))
+    if live.size:
+        lead = np.empty((live.size, 0))
+        values[live], errors[live] = _integrate_boxes(
+            fn, live, lead, lo[live], hi[live], tol[live]
+        )
+    return values, errors, fn.evals
 
 
 def integrate_nd_result(
@@ -517,22 +626,18 @@ def integrate_nd_result(
 
     The box is a sequence of per-axis intervals.  The tolerance is split
     between the outer axis and the inner integrals (scaled by the outer
-    width) so the propagated error stays below ``tol``.
+    width) so the propagated error stays below ``tol``.  This is the
+    one-box case of :func:`integrate_boxes`.
     """
     box = list(box)
-    n = len(box)
-    if n < 1:
+    if not box:
         raise ValueError("box must have at least one axis")
-    if n > dim_cap:
-        raise DimensionCapExceeded(f"dimension {n} exceeds cap {dim_cap}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    budget = _Budget(max_evals)
-    fnd = _VecFnND(f, budget)
-    if any(iv.width == 0.0 for iv in box):
-        return IntegralResult(0.0, 0.0, 0)
-    value, error = _integrate_axis(fnd, (), box, tol)
-    return IntegralResult(value, error, max_evals - budget.remaining)
+    values, errors, evals = integrate_boxes(
+        f, [[iv.lo for iv in box]], [[iv.hi for iv in box]], tol, dim_cap, max_evals
+    )
+    return IntegralResult(float(values[0]), float(errors[0]), int(evals[0]))
 
 
 def integrate_nd(f, box, tol: float = 1e-8, **kwargs) -> float:

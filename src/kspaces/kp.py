@@ -14,6 +14,13 @@ ball; only the two bounds above are relied on, never density.
 
 Truncation at K terms is explicit: every norm carries a rigorous tail
 bound computed from the analytic tail of the weight sequence.
+
+All K functionals come from one batched pass
+(:func:`kspaces.gauge.integrate_boxes` over the cells of
+:meth:`DualityFamily.cell_bounds`).  Each cell still gets exactly the
+integration it would get alone, with its own evaluation budget; 1-D cells
+that contain a declared singular point go through ``hk_integrate`` and its
+shells.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ import numpy as np
 
 from . import kernels
 from .boxes import BoxSet, TailFamily
-from .errors import MissingAbsoluteBound
-from .gauge import Interval, hk_integrate, integrate_nd_result
+from .errors import MissingAbsoluteBound, ToleranceNotMet
+from .gauge import Interval, hk_integrate, integrate_boxes, integrate_nd_result
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,26 @@ class DualityFamily:
             step = iv.width / splits
             out.append(Interval(iv.lo + i * step, iv.lo + (i + 1) * step))
         return tuple(out)
+
+    def cell_bounds(self, K: int):
+        """(lo, hi) arrays of shape (K, d): cells 1..K in enumeration order,
+        bit for bit the endpoints of :meth:`cell`."""
+        d = self.dim
+        lo, hi = np.empty((K, d)), np.empty((K, d))
+        level, start = 0, 0
+        while start < K:
+            splits = 2**level
+            offset = np.arange(min(splits**d, K - start))
+            rows = slice(start, start + offset.size)
+            for a, iv in enumerate(self.window):
+                # row-major: last axis fastest
+                i = (offset // splits ** (d - 1 - a)) % splits
+                step = iv.width / splits
+                lo[rows, a] = iv.lo + i * step
+                hi[rows, a] = iv.lo + (i + 1) * step
+            start += offset.size
+            level += 1
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -150,27 +177,68 @@ def functional(k: int, f, cfg: KpConfig) -> float:
     return _functional_result(k, f, cfg).value
 
 
-def _functional_complex(k: int, f, cfg: KpConfig) -> complex:
-    re = functional(k, lambda *a: np.real(np.asarray(f(*a), dtype=complex)), cfg)
-    im = functional(k, lambda *a: np.imag(np.asarray(f(*a), dtype=complex)), cfg)
-    return complex(re, im)
+def _functionals_pass(f, cfg: KpConfig):
+    """a_1 .. a_K and their evaluation counts from one batched pass.
+
+    Each cell gets what :func:`functional` would compute for it alone:
+    :func:`integrate_nd_result` in d >= 2, :func:`hk_integrate` in 1-D.  A
+    1-D cell that contains a declared singular point is integrated by
+    ``hk_integrate`` itself, with its shells; every other cell joins one
+    :func:`integrate_boxes` call, with its own evaluation budget.
+    """
+    K, tol = cfg.truncation, cfg.quad_tol
+    lo, hi = cfg.family.cell_bounds(K)
+    if cfg.family.dim > 1:
+        values, _, evals = integrate_boxes(f, lo, hi, tol)
+        return values, evals
+
+    sings = np.asarray(cfg.singular_points, dtype=np.float64)
+    shelled = ((lo <= sings) & (sings <= hi)).any(axis=1)
+    plain = np.flatnonzero(~shelled)
+    w = hi[plain, 0] - lo[plain, 0]
+    with np.errstate(invalid="ignore"):
+        seg_tol = 0.5 * tol * w / w  # hk_integrate's share for one segment
+    values, evals = np.zeros(K), np.zeros(K, dtype=np.int64)
+    values[plain], errors, evals[plain] = integrate_boxes(
+        f, lo[plain], hi[plain], seg_tol
+    )
+    bad = np.flatnonzero(errors > tol)
+    if bad.size:
+        j = plain[bad[0]]
+        raise ToleranceNotMet(
+            f"final error estimate {errors[bad[0]]:.3g} exceeds tol {tol:.3g} "
+            f"in cell {j + 1}",
+            value=float(values[j]),
+            error_estimate=float(errors[bad[0]]),
+            evaluations=int(evals[j]),
+        )
+    for j in np.flatnonzero(shelled):
+        r = _functional_result(int(j) + 1, f, cfg)
+        values[j], evals[j] = r.value, r.evaluations
+    return values, evals
 
 
 def compute_functionals(f, cfg: KpConfig, complex_valued: bool = False) -> tuple:
-    """All functionals a_1 .. a_K; reusable across norms of different p."""
+    """All functionals a_1 .. a_K; reusable across norms of different p.
+
+    Complex integrands are integrated as two real passes, one over the real
+    and one over the imaginary part.
+    """
     if complex_valued:
-        return tuple(_functional_complex(k, f, cfg) for k in range(1, cfg.truncation + 1))
-    return tuple(functional(k, f, cfg) for k in range(1, cfg.truncation + 1))
+        re, _ = _functionals_pass(
+            lambda *a: np.real(np.asarray(f(*a), dtype=complex)), cfg
+        )
+        im, _ = _functionals_pass(
+            lambda *a: np.imag(np.asarray(f(*a), dtype=complex)), cfg
+        )
+        return tuple(complex(a, b) for a, b in zip(re.tolist(), im.tolist()))
+    return tuple(_functionals_pass(f, cfg)[0].tolist())
 
 
 def compute_functionals_detailed(f, cfg: KpConfig):
     """Functionals plus the total quadrature evaluation count."""
-    values, evals = [], 0
-    for k in range(1, cfg.truncation + 1):
-        r = _functional_result(k, f, cfg)
-        values.append(r.value)
-        evals += r.evaluations
-    return tuple(values), evals
+    values, evals = _functionals_pass(f, cfg)
+    return tuple(values.tolist()), int(evals.sum())
 
 
 def kp_norm(

@@ -1,0 +1,298 @@
+"""The batched engine against the one-at-a-time code it replaces.
+
+``_adaptive_many`` must take, on every interval, the decisions ``_adaptive``
+takes on it alone; the box recursion must match the nested per-node loop
+kept below as the reference; and the batched K-functional pass must match
+per-cell ``hk_integrate``/``integrate_nd_result``.  Evaluation counts are
+compared exactly and values to 1e-14 relative: the GK15 matrix products may
+round differently with the batch size.  Error estimates are compared to
+1e-12 of the value: GK15 takes them from the difference of two nearly equal
+sums, scaled by up to 300, so those last-bit changes reach a few 1e-14.
+"""
+
+import cmath
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from kspaces import (
+    DualityFamily,
+    Interval,
+    KpConfig,
+    ToleranceNotMet,
+    compute_functionals,
+    compute_functionals_detailed,
+    hk_integrate,
+    integrate_nd_result,
+)
+from kspaces import gauge
+from kspaces.errors import EvaluationError
+from kspaces.kp import _functional_result, functional
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-14 * max(1.0, abs(a))
+
+
+def close_err(a, b, value):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(value))
+
+
+# ------------------------------------------------------------ loop reference
+
+
+class _LoopFnND:
+    """n-argument integrand with scalar leading coordinates and one array
+    axis: the wrapper the nested loop below was written for."""
+
+    def __init__(self, f):
+        self.f = f
+        self.evaluations = 0
+        self.vectorized = None
+
+    def _elementwise(self, fixed, xs):
+        flat = xs.ravel()
+        out = np.empty(flat.shape)
+        for i, x in enumerate(flat):
+            out[i] = float(self.f(*fixed, float(x)))
+        return out.reshape(xs.shape)
+
+    def call(self, fixed, xs):
+        self.evaluations += xs.size
+        with np.errstate(all="ignore"):
+            if self.vectorized is None:
+                try:
+                    r = np.asarray(self.f(*fixed, xs), dtype=np.float64)
+                    if r.ndim == 0:
+                        r = np.broadcast_to(r, xs.shape)
+                    elif r.shape != xs.shape:
+                        raise ValueError
+                    self.vectorized = True
+                except Exception:
+                    self.vectorized = False
+                    r = self._elementwise(fixed, xs)
+            elif self.vectorized:
+                r = np.asarray(self.f(*fixed, xs), dtype=np.float64)
+                if r.ndim == 0:
+                    r = np.broadcast_to(r, xs.shape)
+            else:
+                r = self._elementwise(fixed, xs)
+        return r
+
+
+def _loop_axis(fnd, fixed, box, tol):
+    """One Python-level adaptive integration per outer node."""
+    iv = box[0]
+    if len(box) == 1:
+        return gauge._adaptive(lambda xs: fnd.call(fixed, xs), iv.lo, iv.hi, tol)
+    w = max(iv.width, gauge._EPS)
+    inner_tol = tol / (2.0 * w)
+
+    def g(xs):
+        flat = xs.ravel()
+        out = np.empty(flat.shape)
+        for i, x in enumerate(flat):
+            out[i], _ = _loop_axis(fnd, fixed + (float(x),), box[1:], inner_tol)
+        return out.reshape(xs.shape)
+
+    v, e = gauge._adaptive(g, iv.lo, iv.hi, 0.5 * tol)
+    return v, e + w * inner_tol
+
+
+def loop_nd(f, box, tol):
+    fnd = _LoopFnND(f)
+    v, e = _loop_axis(fnd, (), list(box), tol)
+    return v, e, fnd.evaluations
+
+
+# ------------------------------------------------------------- 1-D lock step
+
+
+def _wavy_step(xs):
+    return np.where(xs < 0.3183, 1.0, 2.5) + np.sin(7.0 * xs) + np.sqrt(np.abs(xs - 0.71))
+
+
+def _interval_corpus():
+    rng = np.random.default_rng(7)
+    n = 1300  # more than one group of intervals in flight
+    lo = rng.uniform(-1.0, 1.0, n)
+    hi = lo + rng.choice([0.0, 1e-3, 0.05, 0.4, 1.5], n) * rng.uniform(0.5, 1.0, n)
+    hi[::97] = lo[::97]  # zero width
+    tol = 10.0 ** rng.uniform(-13.0, -3.0, n)
+    return lo, hi, tol
+
+
+def test_adaptive_many_matches_adaptive_interval_by_interval():
+    lo, hi, tol = _interval_corpus()
+    counts = np.zeros(lo.size, dtype=np.int64)
+
+    def many(seg, xs):
+        np.add.at(counts, seg, xs.shape[1])
+        return _wavy_step(xs)
+
+    values, errors = gauge._adaptive_many(many, lo, hi, tol)
+    assert (hi == lo).any() and (counts > 15).any()
+    for i in range(lo.size):
+        n = [0]
+
+        def one(xs):
+            n[0] += xs.size
+            return _wavy_step(xs)
+
+        v, e = gauge._adaptive(one, lo[i], hi[i], tol[i])
+        assert counts[i] == n[0], i
+        assert close(v, values[i]) and close_err(e, errors[i], v), i
+
+
+def test_adaptive_many_sums_long_runs_like_numpy():
+    # many panels per interval: run sums of 8 or more terms take NumPy's
+    # pairwise order
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 1.0, 200) * 10.0 ** rng.integers(-16, 0, 200)
+    lengths = np.array([1, 7, 0, 8, 9, 31, 144])
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    ends = np.cumsum(lengths)
+    got = gauge._interval_sums(x[: ends[-1]], seg, lengths.size + 1)
+    want = [x[e - n : e].sum() for e, n in zip(ends, lengths)] + [0.0]
+    assert got.tolist() == want
+
+
+# ---------------------------------------------------------------- n-D boxes
+
+BOXES = [
+    (lambda x, y: np.exp(-x - 2.0 * y), [Interval(0, 1), Interval(-0.5, 0.7)], 1e-10),
+    (lambda x, y: (x + y <= 1.0) * 1.0, [Interval(0, 1), Interval(0, 1)], 1e-6),
+    (lambda x, y: np.sin(3.0 * x * y) + x, [Interval(-1, 0.3), Interval(0.2, 2)], 1e-9),
+    (lambda x, y: 2.0, [Interval(0, 1), Interval(0, 3)], 1e-8),
+    (lambda x, y, z: np.sqrt(x * y * z), [Interval(0, 1)] * 3, 1e-2),
+    (lambda x, y, z: np.abs(x - y) * z, [Interval(0, 1)] * 3, 1e-5),
+    (lambda x, y, z: np.cos(x + y) * np.exp(-z * z), [Interval(0, 1), Interval(-1, 0), Interval(0, 2)], 1e-6),
+    (lambda x: np.abs(x - 0.3), [Interval(0, 1)], 1e-12),
+]
+
+
+@pytest.mark.parametrize("f, box, tol", BOXES)
+def test_integrate_nd_matches_loop_reference(f, box, tol):
+    r = integrate_nd_result(f, box, tol)
+    v, e, n = loop_nd(f, box, tol)
+    assert r.evaluations == n
+    assert close(v, r.value) and close_err(e, r.error_estimate, v)
+
+
+def test_integrate_nd_scalar_only_callable():
+    f = lambda x, y: math.sin(x) * math.exp(y)  # noqa: E731 - rejects arrays
+    box = [Interval(0, 1), Interval(0, 0.5)]
+    r = integrate_nd_result(f, box, 1e-8)
+    v, e, n = loop_nd(f, box, 1e-8)
+    assert r.evaluations == n and close(v, r.value)
+    assert r.value == pytest.approx((1 - math.cos(1)) * (math.exp(0.5) - 1), abs=1e-8)
+
+
+def test_integrate_nd_non_finite_names_the_point():
+    with pytest.raises(EvaluationError, match="non-finite"):
+        integrate_nd_result(lambda x, y: 1.0 / (x - y), [Interval(0, 1)] * 2, 1e-6)
+
+
+def test_integrate_boxes_keeps_a_budget_per_box():
+    f = lambda x, y: np.sin(5.0 * x * y)  # noqa: E731
+    lo, hi = [[0.0, 0.0]] * 3, [[1.0, 1.0]] * 3
+    _, _, evals = gauge.integrate_boxes(f, lo, hi, 1e-8)
+    need = int(evals[0])
+    assert (evals == need).all()
+    gauge.integrate_boxes(f, lo, hi, 1e-8, max_evals=need)  # 3x over in total
+    with pytest.raises(ToleranceNotMet):
+        gauge.integrate_boxes(f, lo, hi, 1e-8, max_evals=need - 1)
+
+
+def test_six_dimensional_integral_stays_small():
+    f = lambda *xs: np.exp(-sum(xs))  # noqa: E731
+    tracemalloc.start()
+    try:
+        r = integrate_nd_result(f, [Interval(0, 1)] * 6, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.value == pytest.approx((1 - math.exp(-1)) ** 6, abs=1e-4)
+    assert peak < 16 * 2**20
+
+
+# ------------------------------------------------------------- dyadic cells
+
+WINDOWS = [
+    ((Interval(-0.3, 1.7),), 1100),
+    ((Interval(0.1, 0.35), Interval(-2.0, 5.0)), 300),
+    ((Interval(0, 1), Interval(-1, 1), Interval(0.25, 0.3)), 600),
+]
+
+
+@pytest.mark.parametrize("window, K", WINDOWS)
+def test_cell_bounds_match_cell(window, K):
+    fam = DualityFamily(window)
+    lo, hi = fam.cell_bounds(K)
+    assert lo.shape == hi.shape == (K, len(window))
+    for k in range(1, K + 1):
+        cell = fam.cell(k)
+        assert lo[k - 1].tolist() == [iv.lo for iv in cell], k
+        assert hi[k - 1].tolist() == [iv.hi for iv in cell], k
+
+
+FUNCTIONAL_CASES = [
+    # plain 1-D cells, more than one group
+    (
+        lambda x: np.where(x < 0.41, np.exp(x), -x * x),
+        KpConfig(DualityFamily((Interval(-0.2, 1.3),)), truncation=1100),
+    ),
+    # cells holding a singular point go through hk_integrate's shells
+    (
+        lambda x: np.log(np.abs(x - 0.3)) + (x > 0.5),
+        KpConfig(
+            DualityFamily((Interval(0, 1),)),
+            truncation=64,
+            quad_tol=1e-8,
+            singular_points=(0.3, 0.5),
+        ),
+    ),
+    (
+        lambda x, y: np.sin(2.0 * x) * np.exp(y) + (x > y),
+        KpConfig(DualityFamily((Interval(0, 1), Interval(-1, 0.5))), truncation=85, quad_tol=1e-8),
+    ),
+    # a scalar-only callable is evaluated point by point
+    (math.sin, KpConfig(DualityFamily((Interval(0, 2),)), truncation=24)),
+]
+
+
+@pytest.mark.parametrize("f, cfg", FUNCTIONAL_CASES)
+def test_functionals_match_per_cell(f, cfg):
+    values, evals = compute_functionals_detailed(f, cfg)
+    per_cell = [_functional_result(k, f, cfg) for k in range(1, cfg.truncation + 1)]
+    assert evals == sum(r.evaluations for r in per_cell)
+    assert all(close(r.value, v) for r, v in zip(per_cell, values))
+
+
+def test_complex_functionals_match_per_cell():
+    cfg = KpConfig(DualityFamily((Interval(0, 1),)), truncation=40)
+
+    def f(x):
+        return np.exp(3j * x) * (x > 0.37)
+
+    got = compute_functionals(f, cfg, complex_valued=True)
+    for k, z in enumerate(got, start=1):
+        re = functional(k, lambda x: np.real(f(x)), cfg)
+        im = functional(k, lambda x: np.imag(f(x)), cfg)
+        assert close(re, z.real) and close(im, z.imag), k
+    scalar = compute_functionals(lambda x: cmath.exp(3j * x), cfg, complex_valued=True)
+    assert scalar[0] == pytest.approx((cmath.exp(3j) - 1) / 3j, abs=1e-10)
+
+
+def test_cell_error_over_tol_raises():
+    # far from the origin a unit cell is already at the width floor, so its
+    # jump is force-accepted with an error far above tol
+    far = Interval(1e15, 1e15 + 1.0)
+    cfg = KpConfig(DualityFamily((far,)), truncation=1)
+    f = lambda x: (x >= 1e15 + 0.5) * 1.0  # noqa: E731
+    with pytest.raises(ToleranceNotMet):
+        hk_integrate(f, far, cfg.quad_tol)
+    with pytest.raises(ToleranceNotMet):
+        compute_functionals(f, cfg)

@@ -1,9 +1,14 @@
+import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kspaces
 from kspaces.cli import COLUMNS, run_command
 
 
@@ -209,6 +214,16 @@ class TestOutputContract:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    def test_csv_quotes_labels_with_commas(self, capsys):
+        code, out, _ = run(
+            capsys, "fourier", "--expr", "1", "--box=-0.5,0.5;-0.5,0.5", "--at", "1,2"
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 3
+        assert all(len(row) == 6 for row in rows)
+        assert [row[0] for row in rows[1:]] == ["fourier_re[y=1,2]", "fourier_im[y=1,2]"]
+
     def test_floats_round_trip(self, capsys):
         _, out, _ = run(
             capsys, "norm", "-p", "2", "--expr", "1", "--window", "0,1"
@@ -260,6 +275,19 @@ class TestConfigFile:
             capsys, "norm", "-p", "2", "--expr", "1", "--config", str(path)
         )
         assert code == 2
+
+
+    def test_cli_import_leaves_jsonschema_out(self):
+        # jsonschema is imported only when a --config file is read
+        src = os.path.dirname(os.path.dirname(kspaces.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import kspaces.cli; "
+            "print('jsonschema' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestStdin:
