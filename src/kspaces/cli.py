@@ -6,10 +6,8 @@ Results are emitted as a CSV or JSON table with the columns
 0 success, 1 computation error, 2 usage error, 3 verify-suite failure.
 
 Configuration may be given as a JSON file (``--config``); command-line
-flags override file values.  ``KS_THREADS`` caps internal parallelism (the
-current engine runs sequentially, so any cap is honored trivially).
-``--deterministic`` zeroes the wall_ms column so identical invocations
-produce byte-identical tables.
+flags override file values.  ``--deterministic`` zeroes the wall_ms column
+so identical invocations produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -89,7 +86,6 @@ class RunConfig:
     truncation: int = 64
     quad_tol: float = 1e-10
     tol: float = 1e-10
-    weights_name: str = "geometric"
     weights_ratio: float = 0.5
     tail_family: str = "canonical-j"
     normalized: bool = True
@@ -97,7 +93,6 @@ class RunConfig:
     format: str = "csv"
     seed: int = 0
     deterministic: bool = False
-    threads: int | None = None
 
     @staticmethod
     def from_sources(args) -> "RunConfig":
@@ -119,7 +114,6 @@ class RunConfig:
             cfg.quad_tol = data.get("quad_tol", cfg.quad_tol)
             cfg.tol = data.get("tol", cfg.tol)
             if "weights" in data:
-                cfg.weights_name = data["weights"]["name"]
                 cfg.weights_ratio = data["weights"].get("ratio", cfg.weights_ratio)
             cfg.tail_family = data.get("tail_family", cfg.tail_family)
             cfg.normalized = data.get("normalized", cfg.normalized)
@@ -138,7 +132,7 @@ class RunConfig:
         if getattr(args, "tol", None) is not None:
             cfg.tol = args.tol
         if getattr(args, "weights", None):
-            cfg.weights_name, cfg.weights_ratio = _parse_weights(args.weights)
+            cfg.weights_ratio = _parse_weights(args.weights)
         if getattr(args, "tail_family", None):
             cfg.tail_family = args.tail_family
         if getattr(args, "normalized", None) is not None:
@@ -151,13 +145,6 @@ class RunConfig:
             cfg.seed = args.seed
         if getattr(args, "deterministic", False):
             cfg.deterministic = True
-
-        threads = os.environ.get("KS_THREADS")
-        if threads:
-            try:
-                cfg.threads = max(1, int(threads))
-            except ValueError:
-                print(f"ignoring invalid KS_THREADS={threads!r}", file=sys.stderr)
         return cfg
 
     def kp_config(self) -> KpConfig:
@@ -203,7 +190,7 @@ def _parse_weights(text: str):
         raise UsageError(f"bad weight ratio {ratio!r}") from exc
     if not 0.0 < r < 1.0:
         raise UsageError("weight ratio must be in (0, 1)")
-    return name, r
+    return r
 
 
 def _parse_points(text: str):

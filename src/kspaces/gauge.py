@@ -194,7 +194,7 @@ def cousin_partition(
 
 
 def riemann_sum(f, partition: TaggedPartition) -> float:
-    """Sum of f(tag) * cell width in cell order, compensated."""
+    """Sum of f(tag) * cell width, exactly rounded (``math.fsum``)."""
     terms = np.empty(len(partition.cells))
     for i, (tag, cell) in enumerate(partition.cells):
         try:

@@ -32,13 +32,10 @@ class TailMeasureConfig:
     family: TailFamily = TailFamily.CANONICAL_J
     normalized: bool = True
 
-    def factor(self, i: int) -> float:
-        if self.family is TailFamily.CANONICAL_J:
-            return 1.0
-        return 1.0 / math.log(i + 1)
-
     def tail_product(self, order: int) -> float:
-        """Product of the first ``order`` factors, computed in log space.
+        """Product of the first ``order`` tail factors, computed in log space.
+
+        Canonical-J factors are all one; scaled-J factor i is 1/log(i + 1).
 
         The scaled factors cross one (the first exceeds it, later ones decay)
         and their product vanishes super-exponentially, so the plain product

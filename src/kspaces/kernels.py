@@ -1,15 +1,16 @@
-"""Backend selection for the hot numeric kernels.
+"""The hot numeric kernels: batched Gauss-Kronrod 7/15 panels and one
+exactly rounded sum.
 
-At import time this module binds to the compiled Cython core
-(``kspaces._core``) when it is available, and otherwise to the pure
-NumPy/stdlib fallback (``kspaces._kernels_py``).  Setting the environment
-variable ``KS_PURE_PYTHON=1`` forces the fallback.  Both backends satisfy
-the same contracts; ``benchmarks/bench_kernels.py`` compares their speed.
+Callers reach both kernels as ``kernels.gk15_batch`` and
+``kernels.neumaier_sum`` attribute lookups, so a wrapper installed on this
+module (as the benchmark's tracer does) sees every call.
 """
 
-import os
+import math
 
 import numpy as np
+
+_EPS = np.finfo(np.float64).eps
 
 # Kronrod-15 nodes on [-1, 1], ascending.  The embedded Gauss-7 rule uses
 # the odd indices (1, 3, ..., 13).
@@ -33,60 +34,77 @@ GK15_NODES = np.array(
     ]
 )
 
-from . import _kernels_py
+# 15-point Kronrod weights, ordered to match ascending nodes; the embedded
+# 7-point Gauss rule sits on nodes 1, 3, 5, 7, 9, 11, 13.
+_WGK = np.array(
+    [
+        0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714,
+        0.204432940075298892414161999234649,
+        0.190350578064785409913256402421014,
+        0.169004726639267902826583426598550,
+        0.140653259715525918745189590510238,
+        0.104790010322250183839876322541518,
+        0.063092092629978553290700663189204,
+        0.022935322010529224963732008058970,
+    ]
+)
 
-_BACKENDS = {"python": _kernels_py}
-try:  # pragma: no cover - depends on build environment
-    from . import _core
-
-    _BACKENDS["cython"] = _core
-except ImportError:  # pragma: no cover
-    _core = None
-
-if os.environ.get("KS_PURE_PYTHON") == "1" or _core is None:
-    _active_name = "python"
-else:
-    _active_name = "cython"
-
-
-def backend_name():
-    """Name of the kernel backend in use ("cython" or "python")."""
-    return _active_name
-
-
-def available_backends():
-    return tuple(sorted(_BACKENDS))
-
-
-def force_backend(name):
-    """Switch the active backend; intended for tests and benchmarks."""
-    global _active_name
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; have {available_backends()}")
-    _active_name = name
+_WG7 = np.array(
+    [
+        0.129484966168869693270611432679082,
+        0.279705391489276667901467771423780,
+        0.381830050505118944950369775488975,
+        0.417959183673469387755102040816327,
+        0.381830050505118944950369775488975,
+        0.279705391489276667901467771423780,
+        0.129484966168869693270611432679082,
+    ]
+)
 
 
 def neumaier_sum(values):
-    """Compensated sum of a 1-d array, deterministic for a fixed order."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    return _BACKENDS[_active_name].neumaier_sum(arr)
+    """Exactly rounded sum of a 1-d float array, by :func:`math.fsum`.
+
+    The result does not depend on the order of the terms.  The name stays
+    because callers and ``perfbench/tracer.py`` look the function up by it.
+    """
+    return math.fsum(np.asarray(values, dtype=np.float64).tolist())
 
 
 def gk15_batch(fvals, halfwidths):
-    """Panel integrals and error estimates for a batch of GK15 panels.
+    """Apply the Gauss-Kronrod 7/15 pair to a batch of panels.
 
-    ``fvals``: (m, 15) integrand values at ``GK15_NODES`` per panel.
-    ``halfwidths``: (m,) panel half-widths.  Returns ``(values, errors)``.
+    ``fvals`` has shape (m, 15): integrand values at ``GK15_NODES`` for each
+    panel.  ``halfwidths`` has shape (m,).  Returns ``(values, errors)``
+    where ``values[i]`` approximates the panel integral and ``errors[i]`` is
+    the QUADPACK-style error estimate.
     """
-    impl = _BACKENDS[_active_name]
-    if impl is _kernels_py:
-        return impl.gk15_batch(fvals, halfwidths)
-    fvals = np.ascontiguousarray(fvals, dtype=np.float64)
-    halfwidths = np.ascontiguousarray(halfwidths, dtype=np.float64)
-    m = fvals.shape[0]
-    values = np.empty(m)
-    errors = np.empty(m)
-    impl.gk15_batch_into(fvals, halfwidths, values, errors)
+    fvals = np.asarray(fvals, dtype=np.float64)
+    halfwidths = np.asarray(halfwidths, dtype=np.float64)
+
+    resk = fvals @ _WGK
+    resg = fvals[:, 1::2] @ _WG7
+    resabs = np.abs(fvals) @ _WGK
+    resasc = np.abs(fvals - 0.5 * resk[:, None]) @ _WGK
+
+    ah = np.abs(halfwidths)
+    values = resk * halfwidths
+    errors = np.abs(resk - resg) * ah
+    sasc = resasc * ah
+
+    mask = (sasc != 0.0) & (errors != 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = sasc[mask] * np.minimum(
+            1.0, (200.0 * errors[mask] / sasc[mask]) ** 1.5
+        )
+    errors[mask] = scaled
+    floor = 50.0 * _EPS * resabs * ah
+    np.maximum(errors, floor, out=errors)
     return values, errors

@@ -252,7 +252,7 @@ def kp_norm(
     """Truncated K^p norm with a rigorous tail bound.
 
     For finite p the value is (sum over k <= K of t_k |a_k|^p)^(1/p),
-    summed in ascending k with compensated summation; p = inf takes the
+    summed with exactly rounded summation (``math.fsum``); p = inf takes the
     max of |a_k|.  The tail bound is (sum over k > K of t_k)^(1/p) * M,
     where M bounds the unseen |a_k|: the integral of |f| when supplied,
     otherwise the largest computed |a_k| (a heuristic that is only safe

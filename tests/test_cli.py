@@ -300,19 +300,3 @@ class TestStdin:
         _, rows = parse_csv(out)
         assert float(rows[0]["value"]) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
-
-class TestEnv:
-    def test_ks_threads_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("KS_THREADS", "4")
-        code, out, _ = run(
-            capsys, "integrate", "--expr", "1", "--interval", "0,1"
-        )
-        assert code == 0
-
-    def test_invalid_ks_threads_warns_and_continues(self, capsys, monkeypatch):
-        monkeypatch.setenv("KS_THREADS", "lots")
-        code, out, err = run(
-            capsys, "integrate", "--expr", "1", "--interval", "0,1"
-        )
-        assert code == 0
-        assert "KS_THREADS" in err

@@ -3,46 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from kspaces import kernels
+from kspaces import (
+    DualityFamily,
+    Interval,
+    KpConfig,
+    compute_functionals,
+    hk_integrate,
+    integrate_nd_result,
+    kernels,
+)
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    name = kernels.backend_name()
-    yield
-    kernels.force_backend(name)
-
-
-def test_backends_agree_on_gk15():
-    rng = np.random.default_rng(0)
-    fv = rng.normal(size=(500, 15)) * 10.0 ** rng.integers(-6, 6, size=(500, 1))
-    hw = rng.uniform(1e-8, 2.0, size=500)
-    results = {}
-    for backend in kernels.available_backends():
-        kernels.force_backend(backend)
-        results[backend] = kernels.gk15_batch(fv, hw)
-    names = list(results)
-    for other in names[1:]:
-        np.testing.assert_allclose(results[names[0]][0], results[other][0], rtol=1e-13)
-        np.testing.assert_allclose(results[names[0]][1], results[other][1], rtol=1e-10)
-
-
-def test_backends_agree_on_neumaier():
+def test_neumaier_sum_is_fsum():
+    # bit for bit: math.fsum is exactly rounded, whatever the input type
     rng = np.random.default_rng(1)
     xs = rng.normal(size=50_000) * 10.0 ** rng.integers(-10, 10, size=50_000)
-    exact = math.fsum(xs)
-    for backend in kernels.available_backends():
-        kernels.force_backend(backend)
-        got = kernels.neumaier_sum(xs)
-        assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact))
+    assert kernels.neumaier_sum(xs) == math.fsum(xs)
+    as_list = xs[:1000].tolist()
+    assert kernels.neumaier_sum(as_list) == math.fsum(as_list)
+    as_f32 = xs[:1000].astype(np.float32)
+    assert kernels.neumaier_sum(as_f32) == math.fsum(as_f32.astype(np.float64))
 
 
 def test_neumaier_cancellation():
-    # plain summation loses these; compensated summation must not
+    # plain summation loses these; an exactly rounded sum must not
     xs = np.array([1e16, 1.0, -1e16, 1.0] * 100)
-    for backend in kernels.available_backends():
-        kernels.force_backend(backend)
-        assert kernels.neumaier_sum(xs) == 200.0
+    assert kernels.neumaier_sum(xs) == 200.0
 
 
 def test_neumaier_empty():
@@ -66,6 +52,36 @@ def test_gk15_error_estimate_flags_rough_panels():
     assert err[0] > 1e-3
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.force_backend("fortran")
+# Each integrand needs bisection somewhere, so some interval sums more than
+# one panel.
+KERNEL_CALLERS = {
+    "hk_integrate_singular": lambda: hk_integrate(
+        lambda x: 1.0 / np.sqrt(np.abs(x - 0.3)), Interval(0, 1), tol=1e-6,
+        singular_points=[0.3],
+    ),
+    "integrate_nd_result_2d": lambda: integrate_nd_result(
+        lambda x, y: np.sqrt(x * y), [Interval(0, 1), Interval(0, 2)], 1e-8
+    ),
+    "compute_functionals_k8": lambda: compute_functionals(
+        lambda x: np.sin(3.0 * x) * (x > 0.37),
+        KpConfig(DualityFamily((Interval(0, 1),)), truncation=8),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CALLERS))
+def test_kernels_reached_through_module_attributes(name, monkeypatch):
+    # The benchmark's tracer times the kernels by replacing these two module
+    # attributes; a caller that bound them by name at import would bypass it.
+    calls = {"gk15_batch": 0, "neumaier_sum": 0}
+    for attr in calls:
+        inner = getattr(kernels, attr)
+
+        def counting(*args, _attr=attr, _inner=inner):
+            calls[_attr] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(kernels, attr, counting)
+    KERNEL_CALLERS[name]()
+    assert calls["gk15_batch"] > 0
+    assert calls["neumaier_sum"] > 0
