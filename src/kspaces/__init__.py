@@ -41,6 +41,7 @@ from .gauge import (
     TaggedPartition,
     cousin_partition,
     hk_integrate,
+    hk_integrate_many,
     integrate_boxes,
     integrate_nd,
     integrate_nd_result,

@@ -138,14 +138,28 @@ class RunConfig:
         if getattr(args, "normalized", None) is not None:
             cfg.normalized = args.normalized
         if getattr(args, "singular", None):
-            cfg.singular_points = [float(s) for s in args.singular.split(",") if s]
+            try:
+                cfg.singular_points = [float(s) for s in args.singular.split(",") if s]
+            except ValueError as exc:
+                raise UsageError(f"bad singular point in {args.singular!r}") from exc
         if getattr(args, "format", None):
             cfg.format = args.format
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
         if getattr(args, "deterministic", False):
             cfg.deterministic = True
+        cfg.check()
         return cfg
+
+    def check(self) -> None:
+        """Reject values no computation accepts, from flags or a file alike."""
+        for name, value in (("tol", self.tol), ("quad_tol", self.quad_tol)):
+            if not value > 0:
+                raise UsageError(f"{name} must be positive, got {value!r}")
+        if self.truncation < 1:
+            raise UsageError(f"truncation must be >= 1, got {self.truncation}")
+        for lo, hi in self.window:
+            _check_pair(lo, hi)
 
     def kp_config(self) -> KpConfig:
         family = DualityFamily(tuple(Interval(a, b) for a, b in self.window))
@@ -171,9 +185,16 @@ def _parse_pair(text: str):
     if len(parts) != 2:
         raise UsageError(f"expected 'lo,hi', got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise UsageError(f"bad interval {text!r}: {exc}") from exc
+    return _check_pair(lo, hi)
+
+
+def _check_pair(lo: float, hi: float):
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise UsageError(f"bad interval {lo!r},{hi!r}: need finite lo <= hi")
+    return lo, hi
 
 
 def _parse_box(text: str):
@@ -198,7 +219,10 @@ def _parse_points(text: str):
     for part in text.split(";"):
         if not part:
             continue
-        points.append(tuple(float(c) for c in part.split(",")))
+        try:
+            points.append(tuple(float(c) for c in part.split(",")))
+        except ValueError as exc:
+            raise UsageError(f"bad frequency point {part!r}: {exc}") from exc
     if not points:
         raise UsageError("no frequency points given")
     return points
@@ -282,7 +306,7 @@ def _parse_p(text: str) -> float:
         p = float(text)
     except ValueError as exc:
         raise UsageError(f"bad p {text!r}") from exc
-    if p < 1:
+    if not p >= 1:
         raise UsageError("p must be >= 1 or inf")
     return p
 

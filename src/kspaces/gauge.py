@@ -4,26 +4,34 @@ Two modes:
 
 * verification mode -- explicit gauges, tagged partitions and Riemann sums
   (:func:`is_delta_fine`, :func:`cousin_partition`, :func:`riemann_sum`);
-* value mode -- :func:`hk_integrate`, adaptive bisection with a
-  Gauss-Kronrod 7/15 error estimate, plus geometric shell refinement toward
-  declared singular points so that improper/highly oscillatory integrands
-  (the ones that are HK- but not Lebesgue-integrable) converge.
+* value mode -- :func:`hk_integrate_many` (one interval: :func:`hk_integrate`),
+  adaptive bisection with a Gauss-Kronrod 7/15 error estimate, plus
+  geometric shell refinement toward declared singular points so that
+  improper/highly oscillatory integrands (the ones that are HK- but not
+  Lebesgue-integrable) converge.
 
 :func:`integrate_boxes` is the tensor-product quadrature used by the
 higher-dimensional modules, over many boxes in one pass;
 :func:`integrate_nd` is its one-box case.
 
-One pass, two drivers.  :func:`_adaptive` refines one interval;
-``hk_integrate`` runs it on its segments and shells, which must run one
-after another.  :func:`_adaptive_many` runs many independent intervals in
-lock step, with one integrand call and one GK15 call per round over the
-active panels of all of them, and takes on every interval exactly the
-decisions ``_adaptive`` would.  Boxes are integrated by a recursion over
-axes: the integrand of the first axis solves the inner problems of all its
-nodes in one recursive call, so f is called once per round of the innermost
-lock step, never once per node.  At most ``_MAX_IN_FLIGHT``
-intervals are in flight at each level; larger batches run as consecutive
-groups, which bounds memory (a 6-D integral peaks near 5 MB).
+:func:`_adaptive` integrates single shells; everything else is batched.
+:func:`_adaptive_many` runs many independent intervals in lock step, with
+one integrand call and one GK15 call per round over the active panels of
+all of them, and takes on every interval exactly the decisions
+``_adaptive`` would.  Shells must run one after another and each is about
+one GK15 round, so fixed per-call bookkeeping dominates them.  Run as
+one-interval ``_adaptive_many`` calls they printed the same bytes, but the
+``hk-1d`` benchmark's median request took 44% longer (``latency_norm.p50``
+5.13 -> 7.41), and still 40% longer (4.97 -> 6.95) with an exit as soon as
+every interval stops (medians of three alternating 15 s pairs each, 2-vCPU
+host).
+
+Boxes are integrated by a recursion over axes: the integrand of the first
+axis solves the inner problems of all its nodes in one recursive call, so f
+is called once per round of the innermost lock step, never once per node.
+At most ``_MAX_IN_FLIGHT`` intervals are in flight at each level; larger
+batches run as consecutive groups, which bounds memory (a 6-D integral
+peaks near 5 MB).
 
 Integrands are callables of one array argument (n arguments for
 ``integrate_nd``).  NumPy-vectorized callables are evaluated in batches;
@@ -50,6 +58,8 @@ DEFAULT_PARTITION_CAP = 10**7
 DEFAULT_DIM_CAP = 6
 DEFAULT_MAX_EVALS = 50_000_000
 COUSIN_THETA = 0.9
+SHELL_RATIO = 0.5
+MAX_SHELLS = 4096
 
 _EPS = float(np.finfo(np.float64).eps)
 _MIN_REL_WIDTH = 4.0 * _EPS
@@ -246,8 +256,11 @@ class _VecFn:
             self.evals[0] += xs.size
         else:
             self.evals += xs.shape[1] * np.bincount(roots, minlength=self.evals.size)
-        if self.evals.max() > self.max_evals:
-            raise ToleranceNotMet("evaluation budget exhausted before convergence")
+        spent = int(self.evals.max())
+        if spent > self.max_evals:
+            raise ToleranceNotMet(
+                "evaluation budget exhausted before convergence", evaluations=spent
+            )
         if lead is None:
             lead = np.empty((xs.shape[0], 0))
         with np.errstate(all="ignore"):
@@ -278,7 +291,7 @@ class _VecFn:
 
 
 def _adaptive(fn, lo: float, hi: float, tol: float):
-    """Batched breadth-first GK15 refinement of [lo, hi].
+    """Batched breadth-first GK15 refinement of one shell [lo, hi].
 
     Splits every panel whose error exceeds its width-proportional share of
     ``tol``; stops early once the global error total drops below ``tol``.
@@ -423,7 +436,7 @@ def _lockstep(fn, offset, lo, hi, tol):
     return values, errors
 
 
-def _shell_integrate(fn, s, far, tol_q, cauchy_tol, ratio, max_shells):
+def _shell_integrate(fn, s, far, tol_q, cauchy_tol):
     """Improper-mode integration of the segment between ``far`` and the
     singular endpoint ``s`` via geometric shells.
 
@@ -435,12 +448,12 @@ def _shell_integrate(fn, s, far, tol_q, cauchy_tol, ratio, max_shells):
     parts, errs = [], []
     small_run = 0
     frac = 1.0
-    for m in range(max_shells):
-        frac_in = frac * ratio
+    for m in range(MAX_SHELLS):
+        frac_in = frac * SHELL_RATIO
         x_out = s + span * frac
         x_in = s + span * frac_in
         a, b = (x_in, x_out) if x_in < x_out else (x_out, x_in)
-        tol_shell = tol_q * (1.0 - ratio) * frac
+        tol_shell = tol_q * (1.0 - SHELL_RATIO) * frac
         v, e = _adaptive(fn, a, b, tol_shell)
         parts.append(v)
         errs.append(e)
@@ -454,37 +467,95 @@ def _shell_integrate(fn, s, far, tol_q, cauchy_tol, ratio, max_shells):
     else:
         raise ToleranceNotMet(
             f"shell integrals near singular point {s} did not settle "
-            f"within {max_shells} shells",
+            f"within {MAX_SHELLS} shells",
             value=kernels.neumaier_sum(parts),
-            evaluations=0,
+            evaluations=int(fn.evals[0]),
         )
     value = kernels.neumaier_sum(parts)
     error = kernels.neumaier_sum(errs) + cauchy_tol
     return value, error
 
 
-def _segments(iv: Interval, singular_points):
-    """Split ``iv`` at interior singular points; mark singular-facing sides."""
-    sings = sorted({float(s) for s in singular_points if iv.contains(float(s))})
-    interior = [s for s in sings if iv.lo < s < iv.hi]
-    bounds = [iv.lo] + interior + [iv.hi]
-    singset = set(sings)
-    segs = []
+def _segments(lo: float, hi: float, sings):
+    """(singular point, far end) pairs covering [lo, hi], which holds at
+    least one of ``sings``: split at the interior singular points, every
+    piece has a singular end, and a piece with two is split at its middle."""
+    inside = [s for s in sings if lo <= s <= hi]
+    bounds = sorted({lo, hi, *inside})
+    pairs = []
     for a, b in zip(bounds[:-1], bounds[1:]):
-        if a == b:
-            continue
-        left, right = a in singset, b in singset
-        if left and right:
+        if a in inside and b in inside:
             mid = 0.5 * (a + b)
-            segs.append((a, mid, "left"))
-            segs.append((mid, b, "right"))
-        elif left:
-            segs.append((a, b, "left"))
-        elif right:
-            segs.append((a, b, "right"))
+            pairs += [(a, mid), (b, mid)]
         else:
-            segs.append((a, b, None))
-    return segs
+            pairs.append((a, b) if a in inside else (b, a))
+    return pairs
+
+
+def hk_integrate_many(
+    f,
+    lo,
+    hi,
+    tol: float,
+    singular_points: Sequence[float] = (),
+    max_evals: int = DEFAULT_MAX_EVALS,
+):
+    """Henstock-Kurzweil integrals of ``f`` over [lo[i], hi[i]], each with
+    its own ``max_evals`` budget; returns (values, errors, evaluations).
+
+    Intervals holding no declared singular point run together in one
+    lock-step pass at tol/2.  Around each singular point the integral is
+    taken in improper mode: geometric shells shrinking toward the point,
+    stopped when the partial sums are Cauchy (three consecutive shell
+    integrals below tol/4, shared among the singular sides).  This matches
+    the limit characterization of the HK integral over expanding
+    subintervals, which is what makes conditionally integrable oscillatory
+    integrands computable.
+
+    Raises :class:`ToleranceNotMet` if a budget runs out or an error
+    estimate exceeds ``tol``, and :class:`EvaluationError` if ``f`` returns
+    non-finite values away from declared singular points.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    sings = np.asarray(singular_points, dtype=np.float64)
+    shelled = (hi > lo) & ((lo[:, None] <= sings) & (sings <= hi[:, None])).any(axis=1)
+    plain = np.flatnonzero(~shelled)
+    values, errors = np.zeros(lo.size), np.zeros(lo.size)
+    evals = np.zeros(lo.size, dtype=np.int64)
+
+    fn = _VecFn(f, max_evals, plain.size)
+    values[plain], errors[plain] = _adaptive_many(
+        lambda seg, xs: fn(xs, roots=seg), lo[plain], hi[plain], 0.5 * tol
+    )
+    evals[plain] = fn.evals
+
+    for i in np.flatnonzero(shelled).tolist():
+        fn = _VecFn(f, max_evals)
+        a, b = float(lo[i]), float(hi[i])
+        pairs = _segments(a, b, sings.tolist())
+        cauchy_tol = tol / (4.0 * len(pairs))
+        parts = [
+            _shell_integrate(fn, s, far, 0.5 * tol * abs(far - s) / (b - a), cauchy_tol)
+            for s, far in pairs
+        ]
+        values[i] = kernels.neumaier_sum([v for v, _ in parts])
+        errors[i] = kernels.neumaier_sum([e for _, e in parts])
+        evals[i] = fn.evals[0]
+
+    over = np.flatnonzero(errors > tol)
+    if over.size:
+        i = over[0]
+        raise ToleranceNotMet(
+            f"final error estimate {errors[i]:.3g} exceeds tol {tol:.3g} "
+            f"on [{lo[i]!r}, {hi[i]!r}]",
+            value=float(values[i]),
+            error_estimate=float(errors[i]),
+            evaluations=int(evals[i]),
+        )
+    return values, errors, evals
 
 
 def hk_integrate(
@@ -493,63 +564,13 @@ def hk_integrate(
     tol: float = 1e-10,
     singular_points: Sequence[float] = (),
     max_evals: int = DEFAULT_MAX_EVALS,
-    shell_ratio: float = 0.5,
-    max_shells: int = 4096,
 ) -> IntegralResult:
-    """Henstock-Kurzweil integral of ``f`` over ``iv``.
-
-    Plain segments use adaptive bisection with the GK 7/15 two-level error
-    estimate.  Around each declared singular point the integral is taken in
-    improper mode: geometric shells shrinking toward the point, stopped when
-    the partial sums are Cauchy (three consecutive shell integrals below
-    tol/4, per singular side).  This matches the limit characterization of
-    the HK integral over expanding subintervals, which is what makes
-    conditionally integrable oscillatory integrands computable.
-
-    Raises :class:`ToleranceNotMet` if the evaluation budget runs out, and
-    :class:`EvaluationError` if ``f`` returns non-finite values away from
-    declared singular points.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if iv.width == 0.0:
-        return IntegralResult(0.0, 0.0, 0)
-    fn = _VecFn(f, max_evals)
-    segs = _segments(iv, singular_points)
-    n_sing = sum(1 for _, _, side in segs if side is not None)
-    cauchy_tol = tol / (4.0 * max(1, n_sing))
-
-    parts, errs = [], []
-    try:
-        for a, b, side in segs:
-            tol_seg = 0.5 * tol * (b - a) / iv.width
-            if side is None:
-                v, e = _adaptive(fn, a, b, tol_seg)
-            elif side == "left":
-                v, e = _shell_integrate(
-                    fn, a, b, tol_seg, cauchy_tol, shell_ratio, max_shells
-                )
-            else:
-                v, e = _shell_integrate(
-                    fn, b, a, tol_seg, cauchy_tol, shell_ratio, max_shells
-                )
-            parts.append(v)
-            errs.append(e)
-    except ToleranceNotMet as exc:
-        exc.evaluations = int(fn.evals[0])
-        raise
-
-    value = kernels.neumaier_sum(parts)
-    error = kernels.neumaier_sum(errs)
-    evals = int(fn.evals[0])
-    if error > tol:
-        raise ToleranceNotMet(
-            f"final error estimate {error:.3g} exceeds tol {tol:.3g}",
-            value=value,
-            error_estimate=error,
-            evaluations=evals,
-        )
-    return IntegralResult(value, error, evals)
+    """Henstock-Kurzweil integral of ``f`` over ``iv``: the one-interval
+    case of :func:`hk_integrate_many`, raising what it raises."""
+    values, errors, evals = hk_integrate_many(
+        f, [iv.lo], [iv.hi], tol, singular_points, max_evals
+    )
+    return IntegralResult(float(values[0]), float(errors[0]), int(evals[0]))
 
 
 def _integrate_boxes(fn: _VecFn, roots, lead, lo, hi, tol):
@@ -583,14 +604,7 @@ def _integrate_boxes(fn: _VecFn, roots, lead, lo, hi, tol):
     return v, e + w * inner_tol
 
 
-def integrate_boxes(
-    f,
-    lo,
-    hi,
-    tol,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    max_evals: int = DEFAULT_MAX_EVALS,
-):
+def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS):
     """Tensor-product adaptive quadrature over many boxes in one pass.
 
     Box i spans ``lo[i]`` to ``hi[i]`` (arrays of shape (m, d)) with
@@ -601,8 +615,10 @@ def integrate_boxes(
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    if lo.shape[1] > dim_cap:
-        raise DimensionCapExceeded(f"dimension {lo.shape[1]} exceeds cap {dim_cap}")
+    if lo.shape[1] > DEFAULT_DIM_CAP:
+        raise DimensionCapExceeded(
+            f"dimension {lo.shape[1]} exceeds cap {DEFAULT_DIM_CAP}"
+        )
     tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), lo.shape[:1])
     fn = _VecFn(f, max_evals, lo.shape[0])
     values, errors = np.zeros(lo.shape[0]), np.zeros(lo.shape[0])
@@ -619,7 +635,6 @@ def integrate_nd_result(
     f,
     box: Sequence[Interval],
     tol: float = 1e-8,
-    dim_cap: int = DEFAULT_DIM_CAP,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> IntegralResult:
     """Tensor-product adaptive quadrature over a box; full result record.
@@ -635,7 +650,7 @@ def integrate_nd_result(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     values, errors, evals = integrate_boxes(
-        f, [[iv.lo for iv in box]], [[iv.hi for iv in box]], tol, dim_cap, max_evals
+        f, [[iv.lo for iv in box]], [[iv.hi for iv in box]], tol, max_evals
     )
     return IntegralResult(float(values[0]), float(errors[0]), int(evals[0]))
 

@@ -15,12 +15,11 @@ ball; only the two bounds above are relied on, never density.
 Truncation at K terms is explicit: every norm carries a rigorous tail
 bound computed from the analytic tail of the weight sequence.
 
-All K functionals come from one batched pass
-(:func:`kspaces.gauge.integrate_boxes` over the cells of
-:meth:`DualityFamily.cell_bounds`).  Each cell still gets exactly the
-integration it would get alone, with its own evaluation budget; 1-D cells
-that contain a declared singular point go through ``hk_integrate`` and its
-shells.
+All K functionals come from one batched pass over the cells of
+:meth:`DualityFamily.cell_bounds`: :func:`kspaces.gauge.hk_integrate_many`
+in 1-D and :func:`kspaces.gauge.integrate_boxes` in d >= 2.  Each cell
+still gets exactly the integration it would get alone, with its own
+evaluation budget.
 """
 
 from __future__ import annotations
@@ -33,8 +32,14 @@ import numpy as np
 
 from . import kernels
 from .boxes import BoxSet, TailFamily
-from .errors import MissingAbsoluteBound, ToleranceNotMet
-from .gauge import Interval, hk_integrate, integrate_boxes, integrate_nd_result
+from .errors import MissingAbsoluteBound
+from .gauge import (
+    Interval,
+    hk_integrate,
+    hk_integrate_many,
+    integrate_boxes,
+    integrate_nd_result,
+)
 
 
 @dataclass(frozen=True)
@@ -181,40 +186,15 @@ def _functionals_pass(f, cfg: KpConfig):
     """a_1 .. a_K and their evaluation counts from one batched pass.
 
     Each cell gets what :func:`functional` would compute for it alone:
-    :func:`integrate_nd_result` in d >= 2, :func:`hk_integrate` in 1-D.  A
-    1-D cell that contains a declared singular point is integrated by
-    ``hk_integrate`` itself, with its shells; every other cell joins one
-    :func:`integrate_boxes` call, with its own evaluation budget.
+    :func:`hk_integrate` in 1-D, :func:`integrate_nd_result` in d >= 2.
     """
-    K, tol = cfg.truncation, cfg.quad_tol
-    lo, hi = cfg.family.cell_bounds(K)
+    lo, hi = cfg.family.cell_bounds(cfg.truncation)
     if cfg.family.dim > 1:
-        values, _, evals = integrate_boxes(f, lo, hi, tol)
-        return values, evals
-
-    sings = np.asarray(cfg.singular_points, dtype=np.float64)
-    shelled = ((lo <= sings) & (sings <= hi)).any(axis=1)
-    plain = np.flatnonzero(~shelled)
-    w = hi[plain, 0] - lo[plain, 0]
-    with np.errstate(invalid="ignore"):
-        seg_tol = 0.5 * tol * w / w  # hk_integrate's share for one segment
-    values, evals = np.zeros(K), np.zeros(K, dtype=np.int64)
-    values[plain], errors, evals[plain] = integrate_boxes(
-        f, lo[plain], hi[plain], seg_tol
-    )
-    bad = np.flatnonzero(errors > tol)
-    if bad.size:
-        j = plain[bad[0]]
-        raise ToleranceNotMet(
-            f"final error estimate {errors[bad[0]]:.3g} exceeds tol {tol:.3g} "
-            f"in cell {j + 1}",
-            value=float(values[j]),
-            error_estimate=float(errors[bad[0]]),
-            evaluations=int(evals[j]),
+        values, _, evals = integrate_boxes(f, lo, hi, cfg.quad_tol)
+    else:
+        values, _, evals = hk_integrate_many(
+            f, lo[:, 0], hi[:, 0], cfg.quad_tol, cfg.singular_points
         )
-    for j in np.flatnonzero(shelled):
-        r = _functional_result(int(j) + 1, f, cfg)
-        values[j], evals[j] = r.value, r.evaluations
     return values, evals
 
 

@@ -290,6 +290,32 @@ class TestConfigFile:
         assert out.strip() == "False"
 
 
+BAD_NUMBERS = {
+    "negative-tol": ["integrate", "--expr", "1", "--interval", "0,1", "--tol", "-1"],
+    "reversed-interval": ["integrate", "--expr", "1", "--interval", "1,0"],
+    "singular-not-a-number": ["integrate", "--expr", "x1", "--interval", "0,1", "--singular", "a"],
+    "zero-truncation": ["norm", "-p", "2", "--expr", "1", "-K", "0"],
+    "zero-quad-tol": ["norm", "-p", "2", "--expr", "1", "--quad-tol", "0"],
+    "reversed-window": ["norm", "-p", "2", "--expr", "1", "--window", "1,0"],
+    "fourier-negative-tol": ["fourier", "--expr", "1", "--box", "0,1", "--at", "1", "--tol", "-1"],
+    "config-reversed-window": ["norm", "-p", "2", "--expr", "1", "--config", {"window": [[1, 0]]}],
+    "p-nan": ["norm", "-p", "nan", "--expr", "1"],
+    "frequency-not-a-number": ["fourier", "--expr", "1", "--box", "0,1", "--at", "1,a"],
+}
+
+
+@pytest.mark.parametrize("name", BAD_NUMBERS)
+def test_bad_numbers_are_usage_errors(capsys, tmp_path, name):
+    argv = list(BAD_NUMBERS[name])
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv[-1] = str(path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error:")
+
+
 class TestStdin:
     def test_expression_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("x1^2"))

@@ -15,12 +15,15 @@ from kspaces import (
     ToleranceNotMet,
     cousin_partition,
     hk_integrate,
+    hk_integrate_many,
+    integrate_boxes,
     integrate_nd,
     integrate_nd_result,
     is_delta_fine,
     riemann_sum,
     uniform_partition,
 )
+from kspaces import gauge
 
 
 def test_interval_validation():
@@ -142,6 +145,13 @@ class TestHkIntegrate:
         with pytest.raises(ToleranceNotMet):
             hk_integrate(f, Interval(0, 1), tol=1e-12, max_evals=200)
 
+    def test_unsettled_shells_report_their_evaluations(self, monkeypatch):
+        # shell integrals of 1/sqrt(x) shrink by sqrt(2) each: four never settle
+        monkeypatch.setattr(gauge, "MAX_SHELLS", 4)
+        with pytest.raises(ToleranceNotMet, match="did not settle") as info:
+            hk_integrate(lambda x: x**-0.5, Interval(0, 1), 1e-3, singular_points=[0])
+        assert info.value.evaluations >= 4 * 15
+
     def test_degenerate_interval(self):
         r = hk_integrate(lambda x: x, Interval(0.5, 0.5))
         assert r.value == 0.0
@@ -245,3 +255,31 @@ def test_two_tol_resolved_partitions_close():
     a = riemann_sum(f, uniform_partition(iv, n, "midpoint"))
     b = riemann_sum(f, uniform_partition(iv, 2 * n, "midpoint"))
     assert abs(a - b) <= 2.0 * tol
+
+
+def _wiggle(x):
+    return np.sin(50.0 * x) * np.sqrt(np.abs(x - 0.3))
+
+
+BUDGET_CALLS = {
+    "hk_integrate": lambda n: hk_integrate(_wiggle, Interval(0, 1), 1e-12, max_evals=n),
+    "hk_integrate_shells": lambda n: hk_integrate(
+        _wiggle, Interval(0, 1), 1e-12, singular_points=[0.3], max_evals=n
+    ),
+    "hk_integrate_many": lambda n: hk_integrate_many(
+        _wiggle, [0.0, 2.0], [1.0, 2.1], 1e-12, max_evals=n
+    ),
+    "integrate_nd_result": lambda n: integrate_nd_result(
+        lambda x, y: _wiggle(x) * _wiggle(y), [Interval(0, 1)] * 2, 1e-12, max_evals=n
+    ),
+    "integrate_boxes": lambda n: integrate_boxes(
+        lambda x, y: _wiggle(x) * _wiggle(y), [[0.0, 0.0]], [[1.0, 1.0]], 1e-12, max_evals=n
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUDGET_CALLS)
+def test_budget_error_reports_its_evaluations(name):
+    with pytest.raises(ToleranceNotMet, match="budget") as info:
+        BUDGET_CALLS[name](1000)
+    assert info.value.evaluations >= 1000
