@@ -11,20 +11,20 @@ Two modes:
   Lebesgue-integrable) converge.
 
 :func:`integrate_boxes` is the tensor-product quadrature used by the
-higher-dimensional modules, over many boxes in one pass;
-:func:`integrate_nd` is its one-box case.
+higher-dimensional modules, and by :func:`hk_integrate_many` for intervals
+without a singular point, over many boxes in one pass;
+:func:`integrate_nd_result` is its one-box case.
 
 :func:`_adaptive` integrates single shells; everything else is batched.
 :func:`_adaptive_many` runs many independent intervals in lock step, with
 one integrand call and one GK15 call per round over the active panels of
 all of them, and takes on every interval exactly the decisions
-``_adaptive`` would.  Shells must run one after another and each is about
-one GK15 round, so fixed per-call bookkeeping dominates them.  Run as
-one-interval ``_adaptive_many`` calls they printed the same bytes, but the
-``hk-1d`` benchmark's median request took 44% longer (``latency_norm.p50``
-5.13 -> 7.41), and still 40% longer (4.97 -> 6.95) with an exit as soon as
-every interval stops (medians of three alternating 15 s pairs each, 2-vCPU
-host).
+``_adaptive`` would: the two loops share one GK15 round, one acceptance
+rule, one bisection and one stop-test sum.  Shells must run one after
+another and each is about one GK15 round, so fixed per-call bookkeeping
+dominates them, and a one-interval ``_adaptive_many`` call costs about
+2.1x an ``_adaptive`` call (133 against 64 us for ``ln|x|`` on [1/4, 1/2],
+medians of 400 interleaved repetitions, 2-vCPU Xeon host).
 
 Boxes are integrated by a recursion over axes: the integrand of the first
 axis solves the inner problems of all its nodes in one recursive call, so f
@@ -34,8 +34,9 @@ batches run as consecutive groups, which bounds memory (a 6-D integral
 peaks near 5 MB).
 
 Integrands are callables of one array argument (n arguments for
-``integrate_nd``).  NumPy-vectorized callables are evaluated in batches;
-plain scalar functions are detected automatically and looped over (slower).
+:func:`integrate_boxes` over n-dimensional boxes) that return real values.
+NumPy-vectorized callables are evaluated in batches; plain scalar functions
+are detected automatically and looped over (slower).
 """
 
 from __future__ import annotations
@@ -217,6 +218,18 @@ def riemann_sum(f, partition: TaggedPartition) -> float:
     return kernels.neumaier_sum(terms)
 
 
+def _real(r):
+    """``r`` as a float64 array; raises if it is complex, whose cast to
+    float would keep only the real part."""
+    r = np.asarray(r)
+    if r.dtype.kind == "c":
+        raise EvaluationError(
+            "integrand returned complex values; integrate the real and imaginary "
+            "parts apart, as complex_valued=True does (compute_functionals, k2_inner)"
+        )
+    return r.astype(np.float64, copy=False)
+
+
 class _VecFn:
     """Wraps an integrand; batch-evaluates and auto-detects vectorization.
 
@@ -238,14 +251,16 @@ class _VecFn:
         for j, row in enumerate(lead.tolist()):
             for q, x in enumerate(xs[j].tolist()):
                 try:
-                    out[j, q] = float(self.f(*row, x))
+                    out[j, q] = float(_real(self.f(*row, x)))
+                except EvaluationError:
+                    raise
                 except Exception as exc:
                     raise EvaluationError(f"integrand failed at {(*row, x)}") from exc
         return out
 
     def _vectorized(self, xs, lead):
         cols = [lead[:, c : c + 1] for c in range(lead.shape[1])]
-        r = np.asarray(self.f(*cols, xs), dtype=np.float64)
+        r = _real(self.f(*cols, xs))
         if r.shape != xs.shape:
             # constant, or a function of the leading coordinates only
             r = np.broadcast_to(r, xs.shape)
@@ -290,6 +305,45 @@ class _VecFn:
         return r
 
 
+def _gk15_round(fn, lo, hi, *args):
+    """One GK15 round over the panels [lo[j], hi[j]], ``fn(*args, xs)``
+    giving the integrand at their nodes xs (m, 15).  Returns (centers,
+    values, errors)."""
+    centers = 0.5 * (lo + hi)
+    halfw = 0.5 * (hi - lo)
+    xs = centers[:, None] + halfw[:, None] * kernels.GK15_NODES
+    vals, errs = kernels.gk15_batch(fn(*args, xs), halfw)
+    return centers, vals, errs
+
+
+def _settled(lo, hi, errs, tol, total_w):
+    """Panels accepted as they stand: the error is within the panel's
+    width-proportional share tol * width / total_w of its interval's
+    tolerance, or the panel is too narrow to split.  Forcing the narrow ones
+    makes every loop end, with their errors still in the total."""
+    widths = hi - lo
+    scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+    return (errs <= tol * widths / total_w) | (widths <= _MIN_REL_WIDTH * scale)
+
+
+def _bisect(lo, hi, centers, split):
+    """Both halves of every ``split`` panel, in the panel's place, so the
+    panels of an interval stay in ascending order."""
+    m = centers[split]
+    new_lo = np.empty(2 * m.size)
+    new_hi = np.empty(2 * m.size)
+    new_lo[0::2], new_lo[1::2] = lo[split], m
+    new_hi[0::2], new_hi[1::2] = m, hi[split]
+    return new_lo, new_hi
+
+
+def _error_sums(errs, seg, n):
+    """Error total of each of ``n`` intervals, panel j belonging to interval
+    ``seg[j]``: summed left to right in panel order, the one order the stop
+    tests of both loops use (``ndarray.sum`` regroups runs of 8 or more)."""
+    return np.bincount(seg, weights=errs, minlength=n)
+
+
 def _adaptive(fn, lo: float, hi: float, tol: float):
     """Batched breadth-first GK15 refinement of one shell [lo, hi].
 
@@ -303,66 +357,25 @@ def _adaptive(fn, lo: float, hi: float, tol: float):
         return 0.0, 0.0
     active_lo = np.array([lo])
     active_hi = np.array([hi])
-    acc_lo, acc_val, acc_err = [], [], []
+    acc_val, acc_err = [], []
     acc_err_sum = 0.0
 
     while active_lo.size:
-        centers = 0.5 * (active_lo + active_hi)
-        halfw = 0.5 * (active_hi - active_lo)
-        xs = centers[:, None] + halfw[:, None] * kernels.GK15_NODES
-        fv = fn(xs)
-        vals, errs = kernels.gk15_batch(fv, halfw)
-
-        if acc_err_sum + float(errs.sum()) <= tol:
-            acc_lo.append(active_lo)
+        centers, vals, errs = _gk15_round(fn, active_lo, active_hi)
+        seg = np.zeros(errs.size, dtype=np.intp)  # every panel is in the shell
+        if acc_err_sum + _error_sums(errs, seg, 1)[0] <= tol:
             acc_val.append(vals)
             acc_err.append(errs)
             break
+        done = _settled(active_lo, active_hi, errs, tol, total_w)
+        acc_val.append(vals[done])
+        acc_err.append(errs[done])
+        acc_err_sum += _error_sums(errs[done], seg[done], 1)[0]
+        active_lo, active_hi = _bisect(active_lo, active_hi, centers, ~done)
 
-        widths = active_hi - active_lo
-        budgets = tol * widths / total_w
-        scale = np.maximum(np.maximum(np.abs(active_lo), np.abs(active_hi)), 1.0)
-        done = (errs <= budgets) | (widths <= _MIN_REL_WIDTH * scale)
-        if done.any():
-            acc_lo.append(active_lo[done])
-            acc_val.append(vals[done])
-            acc_err.append(errs[done])
-            acc_err_sum += float(errs[done].sum())
-        split = ~done
-        if not split.any():
-            break
-        m = centers[split]
-        lo_s, hi_s = active_lo[split], active_hi[split]
-        active_lo = np.empty(2 * m.size)
-        active_hi = np.empty(2 * m.size)
-        active_lo[0::2], active_lo[1::2] = lo_s, m
-        active_hi[0::2], active_hi[1::2] = m, hi_s
-
-    lo_all = np.concatenate(acc_lo)
-    val_all = np.concatenate(acc_val)
-    err_all = np.concatenate(acc_err)
-    order = np.argsort(lo_all, kind="stable")
-    value = kernels.neumaier_sum(val_all[order])
-    error = kernels.neumaier_sum(err_all[order])
+    value = kernels.neumaier_sum(np.concatenate(acc_val))
+    error = kernels.neumaier_sum(np.concatenate(acc_err))
     return value, error
-
-
-def _interval_sums(x, seg, n):
-    """Sum of ``x`` over the panels of each of ``n`` intervals, bit for bit
-    what ``x[seg == i].sum()`` gives; ``seg`` is sorted.
-
-    NumPy sums fewer than 8 terms left to right from zero, which is what
-    ``bincount`` does; its pairwise order for longer runs is reproduced by
-    summing those runs one by one.
-    """
-    out = np.bincount(seg, weights=x, minlength=n)
-    counts = np.bincount(seg, minlength=n)
-    long_runs = (counts >= 8).nonzero()[0]
-    if long_runs.size:
-        ends = counts.cumsum()
-        for i in long_runs:
-            out[i] = x[ends[i] - counts[i] : ends[i]].sum()
-    return out
 
 
 def _adaptive_many(fn, lo, hi, tol):
@@ -371,10 +384,9 @@ def _adaptive_many(fn, lo, hi, tol):
     Interval i is [lo[i], hi[i]] with tolerance tol[i].  Each round makes
     one ``fn(seg, xs)`` call and one ``gk15_batch`` over the active panels
     of all intervals, where panel j belongs to interval ``seg[j]``; every
-    interval takes exactly the decisions :func:`_adaptive` takes on it and
-    sums its panels in ascending ``lo``.  At most ``_MAX_IN_FLIGHT``
-    intervals are in flight; larger batches run as consecutive groups.
-    Returns (values, errors) arrays.
+    interval takes exactly the decisions :func:`_adaptive` takes on it.  At
+    most ``_MAX_IN_FLIGHT`` intervals are in flight; larger batches run as
+    consecutive groups.  Returns (values, errors) arrays.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -391,39 +403,25 @@ def _lockstep(fn, offset, lo, hi, tol):
     n = lo.size
     total_w = hi - lo
     values, errors = np.zeros(n), np.zeros(n)
-    # Active panels stay sorted by interval and ascending within it.
+    # Active panels stay grouped by interval, in the order _adaptive keeps.
     seg = (total_w > 0.0).nonzero()[0]
     active_lo, active_hi = lo[seg], hi[seg]
     acc_err_sum = np.zeros(n)
     accepted = []
 
     while seg.size:
-        centers = 0.5 * (active_lo + active_hi)
-        halfw = 0.5 * (active_hi - active_lo)
-        xs = centers[:, None] + halfw[:, None] * kernels.GK15_NODES
-        vals, errs = kernels.gk15_batch(fn(seg + offset, xs), halfw)
-
-        stop = acc_err_sum + _interval_sums(errs, seg, n) <= tol
-        widths = active_hi - active_lo
-        budgets = tol[seg] * widths / total_w[seg]
-        scale = np.maximum(np.maximum(np.abs(active_lo), np.abs(active_hi)), 1.0)
-        done = stop[seg] | (errs <= budgets) | (widths <= _MIN_REL_WIDTH * scale)
-        accepted.append((seg[done], active_lo[done], vals[done], errs[done]))
-        acc_err_sum += _interval_sums(errs[done], seg[done], n)
-
-        split = ~done
-        m = centers[split]
-        lo_s, hi_s = active_lo[split], active_hi[split]
-        seg = seg[split].repeat(2)
-        active_lo = np.empty(2 * m.size)
-        active_hi = np.empty(2 * m.size)
-        active_lo[0::2], active_lo[1::2] = lo_s, m
-        active_hi[0::2], active_hi[1::2] = m, hi_s
+        centers, vals, errs = _gk15_round(fn, active_lo, active_hi, seg + offset)
+        stop = acc_err_sum + _error_sums(errs, seg, n) <= tol
+        done = stop[seg] | _settled(active_lo, active_hi, errs, tol[seg], total_w[seg])
+        accepted.append((seg[done], vals[done], errs[done]))
+        acc_err_sum += _error_sums(errs[done], seg[done], n)
+        active_lo, active_hi = _bisect(active_lo, active_hi, centers, ~done)
+        seg = seg[~done].repeat(2)
 
     if not accepted:
         return values, errors
-    seg_all, lo_all, val_all, err_all = (np.concatenate(c) for c in zip(*accepted))
-    order = np.lexsort((lo_all, seg_all))
+    seg_all, val_all, err_all = (np.concatenate(c) for c in zip(*accepted))
+    order = np.argsort(seg_all, kind="stable")  # groups by interval
     seg_all, val_all, err_all = seg_all[order], val_all[order], err_all[order]
     counts = np.bincount(seg_all, minlength=n)
     starts = counts.cumsum() - counts
@@ -504,11 +502,11 @@ def hk_integrate_many(
     its own ``max_evals`` budget; returns (values, errors, evaluations).
 
     Intervals holding no declared singular point run together in one
-    lock-step pass at tol/2.  Around each singular point the integral is
-    taken in improper mode: geometric shells shrinking toward the point,
-    stopped when the partial sums are Cauchy (three consecutive shell
-    integrals below tol/4, shared among the singular sides).  This matches
-    the limit characterization of the HK integral over expanding
+    :func:`integrate_boxes` pass at tol/2.  Around each singular point the
+    integral is taken in improper mode: geometric shells shrinking toward
+    the point, stopped when the partial sums are Cauchy (three consecutive
+    shell integrals below tol/4, shared among the singular sides).  This
+    matches the limit characterization of the HK integral over expanding
     subintervals, which is what makes conditionally integrable oscillatory
     integrands computable.
 
@@ -526,11 +524,9 @@ def hk_integrate_many(
     values, errors = np.zeros(lo.size), np.zeros(lo.size)
     evals = np.zeros(lo.size, dtype=np.int64)
 
-    fn = _VecFn(f, max_evals, plain.size)
-    values[plain], errors[plain] = _adaptive_many(
-        lambda seg, xs: fn(xs, roots=seg), lo[plain], hi[plain], 0.5 * tol
+    values[plain], errors[plain], evals[plain] = integrate_boxes(
+        f, lo[plain, None], hi[plain, None], 0.5 * tol, max_evals
     )
-    evals[plain] = fn.evals
 
     for i in np.flatnonzero(shelled).tolist():
         fn = _VecFn(f, max_evals)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .boxes import BoxSet, TailFamily
-from .errors import MissingAbsoluteBound
+from .errors import DimensionCapExceeded, MissingAbsoluteBound
 from .gauge import (
     Interval,
     hk_integrate,
@@ -40,6 +40,9 @@ from .gauge import (
     integrate_boxes,
     integrate_nd_result,
 )
+
+# Points per axis of the q = inf sampling grid in lq_norm.
+_SUP_GRID = 4097
 
 
 @dataclass(frozen=True)
@@ -318,11 +321,19 @@ def lq_norm(f, q: float, window: Sequence[Interval], quad_tol: float = 1e-10) ->
 
     The q = inf case samples |f| on a fine uniform grid, which is exact for
     the piecewise-constant corpus these checks run on but only a lower
-    estimate in general.
+    estimate in general.  The grid has 4097 points per axis and at most
+    4097^2 in all, so windows of 3 or more dimensions raise
+    :class:`DimensionCapExceeded`.
     """
     window = list(window)
     if q == math.inf:
-        axes = [np.linspace(iv.lo, iv.hi, 4097) for iv in window]
+        points = _SUP_GRID ** len(window)
+        if points > _SUP_GRID**2:
+            raise DimensionCapExceeded(
+                f"the q = inf grid of a {len(window)}-D window has {points} "
+                f"points, over the cap of {_SUP_GRID**2}"
+            )
+        axes = [np.linspace(iv.lo, iv.hi, _SUP_GRID) for iv in window]
         mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
         return float(np.max(np.abs(np.asarray(f(*mesh), dtype=np.float64))))
     if q < 1:

@@ -147,19 +147,6 @@ def test_adaptive_many_matches_adaptive_interval_by_interval():
         assert close(v, values[i]) and close_err(e, errors[i], v), i
 
 
-def test_adaptive_many_sums_long_runs_like_numpy():
-    # many panels per interval: run sums of 8 or more terms take NumPy's
-    # pairwise order
-    rng = np.random.default_rng(3)
-    x = rng.uniform(0.0, 1.0, 200) * 10.0 ** rng.integers(-16, 0, 200)
-    lengths = np.array([1, 7, 0, 8, 9, 31, 144])
-    seg = np.repeat(np.arange(lengths.size), lengths)
-    ends = np.cumsum(lengths)
-    got = gauge._interval_sums(x[: ends[-1]], seg, lengths.size + 1)
-    want = [x[e - n : e].sum() for e, n in zip(ends, lengths)] + [0.0]
-    assert got.tolist() == want
-
-
 @pytest.fixture
 def row_by_row_gk15(monkeypatch):
     """``gk15_batch`` one panel per call, so that no panel's rounding
@@ -173,6 +160,36 @@ def row_by_row_gk15(monkeypatch):
         return tuple(np.concatenate(part) for part in zip(*out))
 
     monkeypatch.setattr(gauge.kernels, "gk15_batch", rows)
+
+
+def test_adaptive_many_matches_adaptive_on_long_runs(row_by_row_gk15):
+    # Rounds in which one interval has 8 or more active panels: both loops
+    # sum the errors of its panels in one order, so with a batch-independent
+    # GK15 the two take the same decisions and give the same bits.
+    def f(xs):
+        return np.sin(60.0 * xs) * (xs > 0.41)
+
+    lo, hi = np.array([0.0, -1.0, 0.3]), np.array([2.0, 0.5, 0.3001])
+    tol = np.array([1e-12, 1e-9, 1e-13])
+    counts = np.zeros(lo.size, dtype=np.int64)
+    widest = [0]
+
+    def many(seg, xs):
+        np.add.at(counts, seg, xs.shape[1])
+        widest[0] = max(widest[0], int(np.bincount(seg).max()))
+        return f(xs)
+
+    values, errors = gauge._adaptive_many(many, lo, hi, tol)
+    assert widest[0] >= 8
+    for i in range(lo.size):
+        n = [0]
+
+        def one(xs):
+            n[0] += xs.size
+            return f(xs)
+
+        assert gauge._adaptive(one, lo[i], hi[i], tol[i]) == (values[i], errors[i]), i
+        assert counts[i] == n[0], i
 
 
 def _hk_corpus():

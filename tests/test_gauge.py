@@ -156,6 +156,20 @@ class TestHkIntegrate:
         r = hk_integrate(lambda x: x, Interval(0.5, 0.5))
         assert r.value == 0.0
 
+    @pytest.mark.parametrize(
+        "f, singular",
+        [
+            (lambda x: np.exp(3j * x), ()),
+            (lambda x: np.exp(3j * x), (0.0,)),
+            (lambda x: np.complex128(1j) * math.sin(x), ()),
+        ],
+        ids=["vectorized", "shells", "scalar-only"],
+    )
+    def test_complex_integrand_raises(self, f, singular):
+        # a cast to float keeps the real part: sin(3)/3 for exp(3ix)
+        with pytest.raises(EvaluationError, match="complex_valued=True"):
+            hk_integrate(f, Interval(0, 1), singular_points=singular)
+
     def test_linearity_on_smooth_corpus(self):
         rng = np.random.default_rng(3)
         iv = Interval(0, 1)
@@ -238,6 +252,10 @@ class TestIntegrateNd:
     def test_result_reports_evaluations(self):
         r = integrate_nd_result(lambda x: x, [Interval(0, 1)])
         assert r.evaluations >= 15
+
+    def test_complex_integrand_raises(self):
+        with pytest.raises(EvaluationError, match="complex_valued=True"):
+            integrate_nd_result(lambda x, y: np.exp(1j * (x + y)), [Interval(0, 1)] * 2)
 
 
 def test_two_tol_resolved_partitions_close():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kspaces import (
+    DimensionCapExceeded,
     DualityFamily,
+    EvaluationError,
     Interval,
     KpConfig,
     MissingAbsoluteBound,
@@ -176,6 +178,11 @@ class TestKpNorm:
         with pytest.raises(ValueError):
             kp_norm(one, 0.5, cfg)
 
+    def test_complex_integrand_raises(self, cfg):
+        # a cast to float keeps the real part, 0, and reports a zero norm
+        with pytest.raises(EvaluationError, match="complex_valued=True"):
+            kp_norm(lambda x: 1j * np.ones_like(x), 2.0, cfg)
+
 
 class TestK2Inner:
     def test_inner_matches_norm_squared(self, cfg):
@@ -240,6 +247,14 @@ class TestEmbedding:
         assert lq_norm(f, math.inf, (UNIT_WINDOW,)) == pytest.approx(
             f.lq_norm(math.inf), abs=1e-12
         )
+
+    def test_lq_norm_sup_grid_is_capped(self):
+        # a 3-D window would sample 4097^3 = 6.9e10 points
+        def f(*xs):
+            raise AssertionError("sampled past the cap")
+
+        with pytest.raises(DimensionCapExceeded):
+            lq_norm(f, math.inf, (UNIT_WINDOW,) * 3)
 
 
 # ------------------------------------------------------------- inequality
