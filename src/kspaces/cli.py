@@ -6,8 +6,10 @@ Results are emitted as a CSV or JSON table with the columns
 0 success, 1 computation error, 2 usage error, 3 verify-suite failure.
 
 Configuration may be given as a JSON file (``--config``); command-line
-flags override file values.  ``--deterministic`` zeroes the wall_ms column
-so identical invocations produce byte-identical tables.
+flags override file values.  Each setting has one entry in ``SETTINGS``,
+whose check applies to its flag and its config key alike.
+``--deterministic`` zeroes the wall_ms column so identical invocations
+produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -39,45 +41,122 @@ from .tame import TameFunction
 from .verify import SUITE_NAMES, run_suites
 
 COLUMNS = ("quantity", "value", "error_bound", "tail_bound", "evaluations", "wall_ms")
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "window": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "minItems": 1,
-        },
-        "truncation": {"type": "integer", "minimum": 1},
-        "quad_tol": {"type": "number", "exclusiveMinimum": 0},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "weights": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "name": {"enum": ["geometric"]},
-                "ratio": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            },
-            "required": ["name"],
-        },
-        "tail_family": {"enum": ["canonical-j", "scaled-j"]},
-        "normalized": {"type": "boolean"},
-        "singular_points": {"type": "array", "items": {"type": "number"}},
-        "format": {"enum": ["csv", "json"]},
-        "seed": {"type": "integer"},
-        "deterministic": {"type": "boolean"},
-    },
-}
+TAIL_FAMILIES = tuple(family.value for family in TailFamily)
+FORMATS = ("csv", "json")
 
 
 class UsageError(Exception):
     pass
+
+
+def _rule(wanted: str, test, convert=None):
+    """A check that returns ``value``, through ``convert`` if given, when
+    ``test(value)`` holds, and raises ValueError naming ``wanted`` if not."""
+
+    def check(value):
+        if not test(value):
+            raise ValueError(f"must be {wanted}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
+def _number(v) -> bool:
+    """A JSON number: Python's bool is an int, JSON's true is not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    # JSON has one number type, so 8.0 is the integer 8
+    return _number(v) and float(v).is_integer()
+
+
+def _pair(v) -> bool:
+    finite = isinstance(v, list) and all(_number(x) and math.isfinite(x) for x in v)
+    return finite and len(v) == 2 and v[0] <= v[1]
+
+
+def _geometric(v) -> bool:
+    if not (isinstance(v, dict) and v.keys() <= {"name", "ratio"}):
+        return False
+    ratio = v.get("ratio", 0.5)
+    return v.get("name") == "geometric" and _number(ratio) and 0.0 < ratio < 1.0
+
+
+def _parse_floats(text: str) -> list:
+    """'a,b,...' as the list [a, b, ...]."""
+    return [float(s) for s in text.split(",") if s]
+
+
+def _parse_box(text: str) -> list:
+    """'lo,hi;lo,hi;...' as the window [[lo, hi], [lo, hi], ...]."""
+    return [_parse_floats(part) for part in text.split(";") if part]
+
+
+def _parse_weights(text: str) -> dict:
+    """'geometric:r' as the weights {"name": "geometric", "ratio": r}."""
+    name, _, ratio = text.partition(":")
+    return {"name": name, "ratio": float(ratio)} if ratio else {"name": name}
+
+
+_positive = _rule("a number > 0", lambda v: _number(v) and v > 0)
+_boolean = _rule("true or false", lambda v: isinstance(v, bool))
+_truncation = _rule("an integer >= 1", lambda v: _integer(v) and v >= 1, int)
+_interval = _rule(
+    "a pair [lo, hi] of finite numbers, lo <= hi", _pair, lambda v: tuple(map(float, v))
+)
+_window = _rule(
+    "a non-empty list", lambda v: isinstance(v, list) and v, lambda v: list(map(_interval, v))
+)
+_weights = _rule(
+    '{"name": "geometric", "ratio": r}, 0 < r < 1', _geometric, lambda v: v.get("ratio", 0.5)
+)
+_points = _rule(
+    "a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v)), list
+)
+
+
+def _one_of(choices: tuple):
+    return _rule(f"one of {', '.join(choices)}", lambda v: v in choices)
+
+
+# Each run setting: config key (also the argparse dest of its flag) ->
+# (RunConfig field, check, parser from flag text to the value a config file
+# holds, or None where argparse has typed the flag already).
+SETTINGS = {
+    "window": ("window", _window, _parse_box),
+    "truncation": ("truncation", _truncation, None),
+    "quad_tol": ("quad_tol", _positive, None),
+    "tol": ("tol", _positive, None),
+    "weights": ("weights_ratio", _weights, _parse_weights),
+    "tail_family": ("tail_family", _one_of(TAIL_FAMILIES), None),
+    "normalized": ("normalized", _boolean, None),
+    "singular_points": ("singular_points", _points, _parse_floats),
+    "format": ("format", _one_of(FORMATS), None),
+    "seed": ("seed", _rule("an integer", _integer, int), None),
+    "deterministic": ("deterministic", _boolean, None),
+}
+
+
+def _checked(label: str, check, value, parse=None):
+    """check(parse(value)), with a failure reported as a usage error."""
+    try:
+        return check(value if parse is None else parse(value))
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"{label}: {exc}") from exc
+
+
+def _read_config(path) -> dict:
+    if not path:
+        return {}
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"invalid config: must be a JSON object, got {data!r}")
+    return data
 
 
 @dataclass
@@ -96,72 +175,23 @@ class RunConfig:
 
     @staticmethod
     def from_sources(args) -> "RunConfig":
+        """The defaults, then the ``--config`` file, then the flags given;
+        every value passes the check of its SETTINGS entry."""
         cfg = RunConfig()
-        if getattr(args, "config", None):
-            import jsonschema  # only config files need it; keeps startup lean
-
-            try:
-                with open(args.config) as fh:
-                    data = json.load(fh)
-                jsonschema.validate(data, CONFIG_SCHEMA)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise UsageError(f"cannot read config file: {exc}") from exc
-            except jsonschema.ValidationError as exc:
-                raise UsageError(f"invalid config: {exc.message}") from exc
-            if "window" in data:
-                cfg.window = [tuple(map(float, w)) for w in data["window"]]
-            cfg.truncation = data.get("truncation", cfg.truncation)
-            cfg.quad_tol = data.get("quad_tol", cfg.quad_tol)
-            cfg.tol = data.get("tol", cfg.tol)
-            if "weights" in data:
-                cfg.weights_ratio = data["weights"].get("ratio", cfg.weights_ratio)
-            cfg.tail_family = data.get("tail_family", cfg.tail_family)
-            cfg.normalized = data.get("normalized", cfg.normalized)
-            cfg.singular_points = list(data.get("singular_points", []))
-            cfg.format = data.get("format", cfg.format)
-            cfg.seed = data.get("seed", cfg.seed)
-            cfg.deterministic = data.get("deterministic", cfg.deterministic)
-
-        # flags override file values
-        if getattr(args, "window", None):
-            cfg.window = _parse_box(args.window)
-        if getattr(args, "truncation", None) is not None:
-            cfg.truncation = args.truncation
-        if getattr(args, "quad_tol", None) is not None:
-            cfg.quad_tol = args.quad_tol
-        if getattr(args, "tol", None) is not None:
-            cfg.tol = args.tol
-        if getattr(args, "weights", None):
-            cfg.weights_ratio = _parse_weights(args.weights)
-        if getattr(args, "tail_family", None):
-            cfg.tail_family = args.tail_family
-        if getattr(args, "normalized", None) is not None:
-            cfg.normalized = args.normalized
-        if getattr(args, "singular", None):
-            try:
-                cfg.singular_points = [float(s) for s in args.singular.split(",") if s]
-            except ValueError as exc:
-                raise UsageError(f"bad singular point in {args.singular!r}") from exc
-        if getattr(args, "format", None):
-            cfg.format = args.format
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
-        if getattr(args, "deterministic", False):
-            cfg.deterministic = True
-        cfg.check()
+        for key, value in _read_config(args.config).items():
+            if key not in SETTINGS:
+                raise UsageError(f"invalid config: unknown key {key!r}")
+            name, check, _ = SETTINGS[key]
+            setattr(cfg, name, _checked(f"invalid config: {key}", check, value))
+        for key, (name, check, parse) in SETTINGS.items():
+            value = getattr(args, key, None)
+            if value is not None:
+                setattr(cfg, name, _checked(key, check, value, parse))
         return cfg
 
-    def check(self) -> None:
-        """Reject values no computation accepts, from flags or a file alike."""
-        for name, value in (("tol", self.tol), ("quad_tol", self.quad_tol)):
-            if not value > 0:
-                raise UsageError(f"{name} must be positive, got {value!r}")
-        if self.truncation < 1:
-            raise UsageError(f"truncation must be >= 1, got {self.truncation}")
-        for lo, hi in self.window:
-            _check_pair(lo, hi)
-
     def kp_config(self) -> KpConfig:
+        if self.singular_points and len(self.window) > 1:
+            raise UsageError("singular points apply only to a 1-D window")
         family = DualityFamily(tuple(Interval(a, b) for a, b in self.window))
         return KpConfig(
             family,
@@ -172,60 +202,12 @@ class RunConfig:
         )
 
     def tail_config(self) -> TailMeasureConfig:
-        fam = (
-            TailFamily.CANONICAL_J
-            if self.tail_family == "canonical-j"
-            else TailFamily.SCALED_J
-        )
-        return TailMeasureConfig(fam, normalized=self.normalized)
+        return TailMeasureConfig(TailFamily(self.tail_family), normalized=self.normalized)
 
 
-def _parse_pair(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"expected 'lo,hi', got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"bad interval {text!r}: {exc}") from exc
-    return _check_pair(lo, hi)
-
-
-def _check_pair(lo: float, hi: float):
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise UsageError(f"bad interval {lo!r},{hi!r}: need finite lo <= hi")
-    return lo, hi
-
-
-def _parse_box(text: str):
-    return [_parse_pair(part) for part in text.split(";") if part]
-
-
-def _parse_weights(text: str):
-    name, _, ratio = text.partition(":")
-    if name != "geometric":
-        raise UsageError(f"unknown weight family {name!r}")
-    try:
-        r = float(ratio) if ratio else 0.5
-    except ValueError as exc:
-        raise UsageError(f"bad weight ratio {ratio!r}") from exc
-    if not 0.0 < r < 1.0:
-        raise UsageError("weight ratio must be in (0, 1)")
-    return r
-
-
-def _parse_points(text: str):
-    points = []
-    for part in text.split(";"):
-        if not part:
-            continue
-        try:
-            points.append(tuple(float(c) for c in part.split(",")))
-        except ValueError as exc:
-            raise UsageError(f"bad frequency point {part!r}: {exc}") from exc
-    if not points:
-        raise UsageError("no frequency points given")
-    return points
+def _box(text: str) -> list:
+    """A ``--box`` domain, checked as a window is."""
+    return [Interval(a, b) for a, b in _checked("--box", _window, text, _parse_box)]
 
 
 def _read_expr(text: str) -> str:
@@ -275,27 +257,21 @@ def _cmd_integrate(args, cfg: RunConfig):
     if args.interval and args.box:
         raise UsageError("give either --interval (1-d HK) or --box (tame), not both")
     if args.interval:
-        lo, hi = _parse_pair(args.interval)
+        lo, hi = _checked("--interval", _interval, args.interval, _parse_floats)
         f = _compiled(args.expr, 1)
         res = hk_integrate(
             f, Interval(lo, hi), tol=cfg.tol, singular_points=cfg.singular_points
         )
         return [("integral", res.value, res.error_estimate, 0.0, res.evaluations, timer.ms())]
     if args.box:
-        box = [Interval(a, b) for a, b in _parse_box(args.box)]
+        if cfg.singular_points:
+            raise UsageError("singular points apply only to --interval, not --box")
+        box = _box(args.box)
         f = _compiled(args.expr, len(box))
         res = integrate_nd_result(f, box, tol=cfg.tol)
         factor = cfg.tail_config().tail_product(len(box))
-        return [
-            (
-                "tame_integral",
-                res.value * factor,
-                res.error_estimate * factor,
-                0.0,
-                res.evaluations,
-                timer.ms(),
-            )
-        ]
+        err = res.error_estimate * factor
+        return [("tame_integral", res.value * factor, err, 0.0, res.evaluations, timer.ms())]
     raise UsageError("integrate needs --interval or --box")
 
 
@@ -326,16 +302,8 @@ def _cmd_norm(args, cfg: RunConfig):
         functionals=functionals,
     )
     label = "inf" if p == math.inf else f"{p:g}"
-    return [
-        (
-            f"kp_norm[p={label}]",
-            res.value,
-            kcfg.quad_tol,
-            res.tail_bound,
-            evals,
-            timer.ms(),
-        )
-    ]
+    row = (f"kp_norm[p={label}]", res.value, kcfg.quad_tol, res.tail_bound, evals, timer.ms())
+    return [row]
 
 
 def _cmd_inner(args, cfg: RunConfig):
@@ -355,13 +323,11 @@ def _cmd_inner(args, cfg: RunConfig):
 
 
 def _cmd_fourier(args, cfg: RunConfig):
-    box = [Interval(a, b) for a, b in _parse_box(args.box)] if args.box else [
-        Interval(a, b) for a, b in cfg.window
-    ]
+    box = _box(args.box) if args.box else [Interval(a, b) for a, b in cfg.window]
     f = _compiled(args.expr, len(box))
     tame = TameFunction(len(box), f, tuple(box))
     rows = []
-    for coords in _parse_points(args.at):
+    for coords in _checked("--at", _rule("a non-empty list", bool), args.at, _parse_box):
         timer = _Timer(cfg.deterministic)
         y = FrequencyPoint(coords)
         fv, err, evals = fourier_tame_result(tame, y, tol=cfg.tol)
@@ -395,6 +361,14 @@ def _cmd_verify(args, cfg: RunConfig):
     return rows, any_failed
 
 
+_COMMANDS = {
+    "integrate": _cmd_integrate,
+    "norm": _cmd_norm,
+    "inner": _cmd_inner,
+    "fourier": _cmd_fourier,
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The ``ks`` argument parser, built once per process."""
@@ -406,17 +380,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--deterministic", action="store_true", default=False,
+        p.add_argument("--format", choices=FORMATS, default=None)
+        p.add_argument("--deterministic", action="store_true", default=None,
                        help="zero the wall_ms column for reproducible output")
+
+    def kp_settings(p):
+        p.add_argument("--window", help="working window 'lo,hi[;lo,hi...]'")
+        p.add_argument("-K", "--truncation", type=int, default=None)
+        p.add_argument("--quad-tol", dest="quad_tol", type=float, default=None)
+        p.add_argument("--weights", help="weight family, e.g. geometric:0.5")
+        p.add_argument("--singular", dest="singular_points",
+                       help="comma-separated singular points (1-D window only)")
 
     p_int = sub.add_parser("integrate", help="1-d HK integral or tame box integral")
     p_int.add_argument("--expr", required=True, help="integrand ('-' reads stdin)")
     p_int.add_argument("--interval", help="1-d domain as 'lo,hi'")
     p_int.add_argument("--box", help="box domain as 'lo,hi;lo,hi;...'")
     p_int.add_argument("--tol", type=float, default=None)
-    p_int.add_argument("--singular", help="comma-separated singular points")
-    p_int.add_argument("--tail-family", choices=["canonical-j", "scaled-j"], default=None)
+    p_int.add_argument("--singular", dest="singular_points",
+                       help="comma-separated singular points (--interval only)")
+    p_int.add_argument("--tail-family", choices=TAIL_FAMILIES, default=None)
     normalized = p_int.add_mutually_exclusive_group()
     normalized.add_argument("--normalized", dest="normalized", action="store_true", default=None)
     normalized.add_argument("--no-normalized", dest="normalized", action="store_false")
@@ -425,11 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="K^p norm of an expression")
     p_norm.add_argument("-p", required=True, help="exponent (>= 1 or 'inf')")
     p_norm.add_argument("--expr", required=True)
-    p_norm.add_argument("--window", help="working window 'lo,hi[;lo,hi...]'")
-    p_norm.add_argument("-K", "--truncation", type=int, default=None)
-    p_norm.add_argument("--quad-tol", dest="quad_tol", type=float, default=None)
-    p_norm.add_argument("--weights", help="weight family, e.g. geometric:0.5")
-    p_norm.add_argument("--singular", help="comma-separated singular points")
+    kp_settings(p_norm)
     p_norm.add_argument("--abs-bound", dest="abs_bound", type=float, default=None,
                         help="bound on the integral of |f| (tightens the tail bound)")
     p_norm.add_argument("--conditionally-integrable", action="store_true", default=False)
@@ -438,11 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inner = sub.add_parser("inner", help="K^2 inner product of two expressions")
     p_inner.add_argument("--expr", required=True)
     p_inner.add_argument("--expr2", required=True)
-    p_inner.add_argument("--window", help="working window 'lo,hi[;lo,hi...]'")
-    p_inner.add_argument("-K", "--truncation", type=int, default=None)
-    p_inner.add_argument("--quad-tol", dest="quad_tol", type=float, default=None)
-    p_inner.add_argument("--weights", help="weight family, e.g. geometric:0.5")
-    p_inner.add_argument("--singular", help="comma-separated singular points")
+    kp_settings(p_inner)
     common(p_inner)
 
     p_f = sub.add_parser("fourier", help="Fourier transform of a tame core")
@@ -475,20 +450,10 @@ def run_command(argv) -> int:
 
     try:
         cfg = RunConfig.from_sources(args)
-        if args.command == "integrate":
-            rows = _cmd_integrate(args, cfg)
-        elif args.command == "norm":
-            rows = _cmd_norm(args, cfg)
-        elif args.command == "inner":
-            rows = _cmd_inner(args, cfg)
-        elif args.command == "fourier":
-            rows = _cmd_fourier(args, cfg)
-        elif args.command == "verify":
+        if args.command == "verify":
             rows, any_failed = _cmd_verify(args, cfg)
-            _emit(rows, cfg.format, sys.stdout)
-            return 3 if any_failed else 0
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {args.command}")
+        else:
+            rows, any_failed = _COMMANDS[args.command](args, cfg), False
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -497,7 +462,7 @@ def run_command(argv) -> int:
         return 1
 
     _emit(rows, cfg.format, sys.stdout)
-    return 0
+    return 3 if any_failed else 0
 
 
 def main() -> None:

@@ -514,7 +514,7 @@ def hk_integrate_many(
     estimate exceeds ``tol``, and :class:`EvaluationError` if ``f`` returns
     non-finite values away from declared singular points.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -616,6 +616,8 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS):
             f"dimension {lo.shape[1]} exceeds cap {DEFAULT_DIM_CAP}"
         )
     tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), lo.shape[:1])
+    if not (tol > 0.0).all():
+        raise ValueError("tol must be positive")
     fn = _VecFn(f, max_evals, lo.shape[0])
     values, errors = np.zeros(lo.shape[0]), np.zeros(lo.shape[0])
     live = np.flatnonzero((hi > lo).all(axis=1))
@@ -643,7 +645,7 @@ def integrate_nd_result(
     box = list(box)
     if not box:
         raise ValueError("box must have at least one axis")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     values, errors, evals = integrate_boxes(
         f, [[iv.lo for iv in box]], [[iv.hi for iv in box]], tol, max_evals

@@ -151,8 +151,10 @@ class KpConfig:
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
-        if self.quad_tol <= 0:
+        if not self.quad_tol > 0:
             raise ValueError("quad_tol must be positive")
+        if self.singular_points and self.family.dim > 1:
+            raise ValueError("singular points apply only to a 1-D family")
 
 
 @dataclass(frozen=True)
@@ -335,12 +337,12 @@ def lq_norm(f, q: float, window: Sequence[Interval], quad_tol: float = 1e-10) ->
             )
         axes = [np.linspace(iv.lo, iv.hi, _SUP_GRID) for iv in window]
         mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
-        return float(np.max(np.abs(np.asarray(f(*mesh), dtype=np.float64))))
+        return float(np.max(np.asarray(np.abs(f(*mesh)), dtype=np.float64)))
     if q < 1:
         raise ValueError("q must be >= 1 or inf")
 
     def absq(*xs):
-        return np.abs(np.asarray(f(*xs), dtype=np.float64)) ** q
+        return np.asarray(np.abs(f(*xs)), dtype=np.float64) ** q
 
     v = integrate_nd_result(absq, window, quad_tol).value
     return max(v, 0.0) ** (1.0 / q)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 import kspaces
-from kspaces.cli import COLUMNS, run_command
+from kspaces.cli import COLUMNS, SETTINGS, RunConfig, run_command
 
 
 def run(capsys, *argv):
@@ -233,6 +234,46 @@ class TestOutputContract:
         assert repr(v) == rows[0]["value"]  # shortest round-trip form
 
 
+INVALID_CONFIGS = {
+    "window-type": {"window": "0,1"},
+    "truncation-type": {"truncation": "8"},
+    "quad-tol-type": {"quad_tol": "1e-8"},
+    "tol-type": {"tol": "1e-8"},
+    "weights-type": {"weights": "geometric:0.5"},
+    "tail-family-type": {"tail_family": 1},
+    "normalized-type": {"normalized": "yes"},
+    "singular-points-type": {"singular_points": 0.5},
+    "format-type": {"format": 1},
+    "seed-type": {"seed": "1"},
+    "deterministic-type": {"deterministic": 1},
+    "truncation-true": {"truncation": True},
+    "tol-true": {"tol": True},
+    "seed-true": {"seed": True},
+    "window-entry-true": {"window": [[0, True]]},
+    "singular-point-true": {"singular_points": [True]},
+    "truncation-non-integral": {"truncation": 8.5},
+    "seed-non-integral": {"seed": 1.5},
+    "truncation-below-1": {"truncation": -3},
+    "quad-tol-zero": {"quad_tol": 0},
+    "tol-negative": {"tol": -1e-8},
+    "tol-nan": {"tol": math.nan},
+    "weights-without-name": {"weights": {"ratio": 0.25}},
+    "weights-extra-key": {"weights": {"name": "geometric", "ratio": 0.25, "scale": 2}},
+    "weights-unknown-name": {"weights": {"name": "harmonic"}},
+    "weights-ratio-0": {"weights": {"name": "geometric", "ratio": 0}},
+    "weights-ratio-1": {"weights": {"name": "geometric", "ratio": 1}},
+    "format-choice": {"format": "xml"},
+    "tail-family-choice": {"tail_family": "j"},
+    "window-triple": {"window": [[0, 1, 2]]},
+    "window-single": {"window": [[0]]},
+    "window-empty": {"window": []},
+    "window-reversed": {"window": [[1, 0]]},
+    "window-infinite": {"window": [[0, math.inf]]},
+    "top-level-list": [{"truncation": 8}],
+    "unknown-key": {"truncadion": 64},
+}
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
         cfg = {
@@ -259,14 +300,31 @@ class TestConfigFile:
         payload = json.loads(out)
         assert payload[0]["tail_bound"] == pytest.approx(2.0**-32, rel=1e-12)
 
-    def test_invalid_config_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("name", INVALID_CONFIGS)
+    def test_invalid_config_rejected(self, capsys, tmp_path, name):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"truncation": -3}))
+        path.write_text(json.dumps(INVALID_CONFIGS[name]))
         code, _, err = run(
             capsys, "norm", "-p", "2", "--expr", "1", "--config", str(path)
         )
         assert code == 2
-        assert "invalid config" in err
+        assert err.startswith("usage error: invalid config:")
+
+    def test_integral_float_truncation_is_an_integer(self, capsys, tmp_path):
+        # JSON has one number type: 8.0 is the truncation 8
+        outs = []
+        for truncation in (8, 8.0):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"truncation": truncation}))
+            code, out, _ = run(
+                capsys, "norm", "-p", "2", "--expr", "1", "--config", str(path),
+                "--deterministic",
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        _, rows = parse_csv(outs[1])
+        assert float(rows[0]["tail_bound"]) == pytest.approx(2.0**-4, rel=1e-12)
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad2.json"
@@ -278,7 +336,7 @@ class TestConfigFile:
 
 
     def test_cli_import_leaves_jsonschema_out(self):
-        # jsonschema is imported only when a --config file is read
+        # config files are checked by the SETTINGS table, not by jsonschema
         src = os.path.dirname(os.path.dirname(kspaces.__file__))
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import kspaces.cli; "
@@ -301,7 +359,43 @@ BAD_NUMBERS = {
     "config-reversed-window": ["norm", "-p", "2", "--expr", "1", "--config", {"window": [[1, 0]]}],
     "p-nan": ["norm", "-p", "nan", "--expr", "1"],
     "frequency-not-a-number": ["fourier", "--expr", "1", "--box", "0,1", "--at", "1,a"],
+    "empty-window": ["norm", "-p", "2", "--expr", "1", "--window", ";"],
+    "empty-box": ["integrate", "--expr", "1", "--box", ";"],
+    "weight-ratio-1": ["norm", "-p", "2", "--expr", "1", "--weights", "geometric:1"],
 }
+
+
+SINGULAR_OFF_1D = {
+    "integrate-box": ["integrate", "--expr", "x1*x2", "--box", "0,1;0,1", "--singular", "0.5"],
+    "norm-2d-window": ["norm", "-p", "2", "--expr", "x1", "--window", "0,1;0,1", "--singular", "0.3"],
+    "inner-2d-window": [
+        "inner", "--expr", "x1", "--expr2", "x2", "--window", "0,1;0,1", "--singular", "0.3",
+    ],
+    "norm-2d-window-config": [
+        "norm", "-p", "2", "--expr", "x1", "--window", "0,1;0,1",
+        "--config", {"singular_points": [0.3]},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", SINGULAR_OFF_1D)
+def test_singular_points_off_1d_are_usage_errors(capsys, tmp_path, name):
+    # singular points are used only by 1-D HK integrals, so elsewhere they
+    # would be a setting that does nothing
+    argv = list(SINGULAR_OFF_1D[name])
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv[-1] = str(path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error: singular points apply only to")
+
+
+def test_settings_table_covers_run_config():
+    # one table entry per RunConfig field, in field order
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert [name for name, _, _ in SETTINGS.values()] == fields
 
 
 @pytest.mark.parametrize("name", BAD_NUMBERS)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from kspaces import (
     DimensionCapExceeded,
+    DualityFamily,
     EvaluationError,
     Gauge,
     Interval,
+    KpConfig,
     PartitionBudgetExceeded,
     TaggedPartition,
     ToleranceNotMet,
@@ -301,3 +303,22 @@ def test_budget_error_reports_its_evaluations(name):
     with pytest.raises(ToleranceNotMet, match="budget") as info:
         BUDGET_CALLS[name](1000)
     assert info.value.evaluations >= 1000
+
+
+TOL_CALLS = {
+    "hk_integrate": lambda tol: hk_integrate(np.sin, Interval(0, 1), tol),
+    "hk_integrate_many": lambda tol: hk_integrate_many(np.sin, [0.0], [1.0], tol),
+    "integrate_nd_result": lambda tol: integrate_nd_result(np.sin, [Interval(0, 1)], tol),
+    "integrate_boxes": lambda tol: integrate_boxes(
+        np.sin, [[0.0], [1.0]], [[1.0], [2.0]], [1e-8, tol]
+    ),
+    "KpConfig": lambda tol: KpConfig(DualityFamily((Interval(0, 1),)), quad_tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("name", TOL_CALLS)
+def test_non_positive_tol_is_rejected(name, tol):
+    # `not tol > 0` also refuses NaN, which `tol <= 0` let through
+    with pytest.raises(ValueError, match="positive"):
+        TOL_CALLS[name](tol)

@@ -248,6 +248,14 @@ class TestEmbedding:
             f.lq_norm(math.inf), abs=1e-12
         )
 
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    def test_lq_norm_takes_the_modulus_of_complex_values(self, q):
+        # |3 + 4i| = 5 everywhere on the unit window
+        def f(x):
+            return (3.0 + 4.0j) * np.ones_like(x)
+
+        assert lq_norm(f, q, (UNIT_WINDOW,)) == pytest.approx(5.0, abs=1e-9)
+
     def test_lq_norm_sup_grid_is_capped(self):
         # a 3-D window would sample 4097^3 = 6.9e10 points
         def f(*xs):
@@ -255,6 +263,12 @@ class TestEmbedding:
 
         with pytest.raises(DimensionCapExceeded):
             lq_norm(f, math.inf, (UNIT_WINDOW,) * 3)
+
+
+def test_singular_points_need_a_1d_family():
+    KpConfig(DualityFamily((UNIT_WINDOW,)), singular_points=(0.3,))
+    with pytest.raises(ValueError, match="1-D"):
+        KpConfig(DualityFamily((UNIT_WINDOW, UNIT_WINDOW)), singular_points=(0.3,))
 
 
 # ------------------------------------------------------------- inequality
