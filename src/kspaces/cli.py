@@ -71,9 +71,12 @@ def _integer(v) -> bool:
     return _number(v) and float(v).is_integer()
 
 
+def _finite(v) -> bool:
+    return _number(v) and math.isfinite(v)
+
+
 def _pair(v) -> bool:
-    finite = isinstance(v, list) and all(_number(x) and math.isfinite(x) for x in v)
-    return finite and len(v) == 2 and v[0] <= v[1]
+    return isinstance(v, list) and all(map(_finite, v)) and len(v) == 2 and v[0] <= v[1]
 
 
 def _geometric(v) -> bool:
@@ -112,7 +115,7 @@ _weights = _rule(
     '{"name": "geometric", "ratio": r}, 0 < r < 1', _geometric, lambda v: v.get("ratio", 0.5)
 )
 _points = _rule(
-    "a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v)), list
+    "a list of finite numbers", lambda v: isinstance(v, list) and all(map(_finite, v)), list
 )
 
 
@@ -190,16 +193,17 @@ class RunConfig:
         return cfg
 
     def kp_config(self) -> KpConfig:
-        if self.singular_points and len(self.window) > 1:
-            raise UsageError("singular points apply only to a 1-D window")
         family = DualityFamily(tuple(Interval(a, b) for a, b in self.window))
-        return KpConfig(
-            family,
-            weights=geometric_weights(self.weights_ratio),
-            truncation=self.truncation,
-            quad_tol=self.quad_tol,
-            singular_points=tuple(self.singular_points),
-        )
+        try:
+            return KpConfig(
+                family,
+                weights=geometric_weights(self.weights_ratio),
+                truncation=self.truncation,
+                quad_tol=self.quad_tol,
+                singular_points=tuple(self.singular_points),
+            )
+        except ValueError as exc:  # singular points KpConfig refuses
+            raise UsageError(str(exc)) from exc
 
     def tail_config(self) -> TailMeasureConfig:
         return TailMeasureConfig(TailFamily(self.tail_family), normalized=self.normalized)
@@ -225,9 +229,7 @@ def _compiled(expr_text: str, dim: int):
 
 
 def _fmt_num(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
 def _emit(rows, fmt: str, out) -> None:
@@ -243,13 +245,10 @@ def _emit(rows, fmt: str, out) -> None:
 
 class _Timer:
     def __init__(self, deterministic: bool):
-        self.deterministic = deterministic
-        self.t0 = time.perf_counter()
+        self.t0 = None if deterministic else time.perf_counter()
 
     def ms(self) -> float:
-        if self.deterministic:
-            return 0.0
-        return round(1000.0 * (time.perf_counter() - self.t0), 3)
+        return 0.0 if self.t0 is None else round(1000.0 * (time.perf_counter() - self.t0), 3)
 
 
 def _cmd_integrate(args, cfg: RunConfig):
@@ -257,7 +256,11 @@ def _cmd_integrate(args, cfg: RunConfig):
     if args.interval and args.box:
         raise UsageError("give either --interval (1-d HK) or --box (tame), not both")
     if args.interval:
+        if args.tail_family is not None or args.normalized is not None:
+            raise UsageError("--tail-family and --normalized apply only to --box")
         lo, hi = _checked("--interval", _interval, args.interval, _parse_floats)
+        if not all(lo <= s <= hi for s in cfg.singular_points):
+            raise UsageError(f"singular points must lie in the interval [{lo!r}, {hi!r}]")
         f = _compiled(args.expr, 1)
         res = hk_integrate(
             f, Interval(lo, hi), tol=cfg.tol, singular_points=cfg.singular_points
@@ -276,10 +279,8 @@ def _cmd_integrate(args, cfg: RunConfig):
 
 
 def _parse_p(text: str) -> float:
-    if text.lower() in ("inf", "infinity", "oo"):
-        return math.inf
     try:
-        p = float(text)
+        p = math.inf if text.lower() == "oo" else float(text)  # float reads inf, infinity
     except ValueError as exc:
         raise UsageError(f"bad p {text!r}") from exc
     if not p >= 1:
@@ -301,8 +302,7 @@ def _cmd_norm(args, cfg: RunConfig):
         conditionally_integrable=args.conditionally_integrable,
         functionals=functionals,
     )
-    label = "inf" if p == math.inf else f"{p:g}"
-    row = (f"kp_norm[p={label}]", res.value, kcfg.quad_tol, res.tail_bound, evals, timer.ms())
+    row = (f"kp_norm[p={p:g}]", res.value, kcfg.quad_tol, res.tail_bound, evals, timer.ms())
     return [row]
 
 
@@ -323,16 +323,17 @@ def _cmd_inner(args, cfg: RunConfig):
 
 
 def _cmd_fourier(args, cfg: RunConfig):
+    timer = _Timer(cfg.deterministic)
     box = _box(args.box) if args.box else [Interval(a, b) for a, b in cfg.window]
     f = _compiled(args.expr, len(box))
     tame = TameFunction(len(box), f, tuple(box))
+    points = _rule("a non-empty list", bool, lambda v: list(map(FrequencyPoint, v)))
+    ys = _checked("--at", points, args.at, _parse_box)  # FrequencyPoint refuses nan, inf
+    results = fourier_tame_result(tame, ys, tol=cfg.tol)
+    ms = timer.ms()
     rows = []
-    for coords in _checked("--at", _rule("a non-empty list", bool), args.at, _parse_box):
-        timer = _Timer(cfg.deterministic)
-        y = FrequencyPoint(coords)
-        fv, err, evals = fourier_tame_result(tame, y, tol=cfg.tol)
-        label = ",".join(f"{c:g}" for c in coords)
-        ms = timer.ms()
+    for y, (fv, err, evals) in zip(ys, results):
+        label = ",".join(f"{c:g}" for c in y.coords)
         rows.append((f"fourier_re[y={label}]", fv.value.real, err, 0.0, evals, ms))
         rows.append((f"fourier_im[y={label}]", fv.value.imag, err, 0.0, evals, ms))
     return rows
@@ -348,16 +349,8 @@ def _cmd_verify(args, cfg: RunConfig):
         ms = timer.ms()
         for c in checks:
             any_failed = any_failed or not c.passed
-            rows.append(
-                (
-                    f"{c.suite}.{c.name}:{'pass' if c.passed else 'FAIL'}",
-                    1.0 if c.passed else 0.0,
-                    c.margin,
-                    c.threshold,
-                    c.checks,
-                    ms,
-                )
-            )
+            quantity = f"{c.suite}.{c.name}:{'pass' if c.passed else 'FAIL'}"
+            rows.append((quantity, float(c.passed), c.margin, c.threshold, c.checks, ms))
     return rows, any_failed
 
 
@@ -390,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quad-tol", dest="quad_tol", type=float, default=None)
         p.add_argument("--weights", help="weight family, e.g. geometric:0.5")
         p.add_argument("--singular", dest="singular_points",
-                       help="comma-separated singular points (1-D window only)")
+                       help="comma-separated singular points inside a 1-D window")
 
     p_int = sub.add_parser("integrate", help="1-d HK integral or tame box integral")
     p_int.add_argument("--expr", required=True, help="integrand ('-' reads stdin)")
@@ -398,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--box", help="box domain as 'lo,hi;lo,hi;...'")
     p_int.add_argument("--tol", type=float, default=None)
     p_int.add_argument("--singular", dest="singular_points",
-                       help="comma-separated singular points (--interval only)")
+                       help="comma-separated singular points inside --interval")
     p_int.add_argument("--tail-family", choices=TAIL_FAMILIES, default=None)
     normalized = p_int.add_mutually_exclusive_group()
     normalized.add_argument("--normalized", dest="normalized", action="store_true", default=None)
@@ -424,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_f.add_argument("--expr", required=True, help="core expression")
     p_f.add_argument("--box", help="core working box 'lo,hi[;lo,hi...]'")
     p_f.add_argument("--at", required=True,
-                     help="frequency points 'y1,y2;y1,y2;...' (semicolon-separated)")
+                     help="finite frequency points 'y1,y2;y1,y2;...' (semicolon-separated)")
     p_f.add_argument("--tol", type=float, default=None)
     common(p_f)
 

@@ -5,7 +5,8 @@ transform of the core (kernel exp(-2*pi*i*<x, y>), so the transform of the
 unit interval's indicator is the normalized sinc) times the sinc tail: the
 transform of the infinite product of unit intervals.  Since sinc(0) = 1 the
 tail is evaluated exactly over the finitely many nonzero frequency
-coordinates.
+coordinates.  The heads at all requested points, real and imaginary parts
+alike, are integrated in one batched pass.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import integrate_nd_result
+from .gauge import integrate_boxes, integrate_nd_result
 from .tame import TameFunction
 
 
@@ -27,6 +28,8 @@ class FrequencyPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        if not all(map(math.isfinite, self.coords)):
+            raise ValueError(f"frequency coordinates must be finite, got {self.coords}")
 
     def get(self, k: int) -> float:
         return self.coords[k - 1] if 1 <= k <= len(self.coords) else 0.0
@@ -62,42 +65,48 @@ def sinc_tail(y: FrequencyPoint, n: int) -> float:
     Implicit zero coordinates contribute exactly one (sinc(0) = 1), so the
     infinite product reduces to the explicit ones.
     """
-    tail = y.coords[n:]
-    if not tail:
-        return 1.0
-    return float(np.prod(np.sinc(np.asarray(tail))))
+    return float(np.prod(np.sinc(np.asarray(y.coords[n:]))))
 
 
-def fourier_tame_result(f: TameFunction, y: FrequencyPoint, tol: float = 1e-10):
-    """Like :func:`fourier_tame` but also returns the propagated quadrature
-    error bound on the modulus and the evaluation count."""
-    ybar = np.array([y.get(k) for k in range(1, f.order + 1)])
+def fourier_tame_result(f: TameFunction, ys, tol: float = 1e-10) -> list:
+    """Transform of a tame function at each frequency point of ``ys``, as
+    one (FourierValue, error bound on the modulus, evaluations) per point.
 
-    def phase(*xs):
-        acc = xs[0] * ybar[0]
-        for c, yk in zip(xs[1:], ybar[1:]):
+    The real and imaginary parts of the head at every point are copies of
+    the working box in one :func:`integrate_boxes` pass, with the point's
+    frequencies and the part (0 real, 1 imaginary) as box parameters.
+    """
+    ys = list(ys)
+    n, m = f.order, len(ys)
+    freqs = np.array([[y.get(k) for k in range(1, n + 1)] for y in ys]).reshape(m, n)
+
+    def integrand(*args):
+        y, part, xs = args[:n], args[n], args[n + 1 :]
+        acc = xs[0] * y[0]
+        for c, yk in zip(xs[1:], y[1:]):
             acc = acc + c * yk
-        return 2.0 * math.pi * acc
+        wave = np.asarray(2.0 * math.pi * acc)  # the phase, a new array or a float
+        im = np.broadcast_to(part != 0.0, wave.shape)  # imaginary-part rows
+        np.cos(wave, out=wave, where=~im)
+        np.sin(wave, out=wave, where=im)
+        np.negative(wave, out=wave, where=im)
+        return np.asarray(f.core(*xs)) * wave
 
-    re = integrate_nd_result(
-        lambda *xs: np.asarray(f.core(*xs)) * np.cos(phase(*xs)), f.box, tol
-    )
-    im = integrate_nd_result(
-        lambda *xs: -np.asarray(f.core(*xs)) * np.sin(phase(*xs)), f.box, tol
-    )
-    tail = sinc_tail(y, f.order)
-    value = FourierValue(complex(re.value, im.value) * tail, tail, f.order)
-    error = math.hypot(re.error_estimate, im.error_estimate) * abs(tail)
-    return value, error, re.evaluations + im.evaluations
+    ends = np.array([(iv.lo, iv.hi) for iv in f.box]).T
+    lo, hi = np.tile(ends[0], (2 * m, 1)), np.tile(ends[1], (2 * m, 1))
+    params = np.column_stack((np.tile(freqs, (2, 1)), np.repeat([0.0, 1.0], m)))
+    values, errors, evals = integrate_boxes(integrand, lo, hi, tol, params=params)
+    out = []
+    for i, tail in enumerate(sinc_tail(y, n) for y in ys):
+        value = FourierValue(complex(values[i], values[m + i]) * tail, tail, n)
+        error = math.hypot(errors[i], errors[m + i]) * abs(tail)
+        out.append((value, error, int(evals[i] + evals[m + i])))
+    return out
 
 
 def fourier_tame(f: TameFunction, y: FrequencyPoint, tol: float = 1e-10) -> FourierValue:
-    """Transform of a tame function at y: core transform times sinc tail.
-
-    Real and imaginary parts of the head are computed by separate
-    quadrature over the working box.
-    """
-    return fourier_tame_result(f, y, tol)[0]
+    """Transform at y: the one-point case of :func:`fourier_tame_result`."""
+    return fourier_tame_result(f, [y], tol)[0][0]
 
 
 @dataclass(frozen=True)
@@ -118,9 +127,7 @@ def fourier_bound_check(
         return np.abs(np.asarray(f.core(*xs), dtype=np.float64))
 
     l1 = integrate_nd_result(abs_core, f.box, tol).value
-    best, arg = -1.0, None
-    for y in grid:
-        v = abs(fourier_tame(f, y, tol))
-        if v > best:
-            best, arg = v, y
+    grid = list(grid)
+    mods = [abs(fv) for fv, _, _ in fourier_tame_result(f, grid, tol)]
+    best, arg = max(zip(mods, grid), key=lambda t: t[0], default=(-1.0, None))
     return BoundReport(best, l1, quad_slack, arg, best <= l1 + quad_slack)

@@ -33,8 +33,8 @@ At most ``_MAX_IN_FLIGHT`` intervals are in flight at each level; larger
 batches run as consecutive groups, which bounds memory (a 6-D integral
 peaks near 5 MB).
 
-Integrands are callables of one array argument (n arguments for
-:func:`integrate_boxes` over n-dimensional boxes) that return real values.
+Integrands are callables of one array argument (for :func:`integrate_boxes`,
+a box's k parameters and then its n coordinates) that return real values.
 NumPy-vectorized callables are evaluated in batches; plain scalar functions
 are detected automatically and looped over (slower).
 """
@@ -233,9 +233,9 @@ def _real(r):
 class _VecFn:
     """Wraps an integrand; batch-evaluates and auto-detects vectorization.
 
-    ``fn(xs)`` evaluates f at the points ``xs`` (m, 15).  For n-argument
-    integrands, ``lead`` (m, j) holds each panel's leading coordinates,
-    passed to f as (m, 1) columns before ``xs``.  Evaluations are counted
+    ``fn(xs)`` evaluates f at the points ``xs`` (m, 15).  ``lead`` (m, j)
+    holds each panel's box parameters and leading coordinates, passed to f
+    as (m, 1) columns before ``xs``.  Evaluations are counted
     per root problem, ``roots[j]`` being the one panel j is charged to, and
     each root has its own ``max_evals`` budget.
     """
@@ -600,14 +600,16 @@ def _integrate_boxes(fn: _VecFn, roots, lead, lo, hi, tol):
     return v, e + w * inner_tol
 
 
-def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS):
+def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=None):
     """Tensor-product adaptive quadrature over many boxes in one pass.
 
     Box i spans ``lo[i]`` to ``hi[i]`` (arrays of shape (m, d)) with
-    tolerance ``tol[i]`` (or one tol for all).  Every box is integrated as
-    :func:`integrate_nd_result` would integrate it alone, with its own
-    ``max_evals`` budget; boxes with a zero-width axis are 0.  Returns
-    (values, errors, evaluations) arrays of length m.
+    tolerance ``tol[i]`` (or one tol for all).  ``params`` (m, k), if
+    given, holds constants of each box, passed to f as its first k
+    arguments, so box i integrates ``f(*params[i], x_1, ..., x_d)``.  Every
+    box is integrated as :func:`integrate_nd_result` would integrate it
+    alone, with its own ``max_evals`` budget; boxes with a zero-width axis
+    are 0.  Returns (values, errors, evaluations) arrays of length m.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -620,11 +622,11 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS):
         raise ValueError("tol must be positive")
     fn = _VecFn(f, max_evals, lo.shape[0])
     values, errors = np.zeros(lo.shape[0]), np.zeros(lo.shape[0])
+    params = np.empty((lo.shape[0], 0)) if params is None else np.asarray(params, np.float64)
     live = np.flatnonzero((hi > lo).all(axis=1))
     if live.size:
-        lead = np.empty((live.size, 0))
         values[live], errors[live] = _integrate_boxes(
-            fn, live, lead, lo[live], hi[live], tol[live]
+            fn, live, params[live], lo[live], hi[live], tol[live]
         )
     return values, errors, fn.evals
 
@@ -645,8 +647,6 @@ def integrate_nd_result(
     box = list(box)
     if not box:
         raise ValueError("box must have at least one axis")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     values, errors, evals = integrate_boxes(
         f, [[iv.lo for iv in box]], [[iv.hi for iv in box]], tol, max_evals
     )

@@ -155,6 +155,12 @@ class KpConfig:
             raise ValueError("quad_tol must be positive")
         if self.singular_points and self.family.dim > 1:
             raise ValueError("singular points apply only to a 1-D family")
+        iv = self.family.window[0]
+        if not all(iv.lo <= s <= iv.hi for s in self.singular_points):
+            raise ValueError(
+                f"singular points must lie in the window [{iv.lo!r}, {iv.hi!r}], "
+                f"got {list(self.singular_points)}"
+            )
 
 
 @dataclass(frozen=True)

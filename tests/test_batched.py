@@ -289,6 +289,60 @@ def test_integrate_boxes_keeps_a_budget_per_box():
         gauge.integrate_boxes(f, lo, hi, 1e-8, max_evals=need - 1)
 
 
+# ---------------------------------------------------- per-box parameters
+
+PARAMS = [[1.0, 0.5], [3.0, -0.25], [7.5, 2.0], [0.5, 1.0]]
+PARAM_BOXES = [  # box 2 has a zero-width axis
+    (
+        lambda a, b, x: np.sin(a * x) + b * (x > 0.3),
+        [[0.0], [-1.0], [0.2], [1.0]],
+        [[1.0], [0.5], [0.2], [2.5]],
+        1e-10,
+    ),
+    (
+        lambda a, b, x, y: np.exp(-a * x - b * y),
+        [[0.0, 0.0], [-0.5, 0.0], [0.0, 0.3], [1.0, 1.0]],
+        [[1.0, 1.0], [0.5, 2.0], [1.0, 0.3], [1.5, 1.2]],
+        1e-9,
+    ),
+    (
+        lambda a, b, x, y, z: np.cos(a * x + y) * np.abs(z - b),
+        [[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
+        [[1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [1.0, 0.5, 1.0], [0.5, 1.0, 1.5]],
+        1e-6,
+    ),
+    (  # scalar-only: evaluated point by point
+        lambda a, b, x, y: math.sin(a * x) * math.exp(b * y),
+        [[0.0, 0.0], [0.0, -1.0], [2.0, 0.0], [0.0, 0.0]],
+        [[1.0, 0.5], [1.0, 1.0], [2.0, 1.0], [0.25, 0.75]],
+        1e-8,
+    ),
+]
+
+
+@pytest.mark.parametrize("f, lo, hi, tol", PARAM_BOXES)
+def test_integrate_boxes_params_match_one_closure_per_box(row_by_row_gk15, f, lo, hi, tol):
+    values, errors, evals = gauge.integrate_boxes(f, lo, hi, tol, params=PARAMS)
+    assert (values == 0.0).sum() == 1 and (evals > 0).sum() == 3
+    for i, (a, b) in enumerate(PARAMS):
+        v, e, n = gauge.integrate_boxes(
+            lambda *xs, a=a, b=b: f(a, b, *xs), lo[i : i + 1], hi[i : i + 1], tol
+        )
+        assert (values[i], errors[i], evals[i]) == (v[0], e[0], n[0]), i
+
+
+def test_integrate_boxes_params_keep_a_budget_per_box():
+    f = lambda a, x, y: np.sin(a * x * y)  # noqa: E731
+    lo, hi = [[0.0, 0.0]] * 3, [[1.0, 1.0]] * 3
+    params = [[1.0], [12.0], [2.0]]
+    _, _, evals = gauge.integrate_boxes(f, lo, hi, 1e-8, params=params)
+    need = int(evals.max())
+    assert evals[1] == need > max(evals[0], evals[2])
+    gauge.integrate_boxes(f, lo, hi, 1e-8, max_evals=need, params=params)  # over it in total
+    with pytest.raises(ToleranceNotMet):
+        gauge.integrate_boxes(f, lo, hi, 1e-8, max_evals=need - 1, params=params)
+
+
 def test_six_dimensional_integral_stays_small():
     f = lambda *xs: np.exp(-sum(xs))  # noqa: E731
     tracemalloc.start()

@@ -151,6 +151,15 @@ class TestFourier:
         assert byq["fourier_re[y=0.5]"] == pytest.approx(2.0 / math.pi, abs=1e-10)
         assert byq["fourier_re[y=1]"] == pytest.approx(0.0, abs=1e-10)
 
+    def test_rows_carry_the_request_wall_ms(self, capsys):
+        # all points come from one integration pass, timed once
+        argv = ["fourier", "--expr", "x1", "--box", "0,1", "--at", "0;1.5;2,3", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 6
+        assert len({r["wall_ms"] for r in rows}) == 1 and float(rows[0]["wall_ms"]) > 0.0
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):
@@ -251,6 +260,8 @@ INVALID_CONFIGS = {
     "seed-true": {"seed": True},
     "window-entry-true": {"window": [[0, True]]},
     "singular-point-true": {"singular_points": [True]},
+    "singular-point-nan": {"singular_points": [math.nan]},
+    "singular-point-infinite": {"singular_points": [-math.inf]},
     "truncation-non-integral": {"truncation": 8.5},
     "seed-non-integral": {"seed": 1.5},
     "truncation-below-1": {"truncation": -3},
@@ -362,7 +373,73 @@ BAD_NUMBERS = {
     "empty-window": ["norm", "-p", "2", "--expr", "1", "--window", ";"],
     "empty-box": ["integrate", "--expr", "1", "--box", ";"],
     "weight-ratio-1": ["norm", "-p", "2", "--expr", "1", "--weights", "geometric:1"],
+    "frequency-nan": ["fourier", "--expr", "1", "--box", "0,1", "--at", "nan"],
+    "frequency-inf": ["fourier", "--expr", "1", "--box", "0,1", "--at", "0;1,inf"],
+    "frequency-minus-inf": ["fourier", "--expr", "1", "--box", "0,1", "--at=-inf,2"],
 }
+
+
+SINGULAR_OFF_DOMAIN = {
+    "integrate-nan": ["integrate", "--expr", "x1", "--interval", "0,1", "--singular", "nan"],
+    "integrate-inf": ["integrate", "--expr", "x1", "--interval", "0,1", "--singular", "0,inf"],
+    "integrate-outside": ["integrate", "--expr", "x1", "--interval", "0,1", "--singular", "5"],
+    "integrate-outside-config": [
+        "integrate", "--expr", "x1", "--interval", "0,1", "--config", {"singular_points": [-0.5]},
+    ],
+    "norm-outside": ["norm", "-p", "2", "--expr", "x1", "-K", "4", "--singular", "5"],
+    "norm-nan": ["norm", "-p", "2", "--expr", "x1", "-K", "4", "--singular", "nan"],
+    "inner-outside": [
+        "inner", "--expr", "x1", "--expr2", "1", "--window", "0,2", "--singular", "0.5,2.5",
+    ],
+    "norm-outside-config": [
+        "norm", "-p", "2", "--expr", "x1", "-K", "4", "--config", {"singular_points": [1.5]},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", SINGULAR_OFF_DOMAIN)
+def test_singular_points_off_the_domain_are_usage_errors(capsys, tmp_path, name):
+    # a singular point outside the 1-D domain, or not finite, is never used
+    argv = list(SINGULAR_OFF_DOMAIN[name])
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv[-1] = str(path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and "singular" in err
+
+
+def test_singular_points_on_the_domain_edge_are_accepted(capsys):
+    for argv in (
+        ["integrate", "--expr", "x1", "--interval", "0,1", "--singular", "0,1"],
+        ["norm", "-p", "2", "--expr", "x1", "-K", "4", "--singular", "0,0.5,1"],
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tail-family", "scaled-j"], ["--normalized"], ["--no-normalized"],
+    ["--tail-family", "canonical-j", "--no-normalized"],
+])
+def test_tail_flags_on_interval_are_usage_errors(capsys, flags):
+    # the tail family and normalization scale only --box results
+    code, out, err = run(capsys, "integrate", "--expr", "x1", "--interval", "0,1", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --tail-family and --normalized apply only to --box")
+    code, _, _ = run(capsys, "integrate", "--expr", "x1", "--box", "0,1", *flags)
+    assert code == 0
+
+
+def test_tail_settings_in_a_config_file_are_accepted_with_interval(capsys, tmp_path):
+    # one config file may serve several subcommands
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tail_family": "scaled-j", "normalized": False}))
+    argv = ["integrate", "--expr", "x1", "--interval", "0,1", "--deterministic"]
+    code, with_file, _ = run(capsys, *argv, "--config", str(path))
+    assert code == 0
+    assert with_file == run(capsys, *argv)[1]
 
 
 SINGULAR_OFF_1D = {

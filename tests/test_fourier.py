@@ -9,6 +9,7 @@ from kspaces import (
     TameFunction,
     fourier_bound_check,
     fourier_tame,
+    fourier_tame_result,
     sinc_tail,
 )
 from kspaces.verify import random_step
@@ -100,6 +101,54 @@ class TestFourierTame:
             plus = fourier_tame(f, FrequencyPoint((y,))).value
             minus = fourier_tame(f, FrequencyPoint((-y,))).value
             assert abs(minus - plus.conjugate()) < 1e-10
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-14 * max(1.0, abs(b))
+
+
+SCALED = TameFunction(2, lambda x, y: np.exp(x) * (y > 0.1), (Interval(0, 1), Interval(-0.5, 0.5)))
+MANY_POINTS = [
+    (rect(), [(0.0,), (0.5,), (-3.25,), (1.0, 0.5), (2.0, -1.5, 0.25), ()]),
+    (SCALED, [(0.0, 0.0), (1.5,), (), (-2.0, 0.75), (0.3, 1.2, 0.5, -4.0)]),
+    (TameFunction(1, lambda x: math.exp(-x * x), J_BOX), [(0.25,), (-1.0, 0.5)]),
+]
+
+
+class TestManyPoints:
+    @pytest.mark.parametrize("f, points", MANY_POINTS)
+    def test_one_pass_matches_one_point_calls(self, f, points):
+        # more coordinates than the order exercise the sinc tail, fewer the
+        # implicit zeros; the last core only takes scalars
+        ys = [FrequencyPoint(c) for c in points]
+        many = fourier_tame_result(f, ys, 1e-10)
+        assert len(many) == len(ys)
+        for y, (fv, err, evals) in zip(ys, many):
+            [(one, one_err, one_evals)] = fourier_tame_result(f, [y], 1e-10)
+            assert evals == one_evals
+            assert _close(fv.value.real, one.value.real) and _close(fv.value.imag, one.value.imag)
+            assert abs(err - one_err) <= 1e-12 * max(1.0, abs(one.value))
+            assert (fv.tail_factor, fv.head_dim) == (one.tail_factor, one.head_dim)
+            assert fv.tail_factor == sinc_tail(y, f.order)
+
+    def test_empty_grid(self):
+        assert fourier_tame_result(rect(), []) == []
+        rep = fourier_bound_check(rect(), [])
+        assert rep.passed and rep.argmax is None
+        assert rep.l1_bound == pytest.approx(1.0, abs=1e-10)
+
+    def test_bound_check_reports_the_largest_point(self):
+        # a positive core has its largest transform at 0, equal to its integral
+        f = TameFunction(1, np.exp, J_BOX)
+        grid = [FrequencyPoint((float(v),)) for v in (1.5, 0.0, -2.5, 0.25)]
+        rep = fourier_bound_check(f, iter(grid))
+        assert rep.argmax is grid[1] and _close(rep.max_abs, abs(fourier_tame(f, grid[1])))
+        assert rep.max_abs == pytest.approx(rep.l1_bound, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_is_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyPoint((0.5, bad))
 
 
 class TestBoundCheck:

@@ -271,6 +271,14 @@ def test_singular_points_need_a_1d_family():
         KpConfig(DualityFamily((UNIT_WINDOW, UNIT_WINDOW)), singular_points=(0.3,))
 
 
+@pytest.mark.parametrize("point", [-0.5, 1.5, math.nan, math.inf])
+def test_singular_points_lie_in_the_window(point):
+    family = DualityFamily((UNIT_WINDOW,))
+    KpConfig(family, singular_points=(0.0, 0.5, 1.0))  # the edges belong to it
+    with pytest.raises(ValueError, match="window"):
+        KpConfig(family, singular_points=(0.5, point))
+
+
 # ------------------------------------------------------------- inequality
 
 
