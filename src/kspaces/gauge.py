@@ -15,16 +15,12 @@ higher-dimensional modules, and by :func:`hk_integrate_many` for intervals
 without a singular point, over many boxes in one pass;
 :func:`integrate_nd_result` is its one-box case.
 
-:func:`_adaptive` integrates single shells; everything else is batched.
-:func:`_adaptive_many` runs many independent intervals in lock step, with
-one integrand call and one GK15 call per round over the active panels of
-all of them, and takes on every interval exactly the decisions
-``_adaptive`` would: the two loops share one GK15 round, one acceptance
-rule, one bisection and one stop-test sum.  Shells must run one after
-another and each is about one GK15 round, so fixed per-call bookkeeping
-dominates them, and a one-interval ``_adaptive_many`` call costs about
-2.1x an ``_adaptive`` call (133 against 64 us for ``ln|x|`` on [1/4, 1/2],
-medians of 400 interleaved repetitions, 2-vCPU Xeon host).
+:func:`_adaptive_many` is the one adaptive loop: many independent intervals
+in lock step, with one integrand call and one GK15 call per round over the
+active panels of all of them.  Shells toward singular points run through it,
+all singular sides together: a side that has seen k consecutive small shells
+needs at least 3 - k more before its stop rule can end it, so each step
+takes those shells of every unsettled side in one call.
 
 Boxes are integrated by a recursion over axes: the integrand of the first
 axis solves the inner problems of all its nodes in one recursive call, so f
@@ -233,15 +229,17 @@ def _real(r):
 class _VecFn:
     """Wraps an integrand; batch-evaluates and auto-detects vectorization.
 
-    ``fn(xs)`` evaluates f at the points ``xs`` (m, 15).  ``lead`` (m, j)
-    holds each panel's box parameters and leading coordinates, passed to f
-    as (m, 1) columns before ``xs``.  Evaluations are counted
-    per root problem, ``roots[j]`` being the one panel j is charged to, and
-    each root has its own ``max_evals`` budget.
+    ``fn(xs, lead, roots)`` evaluates f at the points ``xs`` (m, 15).
+    ``lead`` (m, j), or None for j = 0, holds each panel's ``n_params`` box
+    parameters and then its leading coordinates, passed to f as (m, 1)
+    columns before ``xs``.  Evaluations
+    are counted per root problem, ``roots[j]`` being the one panel j is
+    charged to, and each root has its own ``max_evals`` budget.
     """
 
-    def __init__(self, f, max_evals: int, n_roots: int = 1):
+    def __init__(self, f, max_evals: int, n_roots: int = 1, n_params: int = 0):
         self.f = f
+        self.n_params = n_params
         self.vectorized = None
         self.evals = np.zeros(n_roots, dtype=np.int64)
         self.max_evals = max_evals
@@ -255,7 +253,8 @@ class _VecFn:
                 except EvaluationError:
                     raise
                 except Exception as exc:
-                    raise EvaluationError(f"integrand failed at {(*row, x)}") from exc
+                    point = (*row[self.n_params :], x)
+                    raise EvaluationError(f"integrand failed at {point}") from exc
         return out
 
     def _vectorized(self, xs, lead):
@@ -266,11 +265,8 @@ class _VecFn:
             r = np.broadcast_to(r, xs.shape)
         return r
 
-    def __call__(self, xs, lead=None, roots=None):
-        if roots is None:
-            self.evals[0] += xs.size
-        else:
-            self.evals += xs.shape[1] * np.bincount(roots, minlength=self.evals.size)
+    def __call__(self, xs, lead, roots):
+        self.evals += xs.shape[1] * np.bincount(roots, minlength=self.evals.size)
         spent = int(self.evals.max())
         if spent > self.max_evals:
             raise ToleranceNotMet(
@@ -294,15 +290,25 @@ class _VecFn:
                 r = self._elementwise(xs, lead)
         if not np.isfinite(r).all():
             j, q = np.argwhere(~np.isfinite(r))[0]
-            if lead.shape[1]:
-                where = f"at {(*lead[j].tolist(), float(xs[j, q]))}"
-            else:
-                where = (
-                    f"near x={float(xs[j, q])!r}; declare the point as singular "
-                    "if this is an improper integral"
-                )
+            point = (*lead[j, self.n_params :].tolist(), float(xs[j, q]))
+            where = f"at {point}" if len(point) > 1 else f"near x={point[0]!r}"
+            if not lead.shape[1]:  # a 1-D interval, which may declare the point
+                where += "; declare the point as singular if this is an improper integral"
             raise EvaluationError(f"integrand non-finite {where}")
         return r
+
+
+def _ends(lo, hi):
+    """``lo`` and ``hi`` as float64 arrays; raises ValueError, as
+    :class:`Interval` does, unless every pair is finite with lo <= hi."""
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("interval endpoints must be finite")
+    if (lo > hi).any():
+        j = np.argmax(lo > hi)
+        raise ValueError(f"interval has lo={lo.flat[j]} > hi={hi.flat[j]}")
+    return lo, hi
 
 
 def _gk15_round(fn, lo, hi, *args):
@@ -340,56 +346,39 @@ def _bisect(lo, hi, centers, split):
 def _error_sums(errs, seg, n):
     """Error total of each of ``n`` intervals, panel j belonging to interval
     ``seg[j]``: summed left to right in panel order, the one order the stop
-    tests of both loops use (``ndarray.sum`` regroups runs of 8 or more)."""
+    test uses (``ndarray.sum`` regroups runs of 8 or more)."""
     return np.bincount(seg, weights=errs, minlength=n)
 
 
-def _adaptive(fn, lo: float, hi: float, tol: float):
-    """Batched breadth-first GK15 refinement of one shell [lo, hi].
-
-    Splits every panel whose error exceeds its width-proportional share of
-    ``tol``; stops early once the global error total drops below ``tol``.
-    Panels too narrow to split are force-accepted so the loop always
-    terminates with an honest error total.  Returns (value, error).
-    """
-    total_w = hi - lo
-    if total_w <= 0.0:
-        return 0.0, 0.0
-    active_lo = np.array([lo])
-    active_hi = np.array([hi])
-    acc_val, acc_err = [], []
-    acc_err_sum = 0.0
-
-    while active_lo.size:
-        centers, vals, errs = _gk15_round(fn, active_lo, active_hi)
-        seg = np.zeros(errs.size, dtype=np.intp)  # every panel is in the shell
-        if acc_err_sum + _error_sums(errs, seg, 1)[0] <= tol:
-            acc_val.append(vals)
-            acc_err.append(errs)
-            break
-        done = _settled(active_lo, active_hi, errs, tol, total_w)
-        acc_val.append(vals[done])
-        acc_err.append(errs[done])
-        acc_err_sum += _error_sums(errs[done], seg[done], 1)[0]
-        active_lo, active_hi = _bisect(active_lo, active_hi, centers, ~done)
-
-    value = kernels.neumaier_sum(np.concatenate(acc_val))
-    error = kernels.neumaier_sum(np.concatenate(acc_err))
-    return value, error
+def _group_sums(seg, vals, errs, n):
+    """Exactly rounded sums of ``vals`` and of ``errs`` for each of ``n``
+    groups, term j belonging to group ``seg[j]``; empty groups are 0."""
+    order = np.argsort(seg, kind="stable")
+    seg, vals, errs = seg[order], vals[order], errs[order]
+    counts = np.bincount(seg, minlength=n)
+    starts = counts.cumsum() - counts
+    values, errors = np.zeros(n), np.zeros(n)
+    ids = counts.nonzero()[0]
+    values[ids], errors[ids] = vals[starts[ids]], errs[starts[ids]]
+    for i in (counts > 1).nonzero()[0]:
+        part = slice(starts[i], starts[i] + counts[i])
+        values[i] = kernels.neumaier_sum(vals[part])
+        errors[i] = kernels.neumaier_sum(errs[part])
+    return values, errors
 
 
 def _adaptive_many(fn, lo, hi, tol):
-    """Many independent :func:`_adaptive` runs, advanced in lock step.
+    """Breadth-first GK15 refinement of many intervals, in lock step.
 
     Interval i is [lo[i], hi[i]] with tolerance tol[i].  Each round makes
     one ``fn(seg, xs)`` call and one ``gk15_batch`` over the active panels
-    of all intervals, where panel j belongs to interval ``seg[j]``; every
-    interval takes exactly the decisions :func:`_adaptive` takes on it.  At
-    most ``_MAX_IN_FLIGHT`` intervals are in flight; larger batches run as
-    consecutive groups.  Returns (values, errors) arrays.
+    of all intervals, where panel j belongs to interval ``seg[j]``.  Panels
+    over their width-proportional share of tol are split and too narrow ones
+    force-accepted (:func:`_settled`); an interval stops once its error
+    total is within tol.  At most ``_MAX_IN_FLIGHT`` intervals are in
+    flight; larger batches run as consecutive groups.  Returns (values,
+    errors) arrays.
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
     tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), lo.shape)
     values, errors = np.zeros(lo.size), np.zeros(lo.size)
     for g in range(0, lo.size, _MAX_IN_FLIGHT):
@@ -402,8 +391,7 @@ def _lockstep(fn, offset, lo, hi, tol):
     """One group of :func:`_adaptive_many`; ``fn`` sees ``seg + offset``."""
     n = lo.size
     total_w = hi - lo
-    values, errors = np.zeros(n), np.zeros(n)
-    # Active panels stay grouped by interval, in the order _adaptive keeps.
+    # Active panels stay grouped by interval, each interval's in ascending order.
     seg = (total_w > 0.0).nonzero()[0]
     active_lo, active_hi = lo[seg], hi[seg]
     acc_err_sum = np.zeros(n)
@@ -419,59 +407,72 @@ def _lockstep(fn, offset, lo, hi, tol):
         seg = seg[~done].repeat(2)
 
     if not accepted:
-        return values, errors
-    seg_all, val_all, err_all = (np.concatenate(c) for c in zip(*accepted))
-    order = np.argsort(seg_all, kind="stable")  # groups by interval
-    seg_all, val_all, err_all = seg_all[order], val_all[order], err_all[order]
-    counts = np.bincount(seg_all, minlength=n)
-    starts = counts.cumsum() - counts
-    ids = counts.nonzero()[0]
-    values[ids], errors[ids] = val_all[starts[ids]], err_all[starts[ids]]
-    for i in (counts > 1).nonzero()[0]:
-        part = slice(starts[i], starts[i] + counts[i])
-        values[i] = kernels.neumaier_sum(val_all[part])
-        errors[i] = kernels.neumaier_sum(err_all[part])
-    return values, errors
+        return np.zeros(n), np.zeros(n)
+    return _group_sums(*(np.concatenate(c) for c in zip(*accepted)), n)
 
 
-def _shell_integrate(fn, s, far, tol_q, cauchy_tol):
-    """Improper-mode integration of the segment between ``far`` and the
-    singular endpoint ``s`` via geometric shells.
+def _shell_integrate(f, lo, hi, sings, tol, max_evals):
+    """Improper-mode integrals over [lo[i], hi[i]], each holding one of
+    ``sings``, with a ``max_evals`` budget each; returns (values, errors,
+    evaluations).
 
-    Stops once three consecutive shell integrals (the Cauchy differences of
-    the partial sums) fall below ``cauchy_tol``; that threshold is then
-    added to the reported error as the tail allowance.
+    Each singular side (:func:`_segments`) is integrated in geometric
+    shells shrinking toward its singular point, and stops once ``run``
+    consecutive shell integrals (the Cauchy differences of its partial
+    sums) fall below its ``cauchy_tol``, which its error then includes as
+    the tail allowance.  A side with k small shells in a row needs at least
+    run - k more, so each step takes that many shells of every unsettled
+    side in one :func:`_adaptive_many` call.
     """
-    span = far - s
-    parts, errs = [], []
-    small_run = 0
-    frac = 1.0
-    for m in range(MAX_SHELLS):
-        frac_in = frac * SHELL_RATIO
-        x_out = s + span * frac
-        x_in = s + span * frac_in
-        a, b = (x_in, x_out) if x_in < x_out else (x_out, x_in)
-        tol_shell = tol_q * (1.0 - SHELL_RATIO) * frac
-        v, e = _adaptive(fn, a, b, tol_shell)
-        parts.append(v)
-        errs.append(e)
-        if abs(v) < cauchy_tol:
-            small_run += 1
-            if small_run >= 3:
-                break
-        else:
-            small_run = 0
-        frac = frac_in
-    else:
-        raise ToleranceNotMet(
-            f"shell integrals near singular point {s} did not settle "
-            f"within {MAX_SHELLS} shells",
-            value=kernels.neumaier_sum(parts),
-            evaluations=int(fn.evals[0]),
-        )
-    value = kernels.neumaier_sum(parts)
-    error = kernels.neumaier_sum(errs) + cauchy_tol
-    return value, error
+    run = 3  # consecutive small shells that settle a side
+    sides = []  # (interval, singular point, span, tol_q, cauchy_tol)
+    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        pairs = _segments(a, b, sings)
+        sides += [
+            (i, s, far - s, 0.5 * tol * abs(far - s) / (b - a), tol / (4.0 * len(pairs)))
+            for s, far in pairs
+        ]
+    root, s, span, tol_q, cauchy_tol = np.array(sides).T
+    root = root.astype(np.intp)
+    frac = np.ones(root.size)
+    small, shells = np.zeros((2, root.size), dtype=np.intp)  # run length, shells done
+    fn = _VecFn(f, max_evals, lo.size)
+    done = []  # (side, value, error) of every shell, in shell order per side
+
+    live = np.arange(root.size)
+    while live.size:
+        take = np.minimum(run - small[live], MAX_SHELLS - shells[live])
+        shells[live] += take
+        batch = []  # for each j, the sides taking a j-th shell in this step
+        for j in range(take.max()):
+            k = live[take > j]
+            x_out = s[k] + span[k] * frac[k]
+            x_in = s[k] + span[k] * (frac[k] * SHELL_RATIO)
+            tol_k = tol_q[k] * (1.0 - SHELL_RATIO) * frac[k]
+            batch.append((k, np.minimum(x_in, x_out), np.maximum(x_in, x_out), tol_k))
+            frac[k] *= SHELL_RATIO
+        side, a, b, shell_tol = (np.concatenate(c) for c in zip(*batch))
+        v, e = _adaptive_many(lambda seg, xs: fn(xs, None, root[side[seg]]), a, b, shell_tol)
+        done.append((side, v, e))
+        at = 0
+        for k, *_ in batch:
+            small[k] = np.where(np.abs(v[at : at + k.size]) < cauchy_tol[k], small[k] + 1, 0)
+            at += k.size
+        live = live[small[live] < run]
+        failed = live[shells[live] >= MAX_SHELLS]
+        if failed.size:
+            k = failed[0]
+            side, v, _ = (np.concatenate(c) for c in zip(*done))
+            raise ToleranceNotMet(
+                f"shell integrals near singular point {float(s[k])} did not "
+                f"settle within {MAX_SHELLS} shells",
+                value=kernels.neumaier_sum(v[side == k]),
+                evaluations=int(fn.evals[root[k]]),
+            )
+
+    side_v, side_e = _group_sums(*(np.concatenate(c) for c in zip(*done)), root.size)
+    values, errors = _group_sums(root, side_v, side_e + cauchy_tol, lo.size)
+    return values, errors, fn.evals
 
 
 def _segments(lo: float, hi: float, sings):
@@ -505,19 +506,21 @@ def hk_integrate_many(
     :func:`integrate_boxes` pass at tol/2.  Around each singular point the
     integral is taken in improper mode: geometric shells shrinking toward
     the point, stopped when the partial sums are Cauchy (three consecutive
-    shell integrals below tol/4, shared among the singular sides).  This
-    matches the limit characterization of the HK integral over expanding
-    subintervals, which is what makes conditionally integrable oscillatory
-    integrands computable.
+    shell integrals below tol/4, shared among the singular sides).  The
+    shells of all singular sides of all intervals run in lock step, in one
+    :func:`_shell_integrate` pass.  This matches the limit characterization
+    of the HK integral over expanding subintervals, which is what makes
+    conditionally integrable oscillatory integrands computable.
 
     Raises :class:`ToleranceNotMet` if a budget runs out or an error
-    estimate exceeds ``tol``, and :class:`EvaluationError` if ``f`` returns
-    non-finite values away from declared singular points.
+    estimate exceeds ``tol``, :class:`EvaluationError` if ``f`` returns
+    non-finite values away from declared singular points, and
+    :class:`ValueError`, as :class:`Interval` does, for an interval with a
+    non-finite end or lo > hi.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
+    lo, hi = _ends(lo, hi)
     sings = np.asarray(singular_points, dtype=np.float64)
     shelled = (hi > lo) & ((lo[:, None] <= sings) & (sings <= hi[:, None])).any(axis=1)
     plain = np.flatnonzero(~shelled)
@@ -527,19 +530,11 @@ def hk_integrate_many(
     values[plain], errors[plain], evals[plain] = integrate_boxes(
         f, lo[plain, None], hi[plain, None], 0.5 * tol, max_evals
     )
-
-    for i in np.flatnonzero(shelled).tolist():
-        fn = _VecFn(f, max_evals)
-        a, b = float(lo[i]), float(hi[i])
-        pairs = _segments(a, b, sings.tolist())
-        cauchy_tol = tol / (4.0 * len(pairs))
-        parts = [
-            _shell_integrate(fn, s, far, 0.5 * tol * abs(far - s) / (b - a), cauchy_tol)
-            for s, far in pairs
-        ]
-        values[i] = kernels.neumaier_sum([v for v, _ in parts])
-        errors[i] = kernels.neumaier_sum([e for _, e in parts])
-        evals[i] = fn.evals[0]
+    held = np.flatnonzero(shelled)
+    if held.size:
+        values[held], errors[held], evals[held] = _shell_integrate(
+            f, lo[held], hi[held], sings.tolist(), tol, max_evals
+        )
 
     over = np.flatnonzero(errors > tol)
     if over.size:
@@ -609,10 +604,11 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=N
     arguments, so box i integrates ``f(*params[i], x_1, ..., x_d)``.  Every
     box is integrated as :func:`integrate_nd_result` would integrate it
     alone, with its own ``max_evals`` budget; boxes with a zero-width axis
-    are 0.  Returns (values, errors, evaluations) arrays of length m.
+    are 0, and an axis with a non-finite end or lo > hi raises
+    :class:`ValueError`.  Returns (values, errors, evaluations) arrays of
+    length m.
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
+    lo, hi = _ends(lo, hi)
     if lo.shape[1] > DEFAULT_DIM_CAP:
         raise DimensionCapExceeded(
             f"dimension {lo.shape[1]} exceeds cap {DEFAULT_DIM_CAP}"
@@ -620,9 +616,9 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=N
     tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), lo.shape[:1])
     if not (tol > 0.0).all():
         raise ValueError("tol must be positive")
-    fn = _VecFn(f, max_evals, lo.shape[0])
-    values, errors = np.zeros(lo.shape[0]), np.zeros(lo.shape[0])
     params = np.empty((lo.shape[0], 0)) if params is None else np.asarray(params, np.float64)
+    fn = _VecFn(f, max_evals, lo.shape[0], params.shape[1])
+    values, errors = np.zeros(lo.shape[0]), np.zeros(lo.shape[0])
     live = np.flatnonzero((hi > lo).all(axis=1))
     if live.size:
         values[live], errors[live] = _integrate_boxes(

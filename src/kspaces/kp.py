@@ -226,6 +226,16 @@ def compute_functionals(f, cfg: KpConfig, complex_valued: bool = False) -> tuple
     return tuple(_functionals_pass(f, cfg)[0].tolist())
 
 
+def _given_or_computed(functionals, f, cfg: KpConfig, complex_valued: bool = False):
+    """``functionals`` as a tuple, of the truncation's length, or those of f."""
+    if functionals is None:
+        return compute_functionals(f, cfg, complex_valued)
+    a = tuple(functionals)
+    if len(a) != cfg.truncation:
+        raise ValueError("functionals length must equal the truncation")
+    return a
+
+
 def compute_functionals_detailed(f, cfg: KpConfig):
     """Functionals plus the total quadrature evaluation count."""
     values, evals = _functionals_pass(f, cfg)
@@ -260,12 +270,7 @@ def kp_norm(
             "by computed functionals; pass abs_bound"
         )
     K = cfg.truncation
-    if functionals is None:
-        a = compute_functionals(f, cfg)
-    else:
-        a = tuple(functionals)
-        if len(a) != K:
-            raise ValueError("functionals length must equal the truncation")
+    a = _given_or_computed(functionals, f, cfg)
     abs_a = np.abs(np.asarray(a, dtype=np.float64))
     big = float(abs_a.max()) if K else 0.0
     M = max(big, abs_bound) if abs_bound is not None else big
@@ -294,15 +299,13 @@ def k2_inner(
     The second factor is conjugated, which is the identity for real-valued
     integrands; pass ``complex_valued=True`` to integrate complex
     integrands (real and imaginary parts by separate quadrature) and apply
-    genuine conjugation.
+    genuine conjugation.  ``functionals_f`` and ``functionals_g`` reuse
+    precomputed functionals, which must number the truncation, as in
+    :func:`kp_norm`.
     """
     K = cfg.truncation
-    af = tuple(functionals_f) if functionals_f is not None else compute_functionals(
-        f, cfg, complex_valued
-    )
-    ag = tuple(functionals_g) if functionals_g is not None else compute_functionals(
-        g, cfg, complex_valued
-    )
+    af = _given_or_computed(functionals_f, f, cfg, complex_valued)
+    ag = _given_or_computed(functionals_g, g, cfg, complex_valued)
     t = np.array([cfg.weights.term(k) for k in range(1, K + 1)])
     if complex_valued:
         terms = t * np.asarray(af, dtype=complex) * np.conj(np.asarray(ag, dtype=complex))

@@ -1,13 +1,15 @@
 """The batched engine against the one-at-a-time code it replaces.
 
-``_adaptive_many`` must take, on every interval, the decisions ``_adaptive``
-takes on it alone; the box recursion must match the nested per-node loop
-kept below as the reference; and the batched K-functional pass must match
-per-cell ``hk_integrate``/``integrate_nd_result``.  Evaluation counts are
-compared exactly and values to 1e-14 relative: the GK15 matrix products may
-round differently with the batch size.  Error estimates are compared to
-1e-12 of the value: GK15 takes them from the difference of two nearly equal
-sums, scaled by up to 300, so those last-bit changes reach a few 1e-14.
+``_adaptive_many`` must take, on every interval, the decisions the
+one-interval loop ``adaptive`` below takes on it alone; the lock-stepped
+shells must match the side-by-side, shell-by-shell loop kept below; the box
+recursion must match the nested per-node loop kept below as the reference;
+and the batched K-functional pass must match per-cell
+``hk_integrate``/``integrate_nd_result``.  Evaluation counts are compared
+exactly and values to 1e-14 relative: the GK15 matrix products may round
+differently with the batch size.  Error estimates are compared to 1e-12 of
+the value: GK15 takes them from the difference of two nearly equal sums,
+scaled by up to 300, so those last-bit changes reach a few 1e-14.
 """
 
 import cmath
@@ -42,6 +44,100 @@ def close_err(a, b, value):
 
 
 # ------------------------------------------------------------ loop reference
+
+
+def adaptive(fn, lo, hi, tol):
+    """Batched breadth-first GK15 refinement of one interval [lo, hi].
+
+    Splits every panel whose error exceeds its width-proportional share of
+    ``tol``; stops early once the global error total drops below ``tol``.
+    Panels too narrow to split are force-accepted so the loop always
+    terminates with an honest error total.  Returns (value, error).
+    """
+    total_w = hi - lo
+    if total_w <= 0.0:
+        return 0.0, 0.0
+    active_lo = np.array([lo])
+    active_hi = np.array([hi])
+    acc_val, acc_err = [], []
+    acc_err_sum = 0.0
+
+    while active_lo.size:
+        centers, vals, errs = gauge._gk15_round(fn, active_lo, active_hi)
+        seg = np.zeros(errs.size, dtype=np.intp)  # every panel is in the interval
+        if acc_err_sum + gauge._error_sums(errs, seg, 1)[0] <= tol:
+            acc_val.append(vals)
+            acc_err.append(errs)
+            break
+        done = gauge._settled(active_lo, active_hi, errs, tol, total_w)
+        acc_val.append(vals[done])
+        acc_err.append(errs[done])
+        acc_err_sum += gauge._error_sums(errs[done], seg[done], 1)[0]
+        active_lo, active_hi = gauge._bisect(active_lo, active_hi, centers, ~done)
+
+    value = gauge.kernels.neumaier_sum(np.concatenate(acc_val))
+    error = gauge.kernels.neumaier_sum(np.concatenate(acc_err))
+    return value, error
+
+
+def shells(fn, s, far, tol_q, cauchy_tol):
+    """One singular side, one shell after another: stops once three
+    consecutive shell integrals fall below ``cauchy_tol``."""
+    span = far - s
+    parts, errs = [], []
+    small_run = 0
+    frac = 1.0
+    for m in range(gauge.MAX_SHELLS):
+        frac_in = frac * gauge.SHELL_RATIO
+        x_out = s + span * frac
+        x_in = s + span * frac_in
+        a, b = (x_in, x_out) if x_in < x_out else (x_out, x_in)
+        tol_shell = tol_q * (1.0 - gauge.SHELL_RATIO) * frac
+        v, e = adaptive(fn, a, b, tol_shell)
+        parts.append(v)
+        errs.append(e)
+        if abs(v) < cauchy_tol:
+            small_run += 1
+            if small_run >= 3:
+                break
+        else:
+            small_run = 0
+        frac = frac_in
+    else:
+        raise ToleranceNotMet(
+            f"shell integrals near singular point {s} did not settle "
+            f"within {gauge.MAX_SHELLS} shells",
+            value=gauge.kernels.neumaier_sum(parts),
+            evaluations=int(fn.evals[0]),
+        )
+    value = gauge.kernels.neumaier_sum(parts)
+    error = gauge.kernels.neumaier_sum(errs) + cauchy_tol
+    return value, error
+
+
+class _OneRoot(gauge._VecFn):
+    """The integrand wrapper with every panel charged to one interval."""
+
+    def __call__(self, xs):
+        return super().__call__(xs, None, np.zeros(xs.shape[0], dtype=np.intp))
+
+
+def shells_loop(f, lo, hi, tol, sings):
+    """Improper-mode integrals of the intervals [lo[i], hi[i]], each holding
+    a singular point: one interval, side and shell after another."""
+    values, errors, evals = [], [], []
+    for a, b in zip(lo, hi):
+        fn = _OneRoot(f, gauge.DEFAULT_MAX_EVALS)
+        pairs = gauge._segments(a, b, sings)
+        cauchy_tol = tol / (4.0 * len(pairs))
+        parts = [
+            shells(fn, s, far, 0.5 * tol * abs(far - s) / (b - a), cauchy_tol)
+            for s, far in pairs
+        ]
+        values.append(gauge.kernels.neumaier_sum([v for v, _ in parts]))
+        errors.append(gauge.kernels.neumaier_sum([e for _, e in parts]))
+        evals.append(int(fn.evals[0]))
+    return values, errors, evals
 
 
 class _LoopFnND:
@@ -87,7 +183,7 @@ def _loop_axis(fnd, fixed, box, tol):
     """One Python-level adaptive integration per outer node."""
     iv = box[0]
     if len(box) == 1:
-        return gauge._adaptive(lambda xs: fnd.call(fixed, xs), iv.lo, iv.hi, tol)
+        return adaptive(lambda xs: fnd.call(fixed, xs), iv.lo, iv.hi, tol)
     w = max(iv.width, gauge._EPS)
     inner_tol = tol / (2.0 * w)
 
@@ -98,7 +194,7 @@ def _loop_axis(fnd, fixed, box, tol):
             out[i], _ = _loop_axis(fnd, fixed + (float(x),), box[1:], inner_tol)
         return out.reshape(xs.shape)
 
-    v, e = gauge._adaptive(g, iv.lo, iv.hi, 0.5 * tol)
+    v, e = adaptive(g, iv.lo, iv.hi, 0.5 * tol)
     return v, e + w * inner_tol
 
 
@@ -142,7 +238,7 @@ def test_adaptive_many_matches_adaptive_interval_by_interval():
             n[0] += xs.size
             return _wavy_step(xs)
 
-        v, e = gauge._adaptive(one, lo[i], hi[i], tol[i])
+        v, e = adaptive(one, lo[i], hi[i], tol[i])
         assert counts[i] == n[0], i
         assert close(v, values[i]) and close_err(e, errors[i], v), i
 
@@ -188,7 +284,7 @@ def test_adaptive_many_matches_adaptive_on_long_runs(row_by_row_gk15):
             n[0] += xs.size
             return f(xs)
 
-        assert gauge._adaptive(one, lo[i], hi[i], tol[i]) == (values[i], errors[i]), i
+        assert adaptive(one, lo[i], hi[i], tol[i]) == (values[i], errors[i]), i
         assert counts[i] == n[0], i
 
 
@@ -240,6 +336,98 @@ def test_hk_integrate_many_keeps_a_budget_per_interval():
         hk_integrate_many(f, lo, hi, 1e-10, max_evals=need - 1)
     assert info.value.evaluations >= need - 1
     assert hk_integrate(f, Interval(0, 1), 1e-10, max_evals=need).evaluations == need
+
+
+# ---------------------------------------------------------- lock-step shells
+
+
+def _three_large_shells(x):
+    # toward 0 on [0, 1], shell m is [2^-(m+1), 2^-m]: 1 on shells 0, 3, 5
+    return ((x > 0.5) | ((x > 1 / 16) & (x <= 1 / 8)) | ((x > 1 / 64) & (x <= 1 / 32))) * 1.0
+
+
+def _logs(x):
+    return np.log(np.abs(x - 0.3)) + np.log(np.abs(x - 0.6))
+
+
+SHELL_CASES = {
+    "three-large-shells": (_three_large_shells, [0.0], [1.0], 1e-3, [0.0]),
+    "power-0.9": (lambda x: x**-0.9, [0.0], [1.0], 1e-3, [0.0]),
+    "sin-inv-over-x": (lambda x: np.sin(1.0 / x) / x, [0.0], [1.0], 1e-2, [0.0]),
+    "two-interior-points": (_logs, [0.0], [1.0], 1e-8, [0.3, 0.6]),
+    "one-at-each-end": (_logs, [0.3], [0.6], 1e-8, [0.3, 0.6]),
+    # shelled intervals of different shell counts, among plain ones
+    "many-intervals": (
+        lambda x: np.log(np.abs(x - 0.3)) * np.cos(3.0 * x),
+        [0.0, 1.0, 0.25, 0.3, 0.3, -3.0, 0.2, 0.3],
+        [1.0, 2.0, 0.3, 0.3001, 0.3, 4.0, 0.5, 0.7],
+        1e-7,
+        [0.3],
+    ),
+}
+
+
+@pytest.mark.parametrize("f, lo, hi, tol, sings", SHELL_CASES.values(), ids=SHELL_CASES)
+def test_shells_match_the_sequential_loop(row_by_row_gk15, f, lo, hi, tol, sings):
+    values, errors, evals = hk_integrate_many(f, lo, hi, tol, sings)
+    held = [i for i in range(len(lo)) if lo[i] < hi[i] and any(lo[i] <= s <= hi[i] for s in sings)]
+    want = shells_loop(f, [lo[i] for i in held], [hi[i] for i in held], tol, sings)
+    assert (values[held].tolist(), errors[held].tolist(), evals[held].tolist()) == want
+
+
+def test_shell_steps_take_only_the_shells_the_stop_rule_needs():
+    # The run of small shells restarts at shell 3 and, in the middle of a
+    # step, at shell 5; the sequential rule stops after shell 8.  Each shell
+    # is one panel, so the calls show the shells of each step.
+    calls = []
+
+    def f(x):
+        calls.append(x.shape[0])
+        return _three_large_shells(x)
+
+    r = hk_integrate(f, Interval(0, 1), 1e-3, singular_points=[0.0])
+    assert calls == [3, 1, 3, 2]
+    assert r.evaluations == 9 * 15
+    assert r.value == pytest.approx(0.5 + 1 / 16 + 1 / 64, abs=1e-14)
+
+
+@pytest.mark.parametrize("cap", [5, 8, 9])
+def test_shells_match_the_sequential_loop_under_a_shell_cap(row_by_row_gk15, monkeypatch, cap):
+    # the cap cuts the 3-shell step at shell 4 (cap 5) and the 2-shell step
+    # at shell 7 (cap 8); cap 9 ends where the stop rule does
+    monkeypatch.setattr(gauge, "MAX_SHELLS", cap)
+
+    def outcome(integrate):
+        try:
+            return [list(r) for r in integrate(_three_large_shells, [0.0], [1.0], 1e-3, [0.0])]
+        except ToleranceNotMet as exc:
+            return str(exc), exc.value, exc.evaluations
+
+    want = outcome(shells_loop)
+    assert outcome(hk_integrate_many) == want
+    assert isinstance(want, tuple) == (cap < 9)
+
+
+def test_cells_holding_a_singular_point_share_integrand_calls():
+    lo, hi = DualityFamily((Interval(0, 1),)).cell_bounds(1024)
+    held = (lo[:, 0] <= 0.3) & (0.3 <= hi[:, 0])
+    lo, hi = lo[held, 0], hi[held, 0]
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return np.log(np.abs(x - 0.3))
+
+    def run(lo, hi):
+        calls[0] = 0
+        evals = hk_integrate_many(f, lo, hi, 1e-6, [0.3])[2]
+        return calls[0], evals.tolist()
+
+    together, evals = run(lo, hi)
+    alone = [run(lo[i : i + 1], hi[i : i + 1]) for i in range(lo.size)]
+    assert lo.size == 10
+    assert evals == [n for _, [n] in alone]
+    assert together <= max(c for c, _ in alone)
 
 
 # ---------------------------------------------------------------- n-D boxes

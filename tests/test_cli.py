@@ -160,6 +160,11 @@ class TestFourier:
         assert len(rows) == 6
         assert len({r["wall_ms"] for r in rows}) == 1 and float(rows[0]["wall_ms"]) > 0.0
 
+    def test_non_finite_names_the_point_not_the_frequency(self, capsys):
+        code, _, err = run(capsys, "fourier", "--expr", "1/x1", "--box=-1,1", "--at", "0.5")
+        assert code == 1
+        assert err == "error: integrand non-finite near x=0.0\n"
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):

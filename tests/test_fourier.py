@@ -12,6 +12,7 @@ from kspaces import (
     fourier_tame_result,
     sinc_tail,
 )
+from kspaces.errors import EvaluationError
 from kspaces.verify import random_step
 
 J_BOX = (Interval(-0.5, 0.5),)
@@ -144,6 +145,20 @@ class TestManyPoints:
         rep = fourier_bound_check(f, iter(grid))
         assert rep.argmax is grid[1] and _close(rep.max_abs, abs(fourier_tame(f, grid[1])))
         assert rep.max_abs == pytest.approx(rep.l1_bound, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "core, message",
+        [
+            (lambda x, y: 1.0 / (x * y), r"non-finite at \(-0\.99\d+, 0\.0\)$"),
+            (lambda x, y: math.log(x) * y, r"failed at \(-0\.99\d+, -0\.99\d+\)$"),
+        ],
+        ids=["non-finite", "scalar-only-raises"],
+    )
+    def test_bad_core_names_only_the_coordinates(self, core, message):
+        # the point's frequencies and part are box parameters, not coordinates
+        f = TameFunction(2, core, (Interval(-1, 1), Interval(-1, 1)))
+        with pytest.raises(EvaluationError, match=message):
+            fourier_tame_result(f, [FrequencyPoint((0.5, 2.0))])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_frequency_is_refused(self, bad):

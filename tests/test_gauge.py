@@ -322,3 +322,31 @@ def test_non_positive_tol_is_rejected(name, tol):
     # `not tol > 0` also refuses NaN, which `tol <= 0` let through
     with pytest.raises(ValueError, match="positive"):
         TOL_CALLS[name](tol)
+
+
+def _plane(x, y):
+    return np.sin(x) * y
+
+
+BAD_ENDS = {
+    "many-reversed": lambda: hk_integrate_many(np.sin, [0.0, 1.0], [1.0, 0.0], 1e-8),
+    "many-reversed-shelled": lambda: hk_integrate_many(np.sin, [1.0], [0.0], 1e-8, [0.5]),
+    "many-nan": lambda: hk_integrate_many(np.sin, [math.nan], [1.0], 1e-8),
+    "many-inf": lambda: hk_integrate_many(np.sin, [0.0], [math.inf], 1e-8),
+    "boxes-reversed": lambda: integrate_boxes(_plane, [[0.0, 1.0]], [[1.0, 0.5]], 1e-8),
+    "boxes-nan": lambda: integrate_boxes(_plane, [[0.0, 0.0]], [[1.0, math.nan]], 1e-8),
+    "boxes-inf": lambda: integrate_boxes(_plane, [[-math.inf, 0.0]], [[1.0, 1.0]], 1e-8),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ENDS)
+def test_bad_ends_are_rejected_as_by_interval(name):
+    with pytest.raises(ValueError, match="finite|lo="):
+        BAD_ENDS[name]()
+
+
+def test_zero_width_stays_zero():
+    values, errors, evals = hk_integrate_many(np.sin, [0.5, 0.3], [0.5, 0.3], 1e-8, [0.3])
+    assert values.tolist() == errors.tolist() == evals.tolist() == [0, 0]
+    values, _, evals = integrate_boxes(_plane, [[0.0, 0.2]], [[1.0, 0.2]], 1e-8)
+    assert values.tolist() == evals.tolist() == [0]

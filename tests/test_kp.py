@@ -206,6 +206,16 @@ class TestK2Inner:
         assert ip.imag == pytest.approx(0.0, abs=1e-10)
         assert ip.real > 0.0
 
+    @pytest.mark.parametrize("short", ["f", "g"])
+    def test_functionals_of_the_wrong_length_are_refused(self, short):
+        cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=8)
+        given = {"functionals_f": (1.0,) * 8, "functionals_g": (1.0,) * 8}
+        given[f"functionals_{short}"] = (1.0,)
+        with pytest.raises(ValueError, match="truncation"):
+            k2_inner(None, None, cfg, **given)
+        with pytest.raises(ValueError, match="truncation"):
+            kp_norm(None, 2.0, cfg, functionals=(1.0,) * 9)
+
     def test_symmetry_real(self, cfg):
         rng = np.random.default_rng(9)
         f, g = random_step(rng, UNIT_WINDOW), random_step(rng, UNIT_WINDOW)
