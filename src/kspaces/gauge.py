@@ -379,7 +379,6 @@ def _adaptive_many(fn, lo, hi, tol):
     flight; larger batches run as consecutive groups.  Returns (values,
     errors) arrays.
     """
-    tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), lo.shape)
     values, errors = np.zeros(lo.size), np.zeros(lo.size)
     for g in range(0, lo.size, _MAX_IN_FLIGHT):
         grp = slice(g, g + _MAX_IN_FLIGHT)
@@ -412,9 +411,8 @@ def _lockstep(fn, offset, lo, hi, tol):
 
 
 def _shell_integrate(f, lo, hi, sings, tol, max_evals):
-    """Improper-mode integrals over [lo[i], hi[i]], each holding one of
-    ``sings``, with a ``max_evals`` budget each; returns (values, errors,
-    evaluations).
+    """Improper-mode (values, errors, evaluations) over [lo[i], hi[i]],
+    each holding one of ``sings`` and with its own ``max_evals`` budget.
 
     Each singular side (:func:`_segments`) is integrated in geometric
     shells shrinking toward its singular point, and stops once ``run``
@@ -446,17 +444,22 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
         batch = []  # for each j, the sides taking a j-th shell in this step
         for j in range(take.max()):
             k = live[take > j]
-            x_out = s[k] + span[k] * frac[k]
-            x_in = s[k] + span[k] * (frac[k] * SHELL_RATIO)
-            tol_k = tol_q[k] * (1.0 - SHELL_RATIO) * frac[k]
-            batch.append((k, np.minimum(x_in, x_out), np.maximum(x_in, x_out), tol_k))
+            batch.append((k, frac[k]))
             frac[k] *= SHELL_RATIO
-        side, a, b, shell_tol = (np.concatenate(c) for c in zip(*batch))
-        v, e = _adaptive_many(lambda seg, xs: fn(xs, None, root[side[seg]]), a, b, shell_tol)
+        side, f_out = (np.concatenate(c) for c in zip(*batch))
+        x_out = s[side] + span[side] * f_out
+        x_in = s[side] + span[side] * (f_out * SHELL_RATIO)
+        v, e = _adaptive_many(
+            lambda seg, xs: fn(xs, None, root[side[seg]]),
+            np.minimum(x_in, x_out),
+            np.maximum(x_in, x_out),
+            tol_q[side] * (1.0 - SHELL_RATIO) * f_out,
+        )
         done.append((side, v, e))
+        is_small = np.abs(v) < cauchy_tol[side]
         at = 0
-        for k, *_ in batch:
-            small[k] = np.where(np.abs(v[at : at + k.size]) < cauchy_tol[k], small[k] + 1, 0)
+        for k, _ in batch:
+            small[k] = np.where(is_small[at : at + k.size], small[k] + 1, 0)
             at += k.size
         live = live[small[live] < run]
         failed = live[shells[live] >= MAX_SHELLS]
