@@ -441,7 +441,7 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
     while live.size:
         take = np.minimum(run - small[live], MAX_SHELLS - shells[live])
         shells[live] += take
-        batch = []  # for each j, the sides taking a j-th shell in this step
+        batch = []  # for each j: the sides taking a j-th shell this step, their frac
         for j in range(take.max()):
             k = live[take > j]
             batch.append((k, frac[k]))
