@@ -16,18 +16,21 @@ without a singular point, over many boxes in one pass;
 :func:`integrate_nd_result` is its one-box case.
 
 :func:`_adaptive_many` is the one adaptive loop: many independent intervals
-in lock step, with one integrand call and one GK15 call per round over the
-active panels of all of them.  Shells toward singular points run through it,
-all singular sides together: a side that has seen k consecutive small shells
-needs at least 3 - k more before its stop rule can end it, so each step
-takes those shells of every unsettled side in one call.
+in lock step, with one integrand call and one GK15 call per round (per block
+of a wide round, see below) over the active panels of all of them.  Shells
+toward singular points run through it, all singular sides together: a side
+that has seen k consecutive small shells needs at least 3 - k more before
+its stop rule can end it, so each step takes those shells of every
+unsettled side in one call.
 
 Boxes are integrated by a recursion over axes: the integrand of the first
 axis solves the inner problems of all its nodes in one recursive call, so f
 is called once per round of the innermost lock step, never once per node.
 At most ``_MAX_IN_FLIGHT`` intervals are in flight at each level; larger
 batches run as consecutive groups, which bounds memory (a 6-D integral
-peaks near 5 MB).
+peaks near 5 MB).  A round of more panels than that, as the shells of an
+oscillatory singularity make, is evaluated in blocks of ``_MAX_IN_FLIGHT``
+panels, so no integrand or GK15 call sees more than that many rows.
 
 Integrands are callables of one array argument (for :func:`integrate_boxes`,
 a box's k parameters and then its n coordinates) that return real values.
@@ -60,9 +63,14 @@ MAX_SHELLS = 4096
 
 _EPS = float(np.finfo(np.float64).eps)
 _MIN_REL_WIDTH = 4.0 * _EPS
-# Intervals that _adaptive_many advances together.  Larger batches run as
-# consecutive groups, which bounds the memory of nested integrals: every
-# level of a d-dimensional integral holds at most this many intervals.
+# Intervals that _adaptive_many advances together, and panels per integrand
+# and GK15 call.  Larger batches run as consecutive groups, and wider rounds
+# as consecutive blocks, which bounds memory: every level of a d-dimensional
+# integral holds at most this many intervals.  A block's (1024, 15) float64
+# array is 120 KiB, under glibc's default 128 KiB mmap threshold, so block
+# temporaries are reused from the heap rather than mapped and faulted in
+# every round; and 1024 * 15 = 15 * 1024, so a block of an outer box axis
+# hands the inner axis exactly 15 whole groups.
 _MAX_IN_FLIGHT = 1024
 
 
@@ -298,11 +306,16 @@ class _VecFn:
         return r
 
 
-def _ends(lo, hi):
-    """``lo`` and ``hi`` as float64 arrays; raises ValueError, as
-    :class:`Interval` does, unless every pair is finite with lo <= hi."""
+def _ends(lo, hi, ndim):
+    """``lo`` and ``hi`` as float64 arrays; raises ValueError unless both
+    have one shape of ``ndim`` axes and, as :class:`Interval` does, every
+    pair is finite with lo <= hi."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
+    if lo.shape != hi.shape or lo.ndim != ndim:
+        raise ValueError(
+            f"lo and hi must be {ndim}-D arrays of one shape, got {lo.shape} and {hi.shape}"
+        )
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("interval endpoints must be finite")
     if (lo > hi).any():
@@ -313,8 +326,16 @@ def _ends(lo, hi):
 
 def _gk15_round(fn, lo, hi, *args):
     """One GK15 round over the panels [lo[j], hi[j]], ``fn(*args, xs)``
-    giving the integrand at their nodes xs (m, 15).  Returns (centers,
-    values, errors)."""
+    giving the integrand at their nodes xs (m, 15), each of ``args``
+    having one entry per panel.  A round of more than ``_MAX_IN_FLIGHT``
+    panels runs in consecutive blocks of that many, each with its own
+    nodes, ``fn`` call and ``gk15_batch`` call.  Returns (centers, values,
+    errors)."""
+    if lo.size > _MAX_IN_FLIGHT:
+        blocks = [slice(g, g + _MAX_IN_FLIGHT) for g in range(0, lo.size, _MAX_IN_FLIGHT)]
+        parts = [_gk15_round(fn, lo[b], hi[b], *(a[b] for a in args))[1:] for b in blocks]
+        vals, errs = (np.concatenate(c) for c in zip(*parts))
+        return 0.5 * (lo + hi), vals, errs
     centers = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
     xs = centers[:, None] + halfw[:, None] * kernels.GK15_NODES
@@ -372,8 +393,9 @@ def _adaptive_many(fn, lo, hi, tol):
 
     Interval i is [lo[i], hi[i]] with tolerance tol[i].  Each round makes
     one ``fn(seg, xs)`` call and one ``gk15_batch`` over the active panels
-    of all intervals, where panel j belongs to interval ``seg[j]``.  Panels
-    over their width-proportional share of tol are split and too narrow ones
+    of all intervals (one of each per block, :func:`_gk15_round`), where
+    panel j belongs to interval ``seg[j]``.  Panels over their
+    width-proportional share of tol are split and too narrow ones
     force-accepted (:func:`_settled`); an interval stops once its error
     total is within tol.  At most ``_MAX_IN_FLIGHT`` intervals are in
     flight; larger batches run as consecutive groups.  Returns (values,
@@ -519,12 +541,17 @@ def hk_integrate_many(
     estimate exceeds ``tol``, :class:`EvaluationError` if ``f`` returns
     non-finite values away from declared singular points, and
     :class:`ValueError`, as :class:`Interval` does, for an interval with a
-    non-finite end or lo > hi.
+    non-finite end or lo > hi, as well as for ``lo`` and ``hi`` that are not
+    1-D arrays of one shape or a non-finite singular point.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    lo, hi = _ends(lo, hi)
+    lo, hi = _ends(lo, hi, 1)
     sings = np.asarray(singular_points, dtype=np.float64)
+    if sings.ndim != 1:
+        raise ValueError(f"singular_points must be a 1-D sequence, got shape {sings.shape}")
+    if not np.isfinite(sings).all():
+        raise ValueError(f"singular points must be finite, got {sings.tolist()}")
     shelled = (hi > lo) & ((lo[:, None] <= sings) & (sings <= hi[:, None])).any(axis=1)
     plain = np.flatnonzero(~shelled)
     values, errors = np.zeros(lo.size), np.zeros(lo.size)
@@ -607,11 +634,12 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=N
     arguments, so box i integrates ``f(*params[i], x_1, ..., x_d)``.  Every
     box is integrated as :func:`integrate_nd_result` would integrate it
     alone, with its own ``max_evals`` budget; boxes with a zero-width axis
-    are 0, and an axis with a non-finite end or lo > hi raises
+    are 0.  An axis with a non-finite end or lo > hi, ``lo`` and ``hi``
+    not of one (m, d) shape, or ``params`` not of m rows raise
     :class:`ValueError`.  Returns (values, errors, evaluations) arrays of
     length m.
     """
-    lo, hi = _ends(lo, hi)
+    lo, hi = _ends(lo, hi, 2)
     if lo.shape[1] > DEFAULT_DIM_CAP:
         raise DimensionCapExceeded(
             f"dimension {lo.shape[1]} exceeds cap {DEFAULT_DIM_CAP}"
@@ -620,6 +648,11 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=N
     if not (tol > 0.0).all():
         raise ValueError("tol must be positive")
     params = np.empty((lo.shape[0], 0)) if params is None else np.asarray(params, np.float64)
+    if params.ndim != 2 or params.shape[0] != lo.shape[0]:
+        raise ValueError(
+            f"params must be a 2-D array of one row per box, got {params.shape} "
+            f"for {lo.shape[0]} boxes"
+        )
     fn = _VecFn(f, max_evals, lo.shape[0], params.shape[1])
     values, errors = np.zeros(lo.shape[0]), np.zeros(lo.shape[0])
     live = np.flatnonzero((hi > lo).all(axis=1))

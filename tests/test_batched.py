@@ -4,7 +4,8 @@
 one-interval loop ``adaptive`` below takes on it alone; the lock-stepped
 shells must match the side-by-side, shell-by-shell loop kept below; the box
 recursion must match the nested per-node loop kept below as the reference;
-and the batched K-functional pass must match per-cell
+a GK15 round run in blocks must match the one-call round kept below; and
+the batched K-functional pass must match per-cell
 ``hk_integrate``/``integrate_nd_result``.  Evaluation counts are compared
 exactly and values to 1e-14 relative: the GK15 matrix products may round
 differently with the batch size.  Error estimates are compared to 1e-12 of
@@ -621,3 +622,107 @@ def test_cell_error_over_tol_raises():
         hk_integrate(f, far, cfg.quad_tol)
     with pytest.raises(ToleranceNotMet):
         compute_functionals(f, cfg)
+
+
+# ----------------------------------------------------------- blocked rounds
+
+
+def gk15_round_one_call(fn, lo, hi, *args):
+    """The GK15 round with all its panels in one integrand call and one
+    ``gk15_batch`` call, however many there are: the reference for rounds
+    evaluated in blocks of ``_MAX_IN_FLIGHT`` panels."""
+    centers = 0.5 * (lo + hi)
+    halfw = 0.5 * (hi - lo)
+    xs = centers[:, None] + halfw[:, None] * gauge.kernels.GK15_NODES
+    vals, errs = gauge.kernels.gk15_batch(fn(*args, xs), halfw)
+    return centers, vals, errs
+
+
+def _x2sin_derivative(x):
+    return 2.0 * x * np.sin(x**-2) - (2.0 / x) * np.cos(x**-2)
+
+
+WIDE_ROUNDS = {
+    # shells toward 0; the widest round has 4,544 panels
+    "x2sin-derivative": (
+        lambda f: hk_integrate_many(f, [0.0], [1.0], 1e-3, [0.0]),
+        _x2sin_derivative,
+    ),
+    # an outer axis of 1,200 panels, whose blocks hand the inner axis 15
+    # whole groups of intervals each
+    "300-param-boxes": (
+        lambda f: gauge.integrate_boxes(
+            f, [[0.0, 0.0]] * 300, [[1.0, 1.0]] * 300, 1e-8,
+            params=np.linspace(20.0, 30.0, 300)[:, None],
+        ),
+        lambda p, x1, x2: np.sin(p * x1) * np.exp(x2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_ROUNDS)
+def test_wide_rounds_run_in_blocks_with_the_one_call_answers(row_by_row_gk15, monkeypatch, name):
+    integrate, f = WIDE_ROUNDS[name]
+    batch = gauge.kernels.gk15_batch
+
+    def run():
+        calls, panels = [], []
+
+        def counted_f(*cols):
+            calls.append(cols[-1].shape[0])
+            return f(*cols)
+
+        def counted_batch(fvals, halfw):
+            panels.append(halfw.size)
+            return batch(fvals, halfw)
+
+        with monkeypatch.context() as m:
+            m.setattr(gauge.kernels, "gk15_batch", counted_batch)
+            out = [a.tolist() for a in integrate(counted_f)]
+        return out, max(calls), max(panels)
+
+    blocked, widest_call, widest_batch = run()
+    with monkeypatch.context() as m:
+        m.setattr(gauge, "_gk15_round", gk15_round_one_call)
+        want, _, widest_round = run()
+    assert blocked == want
+    assert widest_round > gauge._MAX_IN_FLIGHT
+    assert widest_call <= gauge._MAX_IN_FLIGHT and widest_batch <= gauge._MAX_IN_FLIGHT
+
+
+def test_a_non_finite_value_in_a_later_block_names_the_first_bad_point():
+    # panel j is [j, j + 1]: panels 1500 (second block) and 2500 on (third) are bad
+    lo = np.arange(3000.0)
+    hi = lo + 1.0
+
+    def f(x):
+        return np.where(((x > 1500.0) & (x < 1501.0)) | (x > 2500.0), np.nan, x)
+
+    def message(round_):
+        fn = gauge._VecFn(f, gauge.DEFAULT_MAX_EVALS)
+        with pytest.raises(EvaluationError) as info:
+            round_(lambda roots, xs: fn(xs, None, roots), lo, hi, np.zeros(lo.size, np.intp))
+        return str(info.value)
+
+    got = message(gauge._gk15_round)
+    assert got == message(gk15_round_one_call)
+    assert f"x={float(1500.5 - 0.5 * gauge.kernels.GK15_NODES[-1])!r};" in got
+
+
+def test_a_budget_that_runs_out_mid_round_is_charged_per_block(monkeypatch):
+    rounds = []
+
+    def f(x):
+        rounds.append(x.shape[0])
+        return _x2sin_derivative(x)
+
+    with monkeypatch.context() as m:
+        m.setattr(gauge, "_gk15_round", gk15_round_one_call)
+        hk_integrate(f, Interval(0, 1), 1e-3, singular_points=[0.0])
+    k = int(np.argmax(rounds))
+    before, width = 15 * sum(rounds[:k]), rounds[k]
+    assert width > 2 * gauge._MAX_IN_FLIGHT
+    budget = before + 15 * gauge._MAX_IN_FLIGHT  # covers the round's first block only
+    with pytest.raises(ToleranceNotMet, match="budget") as info:
+        hk_integrate(_x2sin_derivative, Interval(0, 1), 1e-3, [0.0], max_evals=budget)
+    assert budget <= info.value.evaluations < before + 15 * width

@@ -345,6 +345,48 @@ def test_bad_ends_are_rejected_as_by_interval(name):
         BAD_ENDS[name]()
 
 
+def _scaled(a, x):
+    return a * x
+
+
+BAD_SHAPES = {
+    "many-unequal": (lambda: hk_integrate_many(np.sin, [0, 0], [1], 1e-8), r"\(2,\) and \(1,\)"),
+    "many-scalar": (lambda: hk_integrate_many(np.sin, 0.0, 1.0, 1e-8), r"1-D.*\(\) and \(\)"),
+    "boxes-1d": (lambda: integrate_boxes(np.sin, [0.0], [1.0], 1e-8), r"2-D.*\(1,\) and \(1,\)"),
+    "boxes-unequal": (
+        lambda: integrate_boxes(_plane, [[0.0, 0.0]], [[1.0, 1.0]] * 2, 1e-8),
+        r"\(1, 2\) and \(2, 2\)",
+    ),
+    "params-rows": (
+        lambda: integrate_boxes(_scaled, [[0.0]] * 3, [[1.0]] * 3, 1e-8, params=[[1.0], [2.0]]),
+        r"\(2, 1\) for 3 boxes",
+    ),
+    "params-1d": (
+        lambda: integrate_boxes(_scaled, [[0.0]] * 2, [[1.0]] * 2, 1e-8, params=[1.0, 2.0]),
+        r"\(2,\) for 2 boxes",
+    ),
+    "singular-2d": (
+        lambda: hk_integrate_many(np.sin, [0.0], [1.0], 1e-8, [[0.5]]),
+        r"shape \(1, 1\)",
+    ),
+    "singular-nan": (
+        lambda: hk_integrate_many(np.sin, [0.0], [1.0], 1e-8, [math.nan]),
+        "must be finite",
+    ),
+    "singular-inf": (
+        lambda: hk_integrate(np.sin, Interval(0, 1), 1e-8, [0.5, -math.inf]),
+        "must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SHAPES)
+def test_malformed_batches_are_rejected_naming_their_shapes(name):
+    call, match = BAD_SHAPES[name]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_zero_width_stays_zero():
     values, errors, evals = hk_integrate_many(np.sin, [0.5, 0.3], [0.5, 0.3], 1e-8, [0.3])
     assert values.tolist() == errors.tolist() == evals.tolist() == [0, 0]
