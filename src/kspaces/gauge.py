@@ -434,7 +434,8 @@ def _lockstep(fn, offset, lo, hi, tol):
 
 def _shell_integrate(f, lo, hi, sings, tol, max_evals):
     """Improper-mode (values, errors, evaluations) over [lo[i], hi[i]],
-    each holding one of ``sings`` and with its own ``max_evals`` budget.
+    each holding one of ``sings`` and with its own tolerance ``tol[i]`` and
+    ``max_evals`` budget.
 
     Each singular side (:func:`_segments`) is integrated in geometric
     shells shrinking toward its singular point, and stops once ``run``
@@ -446,10 +447,10 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
     """
     run = 3  # consecutive small shells that settle a side
     sides = []  # (interval, singular point, span, tol_q, cauchy_tol)
-    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+    for i, (a, b, t) in enumerate(zip(lo.tolist(), hi.tolist(), tol.tolist())):
         pairs = _segments(a, b, sings)
         sides += [
-            (i, s, far - s, 0.5 * tol * abs(far - s) / (b - a), tol / (4.0 * len(pairs)))
+            (i, s, far - s, 0.5 * t * abs(far - s) / (b - a), t / (4.0 * len(pairs)))
             for s, far in pairs
         ]
     root, s, span, tol_q, cauchy_tol = np.array(sides).T
@@ -516,16 +517,52 @@ def _segments(lo: float, hi: float, sings):
     return pairs
 
 
+def _holding(lo, hi, sings):
+    """Which intervals [lo[i], hi[i]] of positive width hold one of the
+    points ``sings`` (an array): those integrated in shells."""
+    return (hi > lo) & ((lo[:, None] <= sings) & (sings <= hi[:, None])).any(axis=1)
+
+
+def _hk_many(f, lo, hi, tol, singular_points, max_evals):
+    """:func:`hk_integrate_many` short of its final check: (values, errors,
+    evaluations) whatever the errors, ``tol`` broadcast to one per interval."""
+    tol = np.asarray(tol, dtype=np.float64)
+    if not (tol > 0.0).all():
+        raise ValueError("tol must be positive")
+    lo, hi = _ends(lo, hi, 1)
+    tol = np.broadcast_to(tol, lo.shape)
+    sings = np.asarray(singular_points, dtype=np.float64)
+    if sings.ndim != 1:
+        raise ValueError(f"singular_points must be a 1-D sequence, got shape {sings.shape}")
+    if not np.isfinite(sings).all():
+        raise ValueError(f"singular points must be finite, got {sings.tolist()}")
+    shelled = _holding(lo, hi, sings)
+    plain = np.flatnonzero(~shelled)
+    values, errors = np.zeros(lo.size), np.zeros(lo.size)
+    evals = np.zeros(lo.size, dtype=np.int64)
+
+    values[plain], errors[plain], evals[plain] = integrate_boxes(
+        f, lo[plain, None], hi[plain, None], 0.5 * tol[plain], max_evals
+    )
+    held = np.flatnonzero(shelled)
+    if held.size:
+        values[held], errors[held], evals[held] = _shell_integrate(
+            f, lo[held], hi[held], sings.tolist(), tol[held], max_evals
+        )
+    return values, errors, evals
+
+
 def hk_integrate_many(
     f,
     lo,
     hi,
-    tol: float,
+    tol,
     singular_points: Sequence[float] = (),
     max_evals: int = DEFAULT_MAX_EVALS,
 ):
     """Henstock-Kurzweil integrals of ``f`` over [lo[i], hi[i]], each with
-    its own ``max_evals`` budget; returns (values, errors, evaluations).
+    its own tolerance ``tol[i]`` (or one tol for all) and ``max_evals``
+    budget; returns (values, errors, evaluations).
 
     Intervals holding no declared singular point run together in one
     :func:`integrate_boxes` pass at tol/2.  Around each singular point the
@@ -537,41 +574,22 @@ def hk_integrate_many(
     of the HK integral over expanding subintervals, which is what makes
     conditionally integrable oscillatory integrands computable.
 
-    Raises :class:`ToleranceNotMet` if a budget runs out or an error
-    estimate exceeds ``tol``, :class:`EvaluationError` if ``f`` returns
-    non-finite values away from declared singular points, and
+    Raises :class:`ToleranceNotMet` if a budget runs out or an interval's
+    error estimate exceeds its tol, :class:`EvaluationError` if ``f``
+    returns non-finite values away from declared singular points, and
     :class:`ValueError`, as :class:`Interval` does, for an interval with a
     non-finite end or lo > hi, as well as for ``lo`` and ``hi`` that are not
-    1-D arrays of one shape or a non-finite singular point.
+    1-D arrays of one shape, a tol that does not broadcast to them or is not
+    positive, or a non-finite singular point.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    lo, hi = _ends(lo, hi, 1)
-    sings = np.asarray(singular_points, dtype=np.float64)
-    if sings.ndim != 1:
-        raise ValueError(f"singular_points must be a 1-D sequence, got shape {sings.shape}")
-    if not np.isfinite(sings).all():
-        raise ValueError(f"singular points must be finite, got {sings.tolist()}")
-    shelled = (hi > lo) & ((lo[:, None] <= sings) & (sings <= hi[:, None])).any(axis=1)
-    plain = np.flatnonzero(~shelled)
-    values, errors = np.zeros(lo.size), np.zeros(lo.size)
-    evals = np.zeros(lo.size, dtype=np.int64)
-
-    values[plain], errors[plain], evals[plain] = integrate_boxes(
-        f, lo[plain, None], hi[plain, None], 0.5 * tol, max_evals
-    )
-    held = np.flatnonzero(shelled)
-    if held.size:
-        values[held], errors[held], evals[held] = _shell_integrate(
-            f, lo[held], hi[held], sings.tolist(), tol, max_evals
-        )
-
+    values, errors, evals = _hk_many(f, lo, hi, tol, singular_points, max_evals)
+    tol = np.broadcast_to(tol, values.shape)
     over = np.flatnonzero(errors > tol)
     if over.size:
         i = over[0]
         raise ToleranceNotMet(
-            f"final error estimate {errors[i]:.3g} exceeds tol {tol:.3g} "
-            f"on [{lo[i]!r}, {hi[i]!r}]",
+            f"final error estimate {errors[i]:.3g} exceeds tol {tol[i]:.3g} "
+            f"on [{float(lo[i])!r}, {float(hi[i])!r}]",
             value=float(values[i]),
             error_estimate=float(errors[i]),
             evaluations=int(evals[i]),

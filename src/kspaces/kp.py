@@ -15,11 +15,13 @@ ball; only the two bounds above are relied on, never density.
 Truncation at K terms is explicit: every norm carries a rigorous tail
 bound computed from the analytic tail of the weight sequence.
 
-All K functionals come from one batched pass over the cells of
-:meth:`DualityFamily.cell_bounds`: :func:`kspaces.gauge.hk_integrate_many`
-in 1-D and :func:`kspaces.gauge.integrate_boxes` in d >= 2.  Each cell
-still gets exactly the integration it would get alone, with its own
-evaluation budget.
+Below the deepest level of the truncation every cell is the union of its
+children, so only the leaf cells of the truncated tree, never more than K,
+are integrated: in one call of :func:`kspaces.gauge.hk_integrate_many`'s
+core in 1-D (singular points included) or of
+:func:`kspaces.gauge.integrate_boxes` in d >= 2, each leaf with its own
+evaluation budget.  Every other functional, and its error, is the sum of
+its children's, and each functional's error is checked against quad_tol.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ import numpy as np
 
 from . import kernels
 from .boxes import BoxSet, TailFamily
-from .errors import DimensionCapExceeded, MissingAbsoluteBound
+from .errors import DimensionCapExceeded, MissingAbsoluteBound, ToleranceNotMet
 from .gauge import (
+    DEFAULT_MAX_EVALS,
     Interval,
+    _hk_many,
+    _holding,
     hk_integrate,
-    hk_integrate_many,
     integrate_boxes,
     integrate_nd_result,
 )
@@ -114,12 +118,13 @@ class DualityFamily:
 class WeightSequence:
     """Positive weights t_k with unit sum and an analytic tail.
 
-    ``term(k)`` is t_k and ``tail(K)`` is the exact sum over k > K; keeping
-    the tail analytic is what makes the reported norm tail bounds rigorous
-    rather than estimated.
+    ``term(k)`` is t_k, elementwise over an integer array k of indices
+    (:func:`kp_norm` and :func:`k2_inner` pass 1..K in one call), and
+    ``tail(K)`` is the exact sum over k > K; keeping the tail analytic is
+    what makes the reported norm tail bounds rigorous rather than estimated.
     """
 
-    term: Callable[[int], float]
+    term: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[int], float]
     name: str = "custom"
 
@@ -193,33 +198,102 @@ def functional(k: int, f, cfg: KpConfig) -> float:
     return _functional_result(k, f, cfg).value
 
 
-def _functionals_pass(f, cfg: KpConfig):
-    """a_1 .. a_K and their evaluation counts from one batched pass.
+def _parent_sums(x, d: int):
+    """Sums over the children of every cell one level up: the last d axes
+    of ``x`` index the cells of a level, one axis per window axis, and each
+    of them halves."""
+    for k in range(d):
+        rest = (slice(None),) * k
+        x = x[(..., slice(0, None, 2)) + rest] + x[(..., slice(1, None, 2)) + rest]
+    return x
 
-    Each cell gets what :func:`functional` would compute for it alone:
-    :func:`hk_integrate` in 1-D, :func:`integrate_nd_result` in d >= 2.
+
+def _functionals_pass(f, cfg: KpConfig):
+    """a_1 .. a_K, their errors and the total evaluation count, from one
+    pass over the leaf cells of the truncated dyadic tree.
+
+    Cell K lies on level L, so every cell of a lower level is the union of
+    its children.  The leaves are the level-L cells 1..K, and of each
+    level-(L-1) cell with j of its 2^d children among them: the one missing
+    child if j = 2^d - 1, else (j < 2^d - 1) the cell itself.  There are
+    never more leaves than cells.  All leaves are integrated in one call
+    (:func:`kspaces.gauge.hk_integrate_many`'s core, singular points
+    included, in 1-D; :func:`integrate_boxes` in d >= 2), each at the share
+    quad_tol * |leaf| / |window|.  In 1-D, when leaves hold a singular
+    point, those share half of quad_tol evenly and every other leaf gets
+    half its share: a shell's cost climbs steeply as its tol falls.  Either
+    way the tols of the leaves of any cell add up to at most quad_tol.
+    Every other a_k and its error are the sums of its children's, built
+    level by level.  Raises :class:`ToleranceNotMet` when the error of some
+    a_k exceeds quad_tol, not when a leaf misses its share.
     """
-    lo, hi = cfg.family.cell_bounds(cfg.truncation)
-    if cfg.family.dim > 1:
-        values, _, evals = integrate_boxes(f, lo, hi, cfg.quad_tol)
+    fam, K, d = cfg.family, cfg.truncation, cfg.family.dim
+    L, last = fam.level_of(K)
+    n = 2**L  # cells per axis of level L
+    own = (np.arange(n**d) <= last).reshape((n,) * d)  # leaves of level L
+    parents = np.zeros((n // 2,) * d, dtype=bool)  # leaves of level L - 1
+    if L:
+        j = _parent_sums(own.astype(np.int8), d)
+        fill = j == 2**d - 1  # a lone missing child is integrated instead
+        for axis in range(d):
+            fill = fill.repeat(2, axis=axis)
+        own |= fill
+        parents = j < 2**d - 1
+    # each leaf as its first level-L cell (multi-index) and its width in them
+    idx = np.concatenate((np.nonzero(own), 2 * np.array(np.nonzero(parents))), axis=1).T
+    m = np.count_nonzero(own)
+    size = np.repeat([1.0, 2.0], (m, idx.shape[0] - m))
+    lo0 = np.array([iv.lo for iv in fam.window])
+    step = np.array([iv.width for iv in fam.window]) / n
+    lo, hi = lo0 + idx * step, lo0 + (idx + size[:, None]) * step
+    tol = cfg.quad_tol * (size / n) ** d
+
+    if d > 1:
+        v, e, evals = integrate_boxes(f, lo, hi, tol)
     else:
-        values, _, evals = hk_integrate_many(
-            f, lo[:, 0], hi[:, 0], cfg.quad_tol, cfg.singular_points
+        lo, hi = lo[:, 0], hi[:, 0]
+        sings = np.asarray(cfg.singular_points, dtype=np.float64)
+        held = _holding(lo, hi, sings)
+        if held.any():
+            tol = np.where(held, 0.5 * cfg.quad_tol / held.sum(), 0.5 * tol)
+        v, e, evals = _hk_many(f, lo, hi, tol, sings, DEFAULT_MAX_EVALS)
+    ve = np.stack((v, e))
+    sums = np.zeros((2,) + own.shape)
+    sums[:, own] = ve[:, :m]
+    levels = [sums.reshape(2, -1)[:, : last + 1]]
+    for lv in range(L, 0, -1):
+        sums = _parent_sums(sums, d)
+        if lv == L:
+            sums[:, parents] = ve[:, m:]
+        levels.append(sums.reshape(2, -1))
+    values, errors = np.concatenate(levels[::-1], axis=1)
+
+    over = np.flatnonzero(errors > cfg.quad_tol)
+    if over.size:
+        k = over[0]
+        raise ToleranceNotMet(
+            f"error estimate {errors[k]:.3g} of functional a_{k + 1} exceeds "
+            f"quad_tol {cfg.quad_tol:.3g}",
+            value=float(values[k]),
+            error_estimate=float(errors[k]),
+            evaluations=int(evals.sum()),
         )
-    return values, evals
+    return values, errors, int(evals.sum())
 
 
 def compute_functionals(f, cfg: KpConfig, complex_valued: bool = False) -> tuple:
     """All functionals a_1 .. a_K; reusable across norms of different p.
 
+    They come from one pass over the leaf cells of the dyadic tree, every
+    other functional summed from its children (:func:`_functionals_pass`).
     Complex integrands are integrated as two real passes, one over the real
     and one over the imaginary part.
     """
     if complex_valued:
-        re, _ = _functionals_pass(
+        re, _, _ = _functionals_pass(
             lambda *a: np.real(np.asarray(f(*a), dtype=complex)), cfg
         )
-        im, _ = _functionals_pass(
+        im, _, _ = _functionals_pass(
             lambda *a: np.imag(np.asarray(f(*a), dtype=complex)), cfg
         )
         return tuple(complex(a, b) for a, b in zip(re.tolist(), im.tolist()))
@@ -238,8 +312,8 @@ def _given_or_computed(functionals, f, cfg: KpConfig, complex_valued: bool = Fal
 
 def compute_functionals_detailed(f, cfg: KpConfig):
     """Functionals plus the total quadrature evaluation count."""
-    values, evals = _functionals_pass(f, cfg)
-    return tuple(values.tolist()), int(evals.sum())
+    values, _, evals = _functionals_pass(f, cfg)
+    return tuple(values.tolist()), evals
 
 
 def kp_norm(
@@ -279,7 +353,7 @@ def kp_norm(
         value = big
         tail_bound = M
     else:
-        t = np.array([cfg.weights.term(k) for k in range(1, K + 1)])
+        t = cfg.weights.term(np.arange(1, K + 1))
         value = kernels.neumaier_sum(t * abs_a**p) ** (1.0 / p)
         tail_bound = cfg.weights.tail(K) ** (1.0 / p) * M
     pairs = tuple(zip(range(1, K + 1), a))
@@ -306,7 +380,7 @@ def k2_inner(
     K = cfg.truncation
     af = _given_or_computed(functionals_f, f, cfg, complex_valued)
     ag = _given_or_computed(functionals_g, g, cfg, complex_valued)
-    t = np.array([cfg.weights.term(k) for k in range(1, K + 1)])
+    t = cfg.weights.term(np.arange(1, K + 1))
     if complex_valued:
         terms = t * np.asarray(af, dtype=complex) * np.conj(np.asarray(ag, dtype=complex))
         return complex(

@@ -105,6 +105,30 @@ class TestNorm:
         assert rows[0]["quantity"] == "kp_norm[p=inf]"
         assert float(rows[0]["value"]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "flags, evals",
+        [
+            # one GK15 panel per axis for each of the 513 and the 50 leaf cells
+            (["--expr", "exp(x1)", "-K", "1024"], 513 * 15),
+            (["--expr", "exp(x1)*cos(x2)", "--window", "0,1;0,1", "-K", "64"], 50 * 225),
+        ],
+    )
+    def test_evaluations_are_one_panel_per_leaf_cell(self, capsys, flags, evals):
+        code, out, _ = run(capsys, "norm", "-p", "2", *flags)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert int(rows[0]["evaluations"]) == evals
+
+    def test_singular_point_is_integrated_in_one_leaf_cell(self, capsys):
+        # integrated cell by cell, the ten cells holding 0.3 took 2,401,650
+        code, out, _ = run(
+            capsys, "norm", "-p", "2", "--expr", "ln(abs(x1-0.3))", "--singular", "0.3",
+            "-K", "1024",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert int(rows[0]["evaluations"]) <= 100_000
+
     def test_bad_p(self, capsys):
         code, _, err = run(capsys, "norm", "-p", "0.3", "--expr", "1")
         assert code == 2

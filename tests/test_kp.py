@@ -10,6 +10,7 @@ from kspaces import (
     Interval,
     KpConfig,
     MissingAbsoluteBound,
+    WeightSequence,
     compute_functionals,
     family_ek,
     functional,
@@ -316,6 +317,28 @@ def test_weights_sum_to_one_analytically():
     w3 = geometric_weights(1.0 / 3.0)
     partial = math.fsum(w3.term(k) for k in range(1, 80))
     assert partial + w3.tail(79) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_weights_are_taken_in_one_array_call():
+    calls = []
+    ratio = geometric_weights(0.3)
+
+    def term(k):
+        calls.append(k)
+        return ratio.term(k)
+
+    cfg = KpConfig(
+        DualityFamily((UNIT_WINDOW,)),
+        weights=WeightSequence(term, ratio.tail),
+        truncation=40,
+    )
+    a = tuple(float(k) for k in range(40))
+    got = kp_norm(None, 2.0, cfg, functionals=a).value
+    assert len(calls) == 1 and calls[0].tolist() == list(range(1, 41))
+    want = math.fsum(ratio.term(k) * x * x for k, x in enumerate(a, start=1)) ** 0.5
+    assert got == pytest.approx(want, rel=1e-15)
+    k2_inner(None, None, cfg, functionals_f=a, functionals_g=a)
+    assert len(calls) == 2 and calls[1].tolist() == list(range(1, 41))
 
 
 def test_parallelogram_identity(cfg):
