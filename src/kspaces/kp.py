@@ -26,6 +26,7 @@ its children's, and each functional's error is checked against quad_tol.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -208,6 +209,41 @@ def _parent_sums(x, d: int):
     return x
 
 
+@functools.lru_cache(maxsize=32)
+def _leaf_plan(family: DualityFamily, K: int):
+    """The leaves of ``family`` truncated at K, as :func:`_functionals_pass`
+    describes them: (lo, hi, share, own, parents, last), where lo and hi
+    (leaves, d) hold the leaf ends, level-L leaves first; share is each
+    leaf's |leaf| / |window|; own and parents are boolean grids of levels
+    L and L - 1, of shapes (2^L,) * d and (2^(L-1),) * d, true at leaves;
+    and last is the offset of cell K within level L.  They depend on
+    (family, K) alone, so they are built once per pair; the arrays are
+    read-only, as every caller shares them."""
+    d = family.dim
+    L, last = family.level_of(K)
+    n = 2**L  # cells per axis of level L
+    own = (np.arange(n**d) <= last).reshape((n,) * d)
+    parents = np.zeros((n // 2,) * d, dtype=bool)
+    if L:
+        j = _parent_sums(own.astype(np.int8), d)
+        fill = j == 2**d - 1  # a lone missing child is integrated instead
+        for axis in range(d):
+            fill = fill.repeat(2, axis=axis)
+        own |= fill
+        parents = j < 2**d - 1
+    # each leaf as its first level-L cell (multi-index) and its width in them
+    idx = np.concatenate((np.nonzero(own), 2 * np.array(np.nonzero(parents))), axis=1).T
+    m = np.count_nonzero(own)
+    size = np.repeat([1.0, 2.0], (m, idx.shape[0] - m))
+    lo0 = np.array([iv.lo for iv in family.window])
+    step = np.array([iv.width for iv in family.window]) / n
+    lo, hi = lo0 + idx * step, lo0 + (idx + size[:, None]) * step
+    share = (size / n) ** d
+    for a in (lo, hi, share, own, parents):
+        a.flags.writeable = False
+    return lo, hi, share, own, parents, last
+
+
 def _functionals_pass(f, cfg: KpConfig):
     """a_1 .. a_K, their errors and the total evaluation count, from one
     pass over the leaf cells of the truncated dyadic tree.
@@ -227,26 +263,9 @@ def _functionals_pass(f, cfg: KpConfig):
     level by level.  Raises :class:`ToleranceNotMet` when the error of some
     a_k exceeds quad_tol, not when a leaf misses its share.
     """
-    fam, K, d = cfg.family, cfg.truncation, cfg.family.dim
-    L, last = fam.level_of(K)
-    n = 2**L  # cells per axis of level L
-    own = (np.arange(n**d) <= last).reshape((n,) * d)  # leaves of level L
-    parents = np.zeros((n // 2,) * d, dtype=bool)  # leaves of level L - 1
-    if L:
-        j = _parent_sums(own.astype(np.int8), d)
-        fill = j == 2**d - 1  # a lone missing child is integrated instead
-        for axis in range(d):
-            fill = fill.repeat(2, axis=axis)
-        own |= fill
-        parents = j < 2**d - 1
-    # each leaf as its first level-L cell (multi-index) and its width in them
-    idx = np.concatenate((np.nonzero(own), 2 * np.array(np.nonzero(parents))), axis=1).T
-    m = np.count_nonzero(own)
-    size = np.repeat([1.0, 2.0], (m, idx.shape[0] - m))
-    lo0 = np.array([iv.lo for iv in fam.window])
-    step = np.array([iv.width for iv in fam.window]) / n
-    lo, hi = lo0 + idx * step, lo0 + (idx + size[:, None]) * step
-    tol = cfg.quad_tol * (size / n) ** d
+    lo, hi, share, own, parents, last = _leaf_plan(cfg.family, cfg.truncation)
+    d, m = own.ndim, np.count_nonzero(own)
+    tol = cfg.quad_tol * share
 
     if d > 1:
         v, e, evals = integrate_boxes(f, lo, hi, tol)
@@ -261,9 +280,9 @@ def _functionals_pass(f, cfg: KpConfig):
     sums = np.zeros((2,) + own.shape)
     sums[:, own] = ve[:, :m]
     levels = [sums.reshape(2, -1)[:, : last + 1]]
-    for lv in range(L, 0, -1):
+    while sums.shape[1] > 1:  # up to level 0, the window
         sums = _parent_sums(sums, d)
-        if lv == L:
+        if len(levels) == 1:  # level L - 1, whose leaves are no sums
             sums[:, parents] = ve[:, m:]
         levels.append(sums.reshape(2, -1))
     values, errors = np.concatenate(levels[::-1], axis=1)
