@@ -43,7 +43,6 @@ from .gauge import (
     hk_integrate,
     hk_integrate_many,
     integrate_boxes,
-    integrate_nd,
     integrate_nd_result,
     is_delta_fine,
     riemann_sum,
@@ -63,24 +62,12 @@ from .kp import (
     WeightSequence,
     compute_functionals,
     compute_functionals_detailed,
-    family_ek,
-    functional,
     geometric_weights,
     k2_inner,
     kp_norm,
     lq_norm,
     verify_embedding,
 )
-from .tame import (
-    BasisOracle,
-    CoordinateVector,
-    TameFunction,
-    bjn_norm,
-    embed_t,
-    l1_oracle,
-    l2_oracle,
-    sup_norm,
-    tame_eval,
-)
+from .tame import TameFunction
 
 __version__ = "0.1.0"

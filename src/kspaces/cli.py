@@ -315,8 +315,8 @@ def _cmd_inner(args, cfg: RunConfig):
     ag, evals_g = compute_functionals_detailed(g, kcfg)
     value = k2_inner(f, g, kcfg, functionals_f=af, functionals_g=ag)
     eps = kcfg.quad_tol
-    mf = max((abs(a) for a in af), default=0.0)
-    mg = max((abs(a) for a in ag), default=0.0)
+    mf = max(abs(a) for a in af)
+    mg = max(abs(a) for a in ag)
     err = eps * (mf + mg + eps)
     tail = kcfg.weights.tail(kcfg.truncation) * mf * mg
     return [("k2_inner", value, err, tail, evals_f + evals_g, timer.ms())]

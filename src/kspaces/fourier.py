@@ -19,6 +19,9 @@ import numpy as np
 from .gauge import integrate_boxes, integrate_nd_result
 from .tame import TameFunction
 
+# fourier_bound_check's allowance for quadrature error
+_QUAD_SLACK = 1e-8
+
 
 @dataclass(frozen=True)
 class FrequencyPoint:
@@ -118,10 +121,9 @@ class BoundReport:
     passed: bool
 
 
-def fourier_bound_check(
-    f: TameFunction, grid, tol: float = 1e-10, quad_slack: float = 1e-8
-) -> BoundReport:
-    """Check |transform| <= integral of |core| over a grid of frequencies."""
+def fourier_bound_check(f: TameFunction, grid, tol: float = 1e-10) -> BoundReport:
+    """Check |transform| <= integral of |core| + 1e-8 over a grid of
+    frequencies, the last term an allowance for quadrature error."""
 
     def abs_core(*xs):
         return np.abs(np.asarray(f.core(*xs), dtype=np.float64))
@@ -130,4 +132,4 @@ def fourier_bound_check(
     grid = list(grid)
     mods = [abs(fv) for fv, _, _ in fourier_tame_result(f, grid, tol)]
     best, arg = max(zip(mods, grid), key=lambda t: t[0], default=(-1.0, None))
-    return BoundReport(best, l1, quad_slack, arg, best <= l1 + quad_slack)
+    return BoundReport(best, l1, _QUAD_SLACK, arg, best <= l1 + _QUAD_SLACK)

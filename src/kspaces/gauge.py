@@ -703,11 +703,6 @@ def integrate_nd_result(
     return IntegralResult(float(values[0]), float(errors[0]), int(evals[0]))
 
 
-def integrate_nd(f, box, tol: float = 1e-8, **kwargs) -> float:
-    """Value-only convenience wrapper around :func:`integrate_nd_result`."""
-    return integrate_nd_result(f, box, tol, **kwargs).value
-
-
 def uniform_partition(iv: Interval, n: int, tags: str = "midpoint") -> TaggedPartition:
     """Uniform n-cell partition with midpoint or left tags (test helper)."""
     edges = np.linspace(iv.lo, iv.hi, n + 1)

@@ -34,20 +34,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .boxes import BoxSet, TailFamily
 from .errors import DimensionCapExceeded, MissingAbsoluteBound, ToleranceNotMet
 from .gauge import (
     DEFAULT_MAX_EVALS,
     Interval,
     _hk_many,
     _holding,
-    hk_integrate,
+    hk_integrate,  # unused here, but perfbench/tracer.py wraps kp.hk_integrate
     integrate_boxes,
     integrate_nd_result,
 )
 
 # Points per axis of the q = inf sampling grid in lq_norm.
 _SUP_GRID = 4097
+# verify_embedding's allowance for quadrature error
+_QUAD_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -180,25 +181,6 @@ class NormResult:
             raise ValueError("norm components must be non-negative")
 
 
-def family_ek(k: int, cfg: KpConfig) -> BoxSet:
-    """Support of the k-th indicator as a box set (canonical-J tail)."""
-    return BoxSet(cfg.family.cell(k), TailFamily.CANONICAL_J)
-
-
-def _functional_result(k: int, f, cfg: KpConfig):
-    cell = cfg.family.cell(k)
-    if len(cell) == 1:
-        return hk_integrate(
-            f, cell[0], cfg.quad_tol, singular_points=cfg.singular_points
-        )
-    return integrate_nd_result(f, cell, cfg.quad_tol)
-
-
-def functional(k: int, f, cfg: KpConfig) -> float:
-    """a_k: the integral of f over the k-th dyadic cell."""
-    return _functional_result(k, f, cfg).value
-
-
 def _parent_sums(x, d: int):
     """Sums over the children of every cell one level up: the last d axes
     of ``x`` index the cells of a level, one axis per window axis, and each
@@ -218,9 +200,19 @@ def _leaf_plan(family: DualityFamily, K: int):
     L and L - 1, of shapes (2^L,) * d and (2^(L-1),) * d, true at leaves;
     and last is the offset of cell K within level L.  They depend on
     (family, K) alone, so they are built once per pair; the arrays are
-    read-only, as every caller shares them."""
+    read-only, as every caller shares them.  Raises
+    :class:`ToleranceNotMet` before allocating anything when the leaves'
+    least work, one GK15 panel each, exceeds ``DEFAULT_MAX_EVALS``."""
     d = family.dim
     L, last = family.level_of(K)
+    leaves = 2 ** (max(L - 1, 0) * d)  # each level-(L-1) cell holds a leaf
+    least = 15**d * leaves
+    if least > DEFAULT_MAX_EVALS:
+        raise ToleranceNotMet(
+            f"truncation {K} needs at least {least} evaluations, {15**d} for "
+            f"each of at least {leaves} leaf cells, over the budget of "
+            f"{DEFAULT_MAX_EVALS}"
+        )
     n = 2**L  # cells per axis of level L
     own = (np.arange(n**d) <= last).reshape((n,) * d)
     parents = np.zeros((n // 2,) * d, dtype=bool)
@@ -365,7 +357,7 @@ def kp_norm(
     K = cfg.truncation
     a = _given_or_computed(functionals, f, cfg)
     abs_a = np.abs(np.asarray(a, dtype=np.float64))
-    big = float(abs_a.max()) if K else 0.0
+    big = float(abs_a.max())
     M = max(big, abs_bound) if abs_bound is not None else big
 
     if p == math.inf:
@@ -456,19 +448,18 @@ def verify_embedding(
     p: float,
     cfg: KpConfig,
     lq_value: float | None = None,
-    quad_slack: float = 1e-8,
     functionals: Sequence[float] | None = None,
 ) -> EmbeddingReport:
     """Check the continuous-embedding inequality at truncation K.
 
     Computes the K^p norm and the L^q norm over the window and reports
-    whether kp <= lq + tail_bound + quad_slack.  ``lq_value`` may be
-    supplied exactly (e.g. for step functions) to keep the two sides
-    independent.
+    whether kp <= lq + tail_bound + 1e-8, the last term an allowance for
+    quadrature error.  ``lq_value`` may be supplied exactly (e.g. for step
+    functions) to keep the two sides independent.
     """
     norm = kp_norm(f, p, cfg, functionals=functionals)
     if lq_value is None:
         lq_value = lq_norm(f, q, cfg.family.window, cfg.quad_tol)
-    slack = norm.tail_bound + quad_slack
+    slack = norm.tail_bound + _QUAD_SLACK
     passed = norm.value <= lq_value + slack
     return EmbeddingReport(p, q, norm.value, float(lq_value), norm.tail_bound, slack, passed)

@@ -1,23 +1,16 @@
-"""Tame functions and coordinate-space norms for Banach spaces with a
-Schauder basis.
+"""Tame functions of the infinite-dimensional box spaces.
 
 A tame function of order n is a finite-dimensional core on the first n
 coordinates tensored with the indicator that every remaining coordinate
-lies in its canonical tail interval.  Coordinate vectors carry the scalar
-expansion along the basis; norms are computed through a basis oracle that
-knows the partial-sum norms of a concrete space (l1 and l2 ship by
-default).
+lies in its tail interval.  Which tail family scales its integral is set
+by :class:`kspaces.infinite.TailMeasureConfig`, not by the function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-import numpy as np
-
-from .boxes import TailFamily, tail_interval
-from .errors import EvaluationError
 from .gauge import Interval
 
 
@@ -28,7 +21,6 @@ class TameFunction:
     order: int
     core: Callable
     box: tuple
-    tail_family: TailFamily = TailFamily.CANONICAL_J
 
     def __post_init__(self):
         box = tuple(self.box)
@@ -40,83 +32,3 @@ class TameFunction:
         for iv in box:
             if not isinstance(iv, Interval):
                 raise TypeError("box must consist of Interval instances")
-
-
-@dataclass(frozen=True)
-class CoordinateVector:
-    """Finitely supported coordinate sequence (implicit zero tail)."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    def get(self, k: int) -> float:
-        """1-based coordinate access; zero beyond the explicit support."""
-        return self.coeffs[k - 1] if 1 <= k <= len(self.coeffs) else 0.0
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-@dataclass(frozen=True)
-class BasisOracle:
-    """Partial-sum norm of a concrete Banach space along its basis.
-
-    ``partial_sum_norm_fn(coeffs, k)`` returns the norm of the k-term
-    partial sum of the basis expansion with the given scalar coefficients.
-    """
-
-    partial_sum_norm_fn: Callable[[Sequence[float], int], float]
-    name: str = "custom"
-
-
-def l1_oracle() -> BasisOracle:
-    return BasisOracle(
-        lambda coeffs, k: float(np.sum(np.abs(coeffs[:k]))), name="l1"
-    )
-
-
-def l2_oracle() -> BasisOracle:
-    return BasisOracle(
-        lambda coeffs, k: float(np.sqrt(np.sum(np.square(coeffs[:k])))), name="l2"
-    )
-
-
-def tame_eval(f: TameFunction, x: CoordinateVector) -> float:
-    """Core value on the first n coordinates, or zero outside the tail.
-
-    Explicit coordinates beyond the order must lie in the tail interval
-    (J or j_k); implicit zeros always do since every tail interval
-    contains zero.
-    """
-    for k in range(f.order + 1, len(x) + 1):
-        if not tail_interval(f.tail_family, k).contains(x.get(k)):
-            return 0.0
-    head = [x.get(k) for k in range(1, f.order + 1)]
-    try:
-        return float(f.core(*head))
-    except Exception as exc:
-        raise EvaluationError(f"core failed at {tuple(head)}") from exc
-
-
-def bjn_norm(x: CoordinateVector, n: int, oracle: BasisOracle) -> float:
-    """Max over k <= n of the oracle's partial-sum norms."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coeffs = x.coeffs
-    return max(float(oracle.partial_sum_norm_fn(coeffs, k)) for k in range(1, n + 1))
-
-
-def sup_norm(x: CoordinateVector, oracle: BasisOracle) -> float:
-    """Sup over all partial-sum norms; constant beyond the finite support."""
-    return bjn_norm(x, max(1, len(x)), oracle)
-
-
-def embed_t(x: CoordinateVector, oracle: BasisOracle) -> CoordinateVector:
-    """Canonical coordinate embedding; an isometry for ``sup_norm``.
-
-    The oracle argument fixes which space's norm the isometry contract is
-    checked against (see the property tests).
-    """
-    return CoordinateVector(x.coeffs)

@@ -25,6 +25,12 @@ from .gauge import Gauge, Interval, cousin_partition, hk_integrate, is_delta_fin
 from .kp import DualityFamily, KpConfig, compute_functionals, kp_norm, verify_embedding
 from .tame import TameFunction
 
+_MAX_LEVEL = 4  # of random_step
+# random functions per embeddings run; random pairs per minkowski and
+# parallelogram run
+_N_FUNCTIONS = 100
+_N_PAIRS = 100
+
 SUITE_NAMES = (
     "gauge",
     "measure",
@@ -99,9 +105,9 @@ class StepFunction:
         return float(math.fsum(w * np.abs(self.values) ** q) ** (1.0 / q))
 
 
-def random_step(rng, window: Interval, max_level: int = 4) -> StepFunction:
-    """Random dyadic step function with at most 2^max_level pieces."""
-    level = int(rng.integers(1, max_level + 1))
+def random_step(rng, window: Interval) -> StepFunction:
+    """Random dyadic step function with at most 2^_MAX_LEVEL pieces."""
+    level = int(rng.integers(1, _MAX_LEVEL + 1))
     values = rng.uniform(-1.0, 1.0, size=2**level)
     return StepFunction(window, values)
 
@@ -292,12 +298,12 @@ def default_config(**overrides) -> KpConfig:
     return KpConfig(DualityFamily((_DEFAULT_WINDOW,)), **overrides)
 
 
-def embeddings_suite(seed: int, n_functions: int = 100) -> list:
+def embeddings_suite(seed: int) -> list:
     rng = np.random.default_rng([seed, 3])
     cfg = default_config()
     worst = math.inf
     checks = 0
-    for _ in range(n_functions):
+    for _ in range(_N_FUNCTIONS):
         f = random_step(rng, _DEFAULT_WINDOW)
         functionals = compute_functionals(f, cfg)
         for p in (1.0, 2.0, 4.0):
@@ -313,13 +319,13 @@ def embeddings_suite(seed: int, n_functions: int = 100) -> list:
 # ------------------------------------------------------------- minkowski
 
 
-def minkowski_suite(seed: int, n_pairs: int = 100) -> list:
+def minkowski_suite(seed: int) -> list:
     rng = np.random.default_rng([seed, 4])
     cfg = default_config()
     worst_tri = math.inf
     worst_hom = math.inf
     worst_mono = math.inf
-    for _ in range(n_pairs):
+    for _ in range(_N_PAIRS):
         f = random_step(rng, _DEFAULT_WINDOW)
         g = random_step(rng, _DEFAULT_WINDOW)
         af = compute_functionals(f, cfg)
@@ -343,20 +349,20 @@ def minkowski_suite(seed: int, n_pairs: int = 100) -> list:
         for lo_v, hi_v in zip(values[:-1], values[1:]):
             worst_mono = min(worst_mono, hi_v + 1e-12 - lo_v)
     return [
-        _row("minkowski", "triangle_inequality", worst_tri, 1e-9, 3 * n_pairs),
-        _row("minkowski", "homogeneity", worst_hom, 1e-12, n_pairs),
-        _row("minkowski", "p_monotonicity", worst_mono, 1e-12, 3 * n_pairs),
+        _row("minkowski", "triangle_inequality", worst_tri, 1e-9, 3 * _N_PAIRS),
+        _row("minkowski", "homogeneity", worst_hom, 1e-12, _N_PAIRS),
+        _row("minkowski", "p_monotonicity", worst_mono, 1e-12, 3 * _N_PAIRS),
     ]
 
 
 # --------------------------------------------------------- parallelogram
 
 
-def parallelogram_suite(seed: int, n_pairs: int = 100) -> list:
+def parallelogram_suite(seed: int) -> list:
     rng = np.random.default_rng([seed, 5])
     cfg = default_config()
     worst = math.inf
-    for _ in range(n_pairs):
+    for _ in range(_N_PAIRS):
         f = random_step(rng, _DEFAULT_WINDOW)
         g = random_step(rng, _DEFAULT_WINDOW)
         nf = kp_norm(f, 2.0, cfg).value
@@ -365,7 +371,7 @@ def parallelogram_suite(seed: int, n_pairs: int = 100) -> list:
         nm = kp_norm(f - g, 2.0, cfg).value
         resid = abs(np_**2 + nm**2 - 2.0 * nf**2 - 2.0 * ng**2)
         worst = min(worst, 1e-9 - resid)
-    return [_row("parallelogram", "parallelogram_identity", worst, 1e-9, n_pairs)]
+    return [_row("parallelogram", "parallelogram_identity", worst, 1e-9, _N_PAIRS)]
 
 
 # ----------------------------------------------------------- weak-strong

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -128,6 +129,20 @@ class TestNorm:
         assert code == 0
         _, rows = parse_csv(out)
         assert int(rows[0]["evaluations"]) <= 100_000
+
+    def test_truncation_past_the_budget_fails_before_allocating(self, capsys):
+        # at least 2^25 leaf cells of one GK15 panel each: 10x the budget
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "norm", "-p", "2", "--expr", "x1", "-K", "100000000")
+        assert code == 1 and not out
+        assert "503316480 evaluations" in err
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_large_truncation_within_the_budget_runs(self, capsys):
+        code, out, _ = run(capsys, "norm", "-p", "2", "--expr", "x1", "-K", "1000000")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert int(rows[0]["evaluations"]) == 500_001 * 15
 
     def test_bad_p(self, capsys):
         code, _, err = run(capsys, "norm", "-p", "0.3", "--expr", "1")
@@ -386,6 +401,20 @@ class TestConfigFile:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "False"
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracer.py wraps names where cli, kp and fourier bind them,
+    # so deleting one of those bindings breaks the benchmark
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    code = (
+        f"import sys; sys.path[:0] = {paths!r}; "
+        "from kspaces import cli; from tracer import Tracer; Tracer().install(cli); "
+        "sys.exit(cli.run_command(['norm', '-p', '2', '--expr', 'x1', '-K', '8']))"
+    )
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 BAD_NUMBERS = {

@@ -19,7 +19,6 @@ from kspaces import (
     hk_integrate,
     hk_integrate_many,
     integrate_boxes,
-    integrate_nd,
     integrate_nd_result,
     is_delta_fine,
     riemann_sum,
@@ -226,11 +225,11 @@ def test_cousin_output_always_fine(delta):
 
 class TestIntegrateNd:
     def test_unit_volume(self):
-        v = integrate_nd(lambda x, y: np.ones_like(x * y), [Interval(0, 1)] * 2)
+        v = integrate_nd_result(lambda x, y: np.ones_like(x * y), [Interval(0, 1)] * 2).value
         assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_product(self):
-        v = integrate_nd(lambda x, y: x * y, [Interval(0, 1)] * 2, tol=1e-10)
+        v = integrate_nd_result(lambda x, y: x * y, [Interval(0, 1)] * 2, tol=1e-10).value
         assert v == pytest.approx(0.25, abs=1e-10)
 
     def test_gaussian_against_1d_oracle(self):
@@ -239,17 +238,17 @@ class TestIntegrateNd:
         xs, ws = 5.0 * xs, 5.0 * ws
         one_d = float(np.sum(ws * np.exp(-np.pi * xs**2)))
         expected = one_d**2
-        v = integrate_nd(
+        v = integrate_nd_result(
             lambda x, y: np.exp(-np.pi * (x**2 + y**2)),
             [Interval(-5, 5)] * 2,
             tol=1e-8,
-        )
+        ).value
         assert abs(v - expected) < 1e-8
         assert abs(v - 1.0) < 1e-8
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapExceeded):
-            integrate_nd(lambda *xs: 1.0, [Interval(0, 1)] * 7)
+            integrate_nd_result(lambda *xs: 1.0, [Interval(0, 1)] * 7)
 
     def test_result_reports_evaluations(self):
         r = integrate_nd_result(lambda x: x, [Interval(0, 1)])

@@ -26,7 +26,7 @@ class TestIntegrateTame:
         assert integrate_tame(f, TailMeasureConfig()) == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_tail_factor(self):
-        f = TameFunction(1, const_one, UNIT, TailFamily.SCALED_J)
+        f = TameFunction(1, const_one, UNIT)
         cfg = TailMeasureConfig(TailFamily.SCALED_J)
         assert integrate_tame(f, cfg) == pytest.approx(1.0 / math.log(2.0), abs=1e-12)
 
@@ -35,7 +35,7 @@ class TestIntegrateTame:
         assert integrate_tame(f, TailMeasureConfig()) == pytest.approx(1.0, abs=1e-10)
 
     def test_unnormalized_scaled_drops_factor(self):
-        f = TameFunction(1, const_one, UNIT, TailFamily.SCALED_J)
+        f = TameFunction(1, const_one, UNIT)
         cfg = TailMeasureConfig(TailFamily.SCALED_J, normalized=False)
         assert integrate_tame(f, cfg) == pytest.approx(1.0, abs=1e-12)
 

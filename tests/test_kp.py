@@ -12,8 +12,6 @@ from kspaces import (
     MissingAbsoluteBound,
     WeightSequence,
     compute_functionals,
-    family_ek,
-    functional,
     geometric_weights,
     k2_inner,
     kp_norm,
@@ -67,10 +65,6 @@ class TestDyadicEnumeration:
         first = [(c[0].lo, c[1].lo) for c in cells]
         assert first == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
 
-    def test_family_ek_is_boxset(self, cfg):
-        b = family_ek(5, cfg)
-        assert (b.base[0].lo, b.base[0].hi) == (0.25, 0.5)
-
     def test_enumeration_covers_each_level_exactly(self, cfg):
         # within each level the cells tile the window
         for level in (1, 2, 3):
@@ -87,21 +81,21 @@ class TestDyadicEnumeration:
 
 class TestFunctional:
     def test_indicator_on_whole_window(self, cfg):
-        assert functional(1, one, cfg) == pytest.approx(1.0, abs=1e-12)
+        assert compute_functionals(one, cfg)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_sine_whole_window(self, cfg):
         f = lambda x: np.sin(2 * np.pi * x)
-        assert functional(1, f, cfg) == pytest.approx(0.0, abs=cfg.quad_tol)
+        assert compute_functionals(f, cfg)[0] == pytest.approx(0.0, abs=cfg.quad_tol)
 
     def test_sine_half_window(self, cfg):
         # antiderivative oracle: (1 - cos(pi)) / (2 pi) = 1/pi
         f = lambda x: np.sin(2 * np.pi * x)
-        assert functional(2, f, cfg) == pytest.approx(1.0 / math.pi, abs=1e-10)
+        assert compute_functionals(f, cfg)[1] == pytest.approx(1.0 / math.pi, abs=1e-10)
 
     def test_reproducibility(self, cfg):
         f = lambda x: np.exp(x) * np.sin(5 * x)
-        a = [functional(k, f, cfg) for k in range(1, 20)]
-        b = [functional(k, f, cfg) for k in range(1, 20)]
+        a = compute_functionals(f, cfg)
+        b = compute_functionals(f, cfg)
         assert a == b  # bitwise: fixed enumeration, fixed summation order
 
 

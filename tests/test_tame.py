@@ -1,140 +1,8 @@
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from kspaces import (
-    CoordinateVector,
-    Interval,
-    TailFamily,
-    TameFunction,
-    bjn_norm,
-    embed_t,
-    l1_oracle,
-    l2_oracle,
-    sup_norm,
-    tame_eval,
-)
+from kspaces import Interval, TameFunction
 
 UNIT = (Interval(0, 1),)
-
-coeff_lists = st.lists(
-    st.floats(-100, 100, allow_nan=False, allow_infinity=False), min_size=1, max_size=8
-)
-
-
-class TestTameEval:
-    def test_tail_coordinate_inside_j(self):
-        f = TameFunction(1, lambda x: x, UNIT)
-        assert tame_eval(f, CoordinateVector((0.3, 0.1))) == pytest.approx(0.3)
-
-    def test_tail_coordinate_outside_j(self):
-        f = TameFunction(1, lambda x: x, UNIT)
-        assert tame_eval(f, CoordinateVector((0.3, 0.9))) == 0.0
-
-    def test_order_two_core(self):
-        f = TameFunction(2, lambda x, y: x * y, (Interval(0, 1), Interval(0, 1)))
-        assert tame_eval(f, CoordinateVector((0.5, 0.5))) == pytest.approx(0.25)
-
-    def test_implicit_zero_tail_is_inside(self):
-        f = TameFunction(1, lambda x: 1.0, UNIT)
-        assert tame_eval(f, CoordinateVector((0.2,))) == 1.0
-
-    def test_scaled_tail_is_tighter(self):
-        # 0.4 is inside J but outside j_2 = ±1/(2 ln 3) ≈ ±0.455... adjust: use k=9
-        f = TameFunction(1, lambda x: 1.0, UNIT, TailFamily.SCALED_J)
-        # j_2 has half-width 1/(2 ln 3) ≈ 0.4551; j_9 half-width 1/(2 ln 10) ≈ 0.2171
-        x = CoordinateVector((0.0,) + (0.0,) * 7 + (0.3,))  # coordinate 9 = 0.3
-        assert tame_eval(f, x) == 0.0
-        f_canon = TameFunction(1, lambda x: 1.0, UNIT, TailFamily.CANONICAL_J)
-        assert tame_eval(f_canon, x) == 1.0
-
-    def test_support_concentrated_in_order_cylinder(self):
-        # sampling outside the cylinder must give zero
-        rng = np.random.default_rng(2)
-        f = TameFunction(1, lambda x: 1.0 + x, UNIT)
-        for _ in range(100):
-            tail_index = int(rng.integers(2, 6))
-            coords = [float(rng.uniform(-0.5, 0.5)) for _ in range(tail_index)]
-            coords[-1] = float(rng.uniform(0.51, 3.0)) * rng.choice([-1.0, 1.0])
-            assert tame_eval(f, CoordinateVector(tuple(coords))) == 0.0
-
-
-class TestNorms:
-    def test_l1_partial_sums(self):
-        x = CoordinateVector((1.0, -1.0))
-        assert bjn_norm(x, 2, l1_oracle()) == 2.0
-
-    def test_zero_vector(self):
-        x = CoordinateVector((0.0, 0.0))
-        assert bjn_norm(x, 2, l1_oracle()) == 0.0
-        assert sup_norm(x, l2_oracle()) == 0.0
-
-    def test_unit_basis_vector(self):
-        x = CoordinateVector((1.0,))
-        for n in (1, 3, 7):
-            assert bjn_norm(x, n, l1_oracle()) == 1.0
-
-    def test_sup_norm_cancellation(self):
-        # partial sums of (1, -1) in l1 are 1, 2; the sup sees the larger
-        assert sup_norm(CoordinateVector((1.0, -1.0)), l1_oracle()) == 2.0
-
-    def test_monotone_partial_sums_hit_final(self):
-        x = CoordinateVector((1.0, 2.0, 3.0))
-        assert sup_norm(x, l1_oracle()) == 6.0
-
-    @settings(max_examples=60, deadline=None)
-    @given(coeff_lists, st.integers(1, 8))
-    def test_bjn_monotone_in_n(self, coeffs, n):
-        x = CoordinateVector(tuple(coeffs))
-        o = l2_oracle()
-        m = min(n, len(coeffs))
-        values = [bjn_norm(x, k, o) for k in range(1, m + 1)]
-        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-    @settings(max_examples=60, deadline=None)
-    @given(coeff_lists)
-    def test_sup_norm_equals_bjn_at_support_length(self, coeffs):
-        x = CoordinateVector(tuple(coeffs))
-        o = l1_oracle()
-        assert sup_norm(x, o) == bjn_norm(x, len(coeffs), o)
-
-    @settings(max_examples=60, deadline=None)
-    @given(coeff_lists, st.floats(-10, 10, allow_nan=False))
-    def test_homogeneity(self, coeffs, alpha):
-        o = l2_oracle()
-        x = CoordinateVector(tuple(coeffs))
-        ax = CoordinateVector(tuple(alpha * c for c in coeffs))
-        assert sup_norm(ax, o) == pytest.approx(abs(alpha) * sup_norm(x, o), abs=1e-9)
-
-    @settings(max_examples=60, deadline=None)
-    @given(coeff_lists, coeff_lists)
-    def test_triangle_inequality(self, cs, ds):
-        n = max(len(cs), len(ds))
-        cs = cs + [0.0] * (n - len(cs))
-        ds = ds + [0.0] * (n - len(ds))
-        o = l1_oracle()
-        x, y = CoordinateVector(tuple(cs)), CoordinateVector(tuple(ds))
-        xy = CoordinateVector(tuple(c + d for c, d in zip(cs, ds)))
-        assert bjn_norm(xy, n, o) <= bjn_norm(x, n, o) + bjn_norm(y, n, o) + 1e-12
-
-
-class TestEmbedding:
-    def test_identity_on_coordinates(self):
-        x = CoordinateVector((0.5, -2.0, 3.0))
-        assert embed_t(x, l1_oracle()).coeffs == x.coeffs
-
-    def test_isometry_on_random_vectors(self):
-        rng = np.random.default_rng(4)
-        o = l1_oracle()
-        for _ in range(100):
-            x = CoordinateVector(tuple(rng.uniform(-5, 5, size=rng.integers(1, 9))))
-            assert sup_norm(embed_t(x, o), o) == sup_norm(x, o)
-
-    def test_basis_vector_norm_one(self):
-        for k in range(1, 5):
-            x = CoordinateVector((0.0,) * (k - 1) + (1.0,))
-            assert sup_norm(embed_t(x, l2_oracle()), l2_oracle()) == 1.0
 
 
 def test_tame_function_validation():
