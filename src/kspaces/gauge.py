@@ -20,8 +20,9 @@ in lock step, with one integrand call and one GK15 call per round (per block
 of a wide round, see below) over the active panels of all of them.  Shells
 toward singular points run through it, all singular sides together: a side
 that has seen k consecutive small shells needs at least 3 - k more before
-its stop rule can end it, so each step takes those shells of every
-unsettled side in one call.
+its Cauchy rule can end it, so each step takes those shells of every
+unsettled side in one call; after each step a side may also end by Wynn's
+epsilon extrapolation of its partial sums.
 
 Boxes are integrated by a recursion over axes: the integrand of the first
 axis solves the inner problems of all its nodes in one recursive call, so f
@@ -62,6 +63,7 @@ SHELL_RATIO = 0.5
 MAX_SHELLS = 4096
 
 _EPS = float(np.finfo(np.float64).eps)
+_BIG = float(np.finfo(np.float64).max)  # QUADPACK's oflow
 _MIN_REL_WIDTH = 4.0 * _EPS
 # Intervals that _adaptive_many advances together, and panels per integrand
 # and GK15 call.  Larger batches run as consecutive groups, and wider rounds
@@ -432,20 +434,141 @@ def _lockstep(fn, offset, lo, hi, tol):
     return _group_sums(*(np.concatenate(c) for c in zip(*accepted)), n)
 
 
+def _add_exact(partials, x):
+    """Adds ``x`` to ``partials`` in place, as :func:`math.fsum` does
+    (Shewchuk's algorithm): the list stays a few non-overlapping floats
+    whose ``fsum`` is the exactly rounded sum of everything added."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        s = x + y
+        t = y - (s - x)
+        if t:
+            partials[i] = t
+            i += 1
+        x = s
+    partials[i:] = [x]
+
+
+class _Wynn:
+    """Wynn's epsilon algorithm (Wynn 1956) over the partial sums of one
+    singular side's shells, one sum at a time: QUADPACK's ``qelg``
+    (Piessens et al. 1983), with its table of at most ``limexp`` = 50 sums,
+    its last three results ``res3la`` and its call count ``nres``.  As in
+    ``qagse``, the first call sees three sums.  :meth:`add` takes the next
+    shell integral and returns the extrapolated limit and its abserr: from
+    the fourth call (the sixth sum) on, the limit's distances from the three
+    results before it, summed, and never below 5 eps |limit|; before that,
+    the largest float unless qelg saw three equal sums.  Each call costs
+    O(limexp)."""
+
+    LIMEXP = 50
+
+    def __init__(self):
+        self.partials = []  # the shells so far, summed exactly
+        self.table = [0.0] * (self.LIMEXP + 2)  # QUADPACK's epstab
+        self.n = 0  # sums in the table
+        self.res3la = [0.0] * 3
+        self.nres = 0
+
+    def add(self, shell):
+        _add_exact(self.partials, shell)
+        e, n = self.table, self.n
+        if n == self.LIMEXP:
+            # qelg drops the oldest sum at the end of a call that leaves
+            # limexp; here it is dropped before the next one, which also
+            # covers a call that returned at convergence
+            e[: n - 1] = e[1:n]
+            n -= 1
+        e[n] = math.fsum(self.partials)
+        self.n = n = n + 1
+        if self.nres == 0 and n < 3:
+            return e[n - 1], _BIG
+        self.nres += 1
+        result, abserr = self._qelg()
+        return result, max(abserr, 5.0 * _EPS * abs(result))
+
+    def _qelg(self):
+        """qelg short of its final floor on abserr; ``e[i - 1]`` is its
+        ``epstab(i)``.  May shrink the table, updating ``n``."""
+        e, n = self.table, self.n
+        result, abserr = e[n - 1], _BIG
+        if n < 3:
+            return result, abserr
+        e[n + 1] = e[n - 1]
+        newelm = (n - 1) // 2
+        e[n - 1] = _BIG
+        num = k1 = n
+        for i in range(1, newelm + 1):
+            res = e[k1 + 1]
+            e0, e1, e2 = e[k1 - 3], e[k1 - 2], res
+            delta2, delta3 = e2 - e1, e1 - e0
+            err2, err3 = abs(delta2), abs(delta3)
+            tol2 = max(abs(e2), abs(e1)) * _EPS
+            tol3 = max(abs(e1), abs(e0)) * _EPS
+            if err2 <= tol2 and err3 <= tol3:
+                # e0, e1 and e2 equal to machine accuracy: converged
+                return res, err2 + err3
+            e3 = e[k1 - 1]
+            e[k1 - 1] = e1
+            delta1 = e1 - e3
+            err1 = abs(delta1)
+            tol1 = max(abs(e1), abs(e3)) * _EPS
+            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                n = 2 * i - 1  # two close elements: keep the newest n sums
+                break
+            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+            if not abs(ss * e1) > 1e-4:
+                n = 2 * i - 1  # irregular behaviour: keep the newest n sums
+                break
+            res = e1 + 1.0 / ss
+            e[k1 - 1] = res
+            k1 -= 2
+            error = err2 + abs(res - e2) + err3
+            if not error > abserr:
+                abserr, result = error, res
+        ib = 1 if num % 2 else 2  # shift the table
+        for _ in range(newelm + 1):
+            e[ib - 1] = e[ib + 1]
+            ib += 2
+        if num != n:
+            e[:n] = e[num - n : num]
+        self.n = n
+        if self.nres < 4:
+            self.res3la[self.nres - 1] = result
+            return result, _BIG
+        r = self.res3la
+        abserr = abs(result - r[2]) + abs(result - r[1]) + abs(result - r[0])
+        self.res3la = [r[1], r[2], result]
+        return result, abserr
+
+
 def _shell_integrate(f, lo, hi, sings, tol, max_evals):
     """Improper-mode (values, errors, evaluations) over [lo[i], hi[i]],
     each holding one of ``sings`` and with its own tolerance ``tol[i]`` and
     ``max_evals`` budget.
 
     Each singular side (:func:`_segments`) is integrated in geometric
-    shells shrinking toward its singular point, and stops once ``run``
-    consecutive shell integrals (the Cauchy differences of its partial
-    sums) fall below its ``cauchy_tol``, which its error then includes as
-    the tail allowance.  A side with k small shells in a row needs at least
-    run - k more, so each step takes that many shells of every unsettled
+    shells shrinking toward its singular point.  After each step a side
+    stops on the first of two rules:
+
+    * Cauchy: ``run`` consecutive shell integrals (the Cauchy differences
+      of its partial sums) fell below its ``cauchy_tol``.  Its value is the
+      sum of its shells, and its error includes ``cauchy_tol`` as the tail
+      allowance.
+    * epsilon: it has at least ``min_sums`` partial sums and :class:`_Wynn`'s
+      abserr is within ``cauchy_tol``.  Its value is the extrapolated limit,
+      and its error includes abserr.
+
+    The floor of ``min_sums`` keeps the epsilon rule from taking three equal
+    partial sums, where qelg reports convergence, for a limit.  A side with
+    k small shells in a row needs at least run - k more before the Cauchy
+    rule can end it, so each step takes that many shells of every unsettled
     side in one :func:`_adaptive_many` call.
     """
     run = 3  # consecutive small shells that settle a side
+    min_sums = 6  # partial sums before the epsilon rule may end a side
     sides = []  # (interval, singular point, span, tol_q, cauchy_tol)
     for i, (a, b, t) in enumerate(zip(lo.tolist(), hi.tolist(), tol.tolist())):
         pairs = _segments(a, b, sings)
@@ -459,6 +582,9 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
     small, shells = np.zeros((2, root.size), dtype=np.intp)  # run length, shells done
     fn = _VecFn(f, max_evals, lo.size)
     done = []  # (side, value, error) of every shell, in shell order per side
+    wynn = [_Wynn() for _ in range(root.size)]
+    limit, limit_err = np.zeros((2, root.size))  # each side's latest epsilon result
+    by_eps = np.zeros(root.size, dtype=bool)  # sides the epsilon rule ended
 
     live = np.arange(root.size)
     while live.size:
@@ -479,12 +605,16 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
             tol_q[side] * (1.0 - SHELL_RATIO) * f_out,
         )
         done.append((side, v, e))
-        is_small = np.abs(v) < cauchy_tol[side]
         at = 0
-        for k, _ in batch:
-            small[k] = np.where(is_small[at : at + k.size], small[k] + 1, 0)
+        for k, _ in batch:  # each side's shells in shell order
+            vk = v[at : at + k.size]
+            small[k] = np.where(np.abs(vk) < cauchy_tol[k], small[k] + 1, 0)
+            for i, x in zip(k.tolist(), vk.tolist()):
+                limit[i], limit_err[i] = wynn[i].add(x)
             at += k.size
-        live = live[small[live] < run]
+        cauchy = small[live] >= run
+        by_eps[live] = ~cauchy & (shells[live] >= min_sums) & (limit_err[live] <= cauchy_tol[live])
+        live = live[~cauchy & ~by_eps[live]]
         failed = live[shells[live] >= MAX_SHELLS]
         if failed.size:
             k = failed[0]
@@ -497,7 +627,9 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
             )
 
     side_v, side_e = _group_sums(*(np.concatenate(c) for c in zip(*done)), root.size)
-    values, errors = _group_sums(root, side_v, side_e + cauchy_tol, lo.size)
+    side_v = np.where(by_eps, limit, side_v)
+    tail = np.where(by_eps, limit_err, cauchy_tol)
+    values, errors = _group_sums(root, side_v, side_e + tail, lo.size)
     return values, errors, fn.evals
 
 
@@ -567,12 +699,17 @@ def hk_integrate_many(
     Intervals holding no declared singular point run together in one
     :func:`integrate_boxes` pass at tol/2.  Around each singular point the
     integral is taken in improper mode: geometric shells shrinking toward
-    the point, stopped when the partial sums are Cauchy (three consecutive
-    shell integrals below tol/4, shared among the singular sides).  The
-    shells of all singular sides of all intervals run in lock step, in one
-    :func:`_shell_integrate` pass.  This matches the limit characterization
-    of the HK integral over expanding subintervals, which is what makes
-    conditionally integrable oscillatory integrands computable.
+    the point, each side stopped by the first of two rules on its partial
+    sums, with cauchy_tol = tol/4 shared among the singular sides.  Either
+    the sums are Cauchy (three consecutive shell integrals below
+    cauchy_tol: the value is their sum, cauchy_tol is added to the error),
+    or, from six sums on, Wynn's epsilon algorithm extrapolates their limit
+    with an abserr within cauchy_tol (the value is that limit, abserr is
+    added to the error).  The shells of all singular sides of all intervals
+    run in lock step, in one :func:`_shell_integrate` pass.  This matches
+    the limit characterization of the HK integral over expanding
+    subintervals, which is what makes conditionally integrable oscillatory
+    integrands computable.
 
     Raises :class:`ToleranceNotMet` if a budget runs out or an interval's
     error estimate exceeds its tol, :class:`EvaluationError` if ``f``

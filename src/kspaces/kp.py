@@ -38,8 +38,8 @@ from .errors import DimensionCapExceeded, MissingAbsoluteBound, ToleranceNotMet
 from .gauge import (
     DEFAULT_MAX_EVALS,
     Interval,
+    _MAX_IN_FLIGHT,
     _hk_many,
-    _holding,
     hk_integrate,  # unused here, but perfbench/tracer.py wraps kp.hk_integrate
     integrate_boxes,
     integrate_nd_result,
@@ -191,16 +191,24 @@ def _parent_sums(x, d: int):
     return x
 
 
-@functools.lru_cache(maxsize=32)
 def _leaf_plan(family: DualityFamily, K: int):
+    """:func:`_build_leaf_plan`, built once per pair (family, K) when K is at
+    most ``_MAX_IN_FLIGHT``, one group of leaves in flight; larger plans are
+    rebuilt on each call, so that the cache holds only small ones."""
+    if K <= _MAX_IN_FLIGHT:
+        return _cached_leaf_plan(family, K)
+    return _build_leaf_plan(family, K)
+
+
+def _build_leaf_plan(family: DualityFamily, K: int):
     """The leaves of ``family`` truncated at K, as :func:`_functionals_pass`
     describes them: (lo, hi, share, own, parents, last), where lo and hi
     (leaves, d) hold the leaf ends, level-L leaves first; share is each
     leaf's |leaf| / |window|; own and parents are boolean grids of levels
     L and L - 1, of shapes (2^L,) * d and (2^(L-1),) * d, true at leaves;
     and last is the offset of cell K within level L.  They depend on
-    (family, K) alone, so they are built once per pair; the arrays are
-    read-only, as every caller shares them.  Raises
+    (family, K) alone; the arrays are read-only, as the callers of a cached
+    plan share them.  Raises
     :class:`ToleranceNotMet` before allocating anything when the leaves'
     least work, one GK15 panel each, exceeds ``DEFAULT_MAX_EVALS``."""
     d = family.dim
@@ -236,6 +244,9 @@ def _leaf_plan(family: DualityFamily, K: int):
     return lo, hi, share, own, parents, last
 
 
+_cached_leaf_plan = functools.lru_cache(maxsize=32)(_build_leaf_plan)
+
+
 def _functionals_pass(f, cfg: KpConfig):
     """a_1 .. a_K, their errors and the total evaluation count, from one
     pass over the leaf cells of the truncated dyadic tree.
@@ -247,10 +258,8 @@ def _functionals_pass(f, cfg: KpConfig):
     never more leaves than cells.  All leaves are integrated in one call
     (:func:`kspaces.gauge.hk_integrate_many`'s core, singular points
     included, in 1-D; :func:`integrate_boxes` in d >= 2), each at the share
-    quad_tol * |leaf| / |window|.  In 1-D, when leaves hold a singular
-    point, those share half of quad_tol evenly and every other leaf gets
-    half its share: a shell's cost climbs steeply as its tol falls.  Either
-    way the tols of the leaves of any cell add up to at most quad_tol.
+    quad_tol * |leaf| / |window|, so the tols of the leaves of any cell add
+    up to at most quad_tol.
     Every other a_k and its error are the sums of its children's, built
     level by level.  Raises :class:`ToleranceNotMet` when the error of some
     a_k exceeds quad_tol, not when a leaf misses its share.
@@ -263,11 +272,7 @@ def _functionals_pass(f, cfg: KpConfig):
         v, e, evals = integrate_boxes(f, lo, hi, tol)
     else:
         lo, hi = lo[:, 0], hi[:, 0]
-        sings = np.asarray(cfg.singular_points, dtype=np.float64)
-        held = _holding(lo, hi, sings)
-        if held.any():
-            tol = np.where(held, 0.5 * cfg.quad_tol / held.sum(), 0.5 * tol)
-        v, e, evals = _hk_many(f, lo, hi, tol, sings, DEFAULT_MAX_EVALS)
+        v, e, evals = _hk_many(f, lo, hi, tol, cfg.singular_points, DEFAULT_MAX_EVALS)
     ve = np.stack((v, e))
     sums = np.zeros((2,) + own.shape)
     sums[:, own] = ve[:, :m]

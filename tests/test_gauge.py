@@ -280,10 +280,16 @@ def _wiggle(x):
     return np.sin(50.0 * x) * np.sqrt(np.abs(x - 0.3))
 
 
+def _sin_inv(x):
+    # oscillates ever faster toward 0.3, so its shells need far more than
+    # 1,000 evaluations; _wiggle's settle after 810
+    return np.sin(1.0 / np.abs(x - 0.3))
+
+
 BUDGET_CALLS = {
     "hk_integrate": lambda n: hk_integrate(_wiggle, Interval(0, 1), 1e-12, max_evals=n),
     "hk_integrate_shells": lambda n: hk_integrate(
-        _wiggle, Interval(0, 1), 1e-12, singular_points=[0.3], max_evals=n
+        _sin_inv, Interval(0, 1), 1e-12, singular_points=[0.3], max_evals=n
     ),
     "hk_integrate_many": lambda n: hk_integrate_many(
         _wiggle, [0.0, 2.0], [1.0, 2.1], 1e-12, max_evals=n
@@ -391,3 +397,93 @@ def test_zero_width_stays_zero():
     assert values.tolist() == errors.tolist() == evals.tolist() == [0, 0]
     values, _, evals = integrate_boxes(_plane, [[0.0, 0.2]], [[1.0, 0.2]], 1e-8)
     assert values.tolist() == evals.tolist() == [0]
+
+
+# ------------------------------------------------ improper integrals, exactly
+
+_CI_1 = 0.33740392290096813466  # the cosine integral Ci(1)
+
+
+def _log_step_integral(a, b):
+    """Integral of ln|x - 0.3| + [x > 0.5] over [a, b]."""
+
+    def anti(x):
+        u = x - 0.3
+        return (u * math.log(abs(u)) if u else 0.0) - x + max(x - 0.5, 0.0)
+
+    return anti(b) - anti(a)
+
+
+def _log_step(x):
+    return np.log(np.abs(x - 0.3)) + (x > 0.5)
+
+
+# name: (f, lo, hi, tol, singular points, exact value)
+IMPROPER = {
+    "power-0.9": (lambda x: x**-0.9, 0.0, 1.0, 1e-3, [0.0], 10.0),
+    "inv-sqrt-1e-8": (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-8, [0.0], 2.0),
+    "inv-sqrt-1e-10": (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-10, [0.0], 2.0),
+    "log": (np.log, 0.0, 1.0, 1e-10, [0.0], -1.0),
+    "log-interior": (
+        lambda x: np.log(np.abs(x - 0.3)), 0.0, 1.0, 1e-10, [0.3],
+        0.7 * math.log(0.7) + 0.3 * math.log(0.3) - 1.0,
+    ),
+    **{
+        f"log-step-[{a},{b}]-{tol}": (_log_step, a, b, tol, [0.3, 0.5], _log_step_integral(a, b))
+        for a, b in [(0.0, 1.0), (0.28125, 0.3125)]
+        for tol in (1e-8, 3.125e-10, 1e-10)
+    },
+    "sin-inv": (lambda x: np.sin(1.0 / x), 0.0, 1.0, 1e-6, [0.0], math.sin(1.0) - _CI_1),
+}
+
+
+@pytest.mark.parametrize("f, lo, hi, tol, sings, exact", IMPROPER.values(), ids=IMPROPER)
+def test_improper_integrals_are_within_their_error_bound(f, lo, hi, tol, sings, exact):
+    r = hk_integrate(f, Interval(lo, hi), tol, singular_points=sings)
+    assert abs(r.value - exact) <= r.error_estimate <= tol
+
+
+def test_interior_log_leaf_costs_the_same_at_every_tol():
+    # the Cauchy rule alone took 945, 91,080 and 168,585 evaluations
+    evals = [
+        hk_integrate(_log_step, Interval(0.28125, 0.3125), tol, [0.3, 0.5]).evaluations
+        for tol in (1e-8, 3.125e-10, 1e-10)
+    ]
+    assert evals == [270] * 3
+
+
+def test_oscillatory_shells_end_by_the_cauchy_rule():
+    # sin(1/x)'s epsilon abserr does not fall within cauchy_tol before the
+    # Cauchy rule ends its side, so it takes the shells it took without it
+    r = hk_integrate(lambda x: np.sin(1.0 / x), Interval(0, 1), 1e-6, singular_points=[0.0])
+    assert r.evaluations == 82_260
+
+
+def _wynn(sums):
+    """The last (limit, abserr) of the epsilon algorithm fed ``sums``."""
+    w, prev = gauge._Wynn(), 0.0
+    for s in sums:
+        out = w.add(s - prev)
+        prev = s
+    return out
+
+
+def test_epsilon_algorithm_sums_a_geometric_series_from_three_terms():
+    limit, abserr = _wynn([1.0, 1.5, 1.75])
+    assert limit == 2.0 and abserr == gauge._BIG  # no error estimate yet
+
+
+def test_epsilon_algorithm_bounds_its_error_on_an_alternating_series():
+    # partial sums of 1 - 1/2 + 1/3 - ... converge to ln 2 like 1/n
+    sums = np.cumsum([(-1) ** k / (k + 1) for k in range(20)])
+    limit, abserr = _wynn(sums.tolist())
+    assert abs(limit - math.log(2.0)) <= abserr < 1e-12
+    assert abs(sums[-1] - math.log(2.0)) > 0.02
+
+
+def test_epsilon_table_keeps_at_most_limexp_sums():
+    w = gauge._Wynn()
+    for k in range(300):  # a geometric series whose table never collapses
+        limit, abserr = w.add(0.99**k)
+        assert w.n <= gauge._Wynn.LIMEXP
+    assert abs(limit - 100.0) <= abserr < 1e-10

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from kspaces import (
     lq_norm,
     verify_embedding,
 )
+from kspaces import gauge, kp
 from kspaces.verify import random_step
 
 UNIT_WINDOW = Interval(0.0, 1.0)
@@ -268,6 +270,21 @@ class TestEmbedding:
 
         with pytest.raises(DimensionCapExceeded):
             lq_norm(f, math.inf, (UNIT_WINDOW,) * 3)
+
+
+def test_only_small_leaf_plans_are_cached():
+    family = DualityFamily((UNIT_WINDOW,))
+    K = gauge._MAX_IN_FLIGHT
+    assert kp._leaf_plan(family, K) is kp._leaf_plan(family, K)
+    # a plan of 10^6 cells is about 13 MB of arrays, rebuilt on each call
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert kp._leaf_plan(family, 10**6)[0].shape == (500_001, 1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 def test_singular_points_need_a_1d_family():
