@@ -22,7 +22,8 @@ toward singular points run through it, all singular sides together: a side
 that has seen k consecutive small shells needs at least 3 - k more before
 its Cauchy rule can end it, so each step takes those shells of every
 unsettled side in one call; after each step a side may also end by Wynn's
-epsilon extrapolation of its partial sums.
+epsilon extrapolation of its partial sums, once the extrapolated limit has
+held over a step.
 
 Boxes are integrated by a recursion over axes: the integrand of the first
 axis solves the inner problems of all its nodes in one recursive call, so f
@@ -434,23 +435,6 @@ def _lockstep(fn, offset, lo, hi, tol):
     return _group_sums(*(np.concatenate(c) for c in zip(*accepted)), n)
 
 
-def _add_exact(partials, x):
-    """Adds ``x`` to ``partials`` in place, as :func:`math.fsum` does
-    (Shewchuk's algorithm): the list stays a few non-overlapping floats
-    whose ``fsum`` is the exactly rounded sum of everything added."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        s = x + y
-        t = y - (s - x)
-        if t:
-            partials[i] = t
-            i += 1
-        x = s
-    partials[i:] = [x]
-
-
 class _Wynn:
     """Wynn's epsilon algorithm (Wynn 1956) over the partial sums of one
     singular side's shells, one sum at a time: QUADPACK's ``qelg``
@@ -460,28 +444,34 @@ class _Wynn:
     shell integral and returns the extrapolated limit and its abserr: from
     the fourth call (the sixth sum) on, the limit's distances from the three
     results before it, summed, and never below 5 eps |limit|; before that,
-    the largest float unless qelg saw three equal sums.  Each call costs
-    O(limexp)."""
+    the largest float.  Where qelg finds three entries of a column equal to
+    machine accuracy, it returns their value with abserr about 0; here that
+    value's abserr is the res3la spread too, so no abserr falls within a
+    tolerance before the sixth sum.  Each call costs O(limexp)."""
 
     LIMEXP = 50
 
     def __init__(self):
-        self.partials = []  # the shells so far, summed exactly
+        self.total, self.comp = 0.0, 0.0  # Neumaier running sum of the shells
         self.table = [0.0] * (self.LIMEXP + 2)  # QUADPACK's epstab
         self.n = 0  # sums in the table
         self.res3la = [0.0] * 3
         self.nres = 0
 
     def add(self, shell):
-        _add_exact(self.partials, shell)
+        t = self.total + shell
+        if abs(self.total) >= abs(shell):
+            self.comp += (self.total - t) + shell
+        else:
+            self.comp += (shell - t) + self.total
+        self.total = t
         e, n = self.table, self.n
         if n == self.LIMEXP:
             # qelg drops the oldest sum at the end of a call that leaves
-            # limexp; here it is dropped before the next one, which also
-            # covers a call that returned at convergence
+            # limexp; here it is dropped before the next one
             e[: n - 1] = e[1:n]
             n -= 1
-        e[n] = math.fsum(self.partials)
+        e[n] = self.total + self.comp
         self.n = n = n + 1
         if self.nres == 0 and n < 3:
             return e[n - 1], _BIG
@@ -508,8 +498,12 @@ class _Wynn:
             tol2 = max(abs(e2), abs(e1)) * _EPS
             tol3 = max(abs(e1), abs(e0)) * _EPS
             if err2 <= tol2 and err3 <= tol3:
-                # e0, e1 and e2 equal to machine accuracy: converged
-                return res, err2 + err3
+                # e0, e1 and e2 equal to machine accuracy: qelg returns res
+                # here with abserr err2 + err3, about 0 however few sums led
+                # to it, and leaves the table half updated.  Here res is
+                # judged by the res3la spread as any result is, and the
+                # table is cut as for two close elements just below
+                result = res
             e3 = e[k1 - 1]
             e[k1 - 1] = e1
             delta1 = e1 - e3
@@ -557,18 +551,18 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
       of its partial sums) fell below its ``cauchy_tol``.  Its value is the
       sum of its shells, and its error includes ``cauchy_tol`` as the tail
       allowance.
-    * epsilon: it has at least ``min_sums`` partial sums and :class:`_Wynn`'s
-      abserr is within ``cauchy_tol``.  Its value is the extrapolated limit,
-      and its error includes abserr.
+    * epsilon: :class:`_Wynn`'s abserr was within ``cauchy_tol`` at the
+      step end before, and its abserr now plus the move of its limit over
+      the step is too.  Its value is the extrapolated limit, and its error
+      includes that abserr and move.
 
-    The floor of ``min_sums`` keeps the epsilon rule from taking three equal
-    partial sums, where qelg reports convergence, for a limit.  A side with
-    k small shells in a row needs at least run - k more before the Cauchy
-    rule can end it, so each step takes that many shells of every unsettled
-    side in one :func:`_adaptive_many` call.
+    So an extrapolated limit must hold over a step of further shells, as a
+    small shell must be followed by more before the Cauchy rule ends a side.
+    A side with k small shells in a row needs at least run - k more before
+    the Cauchy rule can end it, so each step takes that many shells of every
+    unsettled side in one :func:`_adaptive_many` call.
     """
     run = 3  # consecutive small shells that settle a side
-    min_sums = 6  # partial sums before the epsilon rule may end a side
     sides = []  # (interval, singular point, span, tol_q, cauchy_tol)
     for i, (a, b, t) in enumerate(zip(lo.tolist(), hi.tolist(), tol.tolist())):
         pairs = _segments(a, b, sings)
@@ -583,8 +577,11 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
     fn = _VecFn(f, max_evals, lo.size)
     done = []  # (side, value, error) of every shell, in shell order per side
     wynn = [_Wynn() for _ in range(root.size)]
-    limit, limit_err = np.zeros((2, root.size))  # each side's latest epsilon result
+    limit, abserr = np.zeros((2, root.size))  # each side's latest epsilon result
+    before = np.zeros(root.size)  # its limit at the step end before
+    held = np.zeros(root.size, dtype=bool)  # its abserr was within cauchy_tol there
     by_eps = np.zeros(root.size, dtype=bool)  # sides the epsilon rule ended
+    tail = cauchy_tol.copy()  # each side's allowance for the shells not taken
 
     live = np.arange(root.size)
     while live.size:
@@ -610,11 +607,14 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
             vk = v[at : at + k.size]
             small[k] = np.where(np.abs(vk) < cauchy_tol[k], small[k] + 1, 0)
             for i, x in zip(k.tolist(), vk.tolist()):
-                limit[i], limit_err[i] = wynn[i].add(x)
+                limit[i], abserr[i] = wynn[i].add(x)
             at += k.size
         cauchy = small[live] >= run
-        by_eps[live] = ~cauchy & (shells[live] >= min_sums) & (limit_err[live] <= cauchy_tol[live])
-        live = live[~cauchy & ~by_eps[live]]
+        eps_tail = abserr[live] + np.abs(limit[live] - before[live])
+        eps = ~cauchy & held[live] & (eps_tail <= cauchy_tol[live])
+        by_eps[live], tail[live[eps]] = eps, eps_tail[eps]
+        before[live], held[live] = limit[live], abserr[live] <= cauchy_tol[live]
+        live = live[~cauchy & ~eps]
         failed = live[shells[live] >= MAX_SHELLS]
         if failed.size:
             k = failed[0]
@@ -628,7 +628,6 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
 
     side_v, side_e = _group_sums(*(np.concatenate(c) for c in zip(*done)), root.size)
     side_v = np.where(by_eps, limit, side_v)
-    tail = np.where(by_eps, limit_err, cauchy_tol)
     values, errors = _group_sums(root, side_v, side_e + tail, lo.size)
     return values, errors, fn.evals
 
@@ -703,13 +702,14 @@ def hk_integrate_many(
     sums, with cauchy_tol = tol/4 shared among the singular sides.  Either
     the sums are Cauchy (three consecutive shell integrals below
     cauchy_tol: the value is their sum, cauchy_tol is added to the error),
-    or, from six sums on, Wynn's epsilon algorithm extrapolates their limit
-    with an abserr within cauchy_tol (the value is that limit, abserr is
-    added to the error).  The shells of all singular sides of all intervals
-    run in lock step, in one :func:`_shell_integrate` pass.  This matches
-    the limit characterization of the HK integral over expanding
-    subintervals, which is what makes conditionally integrable oscillatory
-    integrands computable.
+    or Wynn's epsilon algorithm extrapolates their limit with an abserr
+    within cauchy_tol at two step ends in a row, the limit moving between
+    them by no more than what the last abserr leaves of cauchy_tol (the
+    value is that limit, abserr and the move are added to the error).  The
+    shells of all singular sides of all intervals run in lock step, in one
+    :func:`_shell_integrate` pass.  This matches the limit characterization
+    of the HK integral over expanding subintervals, which is what makes
+    conditionally integrable oscillatory integrands computable.
 
     Raises :class:`ToleranceNotMet` if a budget runs out or an interval's
     error estimate exceeds its tol, :class:`EvaluationError` if ``f``

@@ -282,7 +282,7 @@ def _wiggle(x):
 
 def _sin_inv(x):
     # oscillates ever faster toward 0.3, so its shells need far more than
-    # 1,000 evaluations; _wiggle's settle after 810
+    # 1,000 evaluations; _wiggle's settle after 900
     return np.sin(1.0 / np.abs(x - 0.3))
 
 
@@ -418,6 +418,14 @@ def _log_step(x):
     return np.log(np.abs(x - 0.3)) + (x > 0.5)
 
 
+def _gap(x):
+    # 0 on (2^-9, 2^-7]: toward 0 on [0, 1], shells 7 and 8 vanish
+    return ((x > 2.0**-7) | (x <= 2.0**-9)) * 1.0
+
+
+_GAP = 2.0**-7 - 2.0**-9  # the width of the gap
+
+
 # name: (f, lo, hi, tol, singular points, exact value)
 IMPROPER = {
     "power-0.9": (lambda x: x**-0.9, 0.0, 1.0, 1e-3, [0.0], 10.0),
@@ -434,6 +442,14 @@ IMPROPER = {
         for tol in (1e-8, 3.125e-10, 1e-10)
     },
     "sin-inv": (lambda x: np.sin(1.0 / x), 0.0, 1.0, 1e-6, [0.0], math.sin(1.0) - _CI_1),
+    # shells 0-5 follow a geometric series, whose limit the epsilon
+    # algorithm takes at six sums, before the gap shows in shells 7 and 8
+    "gap": (_gap, 0.0, 1.0, 1e-3, [0.0], 1.0 - _GAP),
+    "gap-1.1": (lambda x: 1.1 * _gap(x), 0.0, 1.0, 1e-6, [0.0], 1.1 * (1.0 - _GAP)),
+    "inv-sqrt-gap": (
+        lambda x: _gap(x) / np.sqrt(x), 0.0, 1.0, 1e-3, [0.0],
+        2.0 - 2.0 * (2.0**-3.5 - 2.0**-4.5),
+    ),
 }
 
 
@@ -449,7 +465,7 @@ def test_interior_log_leaf_costs_the_same_at_every_tol():
         hk_integrate(_log_step, Interval(0.28125, 0.3125), tol, [0.3, 0.5]).evaluations
         for tol in (1e-8, 3.125e-10, 1e-10)
     ]
-    assert evals == [270] * 3
+    assert evals == [360] * 3
 
 
 def test_oscillatory_shells_end_by_the_cauchy_rule():
@@ -483,7 +499,67 @@ def test_epsilon_algorithm_bounds_its_error_on_an_alternating_series():
 
 def test_epsilon_table_keeps_at_most_limexp_sums():
     w = gauge._Wynn()
-    for k in range(300):  # a geometric series whose table never collapses
+    sizes = []
+    for k in range(300):  # a geometric series
         limit, abserr = w.add(0.99**k)
-        assert w.n <= gauge._Wynn.LIMEXP
+        sizes.append(w.n)
+    assert max(sizes) == gauge._Wynn.LIMEXP
     assert abs(limit - 100.0) <= abserr < 1e-10
+
+
+def _textbook_results(sums):
+    """qelg's result for each prefix of ``sums`` from three sums on, from
+    the full epsilon table (Wynn 1956) rather than qelg's one diagonal:
+    eps_-1 = 0, eps_0 = the sums, eps_k+1[j] = eps_k-1[j + 1] +
+    1 / (eps_k[j + 1] - eps_k[j]).  Of the entries of the even columns
+    eps_2i that the newest sum adds, qelg takes the last with the least
+    |e2 - e1| + |new - e2| + |e1 - e0|, where e0, e1, e2 are the three
+    newest entries of eps_2i-2."""
+    results = []
+    for m in range(3, len(sums) + 1):
+        cols = [[0.0] * (m + 1), list(sums[:m])]  # eps_-1, eps_0, eps_1, ...
+        while len(cols[-1]) > 1:
+            a, b = cols[-2], cols[-1]
+            cols.append([a[j + 1] + 1.0 / (b[j + 1] - b[j]) for j in range(len(b) - 1)])
+        result, least = sums[m - 1], math.inf
+        for i in range(1, (m - 1) // 2 + 1):
+            e0, e1, e2 = cols[2 * i - 1][-3:]
+            new = cols[2 * i + 1][-1]
+            error = abs(e2 - e1) + abs(new - e2) + abs(e1 - e0)
+            if error <= least:
+                result, least = new, error
+        results.append(result)
+    return results
+
+
+def _log_shell(k):
+    """Integral of ln x over [2^-(k+1), 2^-k]."""
+    a, b = 2.0 ** -(k + 1), 2.0**-k
+    return (b * math.log(b) - b) - (a * math.log(a) - a)
+
+
+# shells whose partial sums qelg extrapolates without cutting its table
+TEXTBOOK = {
+    "alternating": [(-1) ** k / (k + 1) for k in range(19)],
+    "power-0.9": [10.0 * (2.0 ** (-0.1 * k) - 2.0 ** (-0.1 * (k + 1))) for k in range(15)],
+    "power-0.9-and-log": [
+        10.0 * (2.0 ** (-0.1 * k) - 2.0 ** (-0.1 * (k + 1))) + _log_shell(k) for k in range(18)
+    ],
+}
+
+
+@pytest.mark.parametrize("shells", TEXTBOOK.values(), ids=TEXTBOOK)
+def test_epsilon_algorithm_matches_the_full_epsilon_table(shells):
+    want = _textbook_results(np.cumsum(shells).tolist())
+    w = gauge._Wynn()
+    w.add(shells[0])
+    w.add(shells[1])
+    for m in range(3, len(shells) + 1):
+        limit, abserr = w.add(shells[m - 1])
+        assert w.n == m  # the table kept every sum
+        result = want[m - 3]
+        assert limit == pytest.approx(result, rel=1e-11)
+        # from the fourth result on, its distances from the three before it
+        spread = sum(abs(result - r) for r in want[max(m - 6, 0) : m - 3]) if m >= 6 else gauge._BIG
+        spread = max(spread, 5.0 * gauge._EPS * abs(result))
+        assert abserr == pytest.approx(spread, rel=1e-9, abs=1e-11 * abs(result))
