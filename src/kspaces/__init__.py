@@ -57,11 +57,11 @@ from .infinite import (
 from .kp import (
     DualityFamily,
     EmbeddingReport,
+    Functionals,
     KpConfig,
     NormResult,
     WeightSequence,
     compute_functionals,
-    compute_functionals_detailed,
     geometric_weights,
     k2_inner,
     kp_norm,

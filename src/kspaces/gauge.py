@@ -232,7 +232,7 @@ def _real(r):
     if r.dtype.kind == "c":
         raise EvaluationError(
             "integrand returned complex values; integrate the real and imaginary "
-            "parts apart, as complex_valued=True does (compute_functionals, k2_inner)"
+            "parts apart, as compute_functionals(..., complex_valued=True) does"
         )
     return r.astype(np.float64, copy=False)
 

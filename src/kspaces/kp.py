@@ -22,11 +22,16 @@ core in 1-D (singular points included) or of
 :func:`kspaces.gauge.integrate_boxes` in d >= 2, each leaf with its own
 evaluation budget.  Every other functional, and its error, is the sum of
 its children's, and each functional's error is checked against quad_tol.
+
+:func:`compute_functionals` returns that sequence as one
+:class:`Functionals` record, and everything computed from it takes the
+record: ``kp_norm(a, p, cfg)``, ``k2_inner(af, ag, cfg)`` and
+``verify_embedding(a, q, p, cfg, lq_value)``.  One record serves norms of
+any p.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -38,7 +43,6 @@ from .errors import DimensionCapExceeded, MissingAbsoluteBound, ToleranceNotMet
 from .gauge import (
     DEFAULT_MAX_EVALS,
     Interval,
-    _MAX_IN_FLIGHT,
     _hk_many,
     hk_integrate,  # unused here, but perfbench/tracer.py wraps kp.hk_integrate
     integrate_boxes,
@@ -171,10 +175,20 @@ class KpConfig:
 
 
 @dataclass(frozen=True)
+class Functionals:
+    """The functionals a_1 .. a_K of one integrand, as built by
+    :func:`compute_functionals`: ``values`` is a float64 array, complex128
+    for a complex integrand, and ``evaluations`` the integrand evaluations
+    that computed it."""
+
+    values: np.ndarray
+    evaluations: int
+
+
+@dataclass(frozen=True)
 class NormResult:
     value: float
     tail_bound: float
-    functionals: tuple
 
     def __post_init__(self):
         if self.value < 0 or self.tail_bound < 0:
@@ -192,23 +206,12 @@ def _parent_sums(x, d: int):
 
 
 def _leaf_plan(family: DualityFamily, K: int):
-    """:func:`_build_leaf_plan`, built once per pair (family, K) when K is at
-    most ``_MAX_IN_FLIGHT``, one group of leaves in flight; larger plans are
-    rebuilt on each call, so that the cache holds only small ones."""
-    if K <= _MAX_IN_FLIGHT:
-        return _cached_leaf_plan(family, K)
-    return _build_leaf_plan(family, K)
-
-
-def _build_leaf_plan(family: DualityFamily, K: int):
     """The leaves of ``family`` truncated at K, as :func:`_functionals_pass`
     describes them: (lo, hi, share, own, parents, last), where lo and hi
     (leaves, d) hold the leaf ends, level-L leaves first; share is each
     leaf's |leaf| / |window|; own and parents are boolean grids of levels
     L and L - 1, of shapes (2^L,) * d and (2^(L-1),) * d, true at leaves;
-    and last is the offset of cell K within level L.  They depend on
-    (family, K) alone; the arrays are read-only, as the callers of a cached
-    plan share them.  Raises
+    and last is the offset of cell K within level L.  Raises
     :class:`ToleranceNotMet` before allocating anything when the leaves'
     least work, one GK15 panel each, exceeds ``DEFAULT_MAX_EVALS``."""
     d = family.dim
@@ -239,12 +242,7 @@ def _build_leaf_plan(family: DualityFamily, K: int):
     step = np.array([iv.width for iv in family.window]) / n
     lo, hi = lo0 + idx * step, lo0 + (idx + size[:, None]) * step
     share = (size / n) ** d
-    for a in (lo, hi, share, own, parents):
-        a.flags.writeable = False
     return lo, hi, share, own, parents, last
-
-
-_cached_leaf_plan = functools.lru_cache(maxsize=32)(_build_leaf_plan)
 
 
 def _functionals_pass(f, cfg: KpConfig):
@@ -297,8 +295,8 @@ def _functionals_pass(f, cfg: KpConfig):
     return values, errors, int(evals.sum())
 
 
-def compute_functionals(f, cfg: KpConfig, complex_valued: bool = False) -> tuple:
-    """All functionals a_1 .. a_K; reusable across norms of different p.
+def compute_functionals(f, cfg: KpConfig, complex_valued: bool = False) -> Functionals:
+    """All functionals a_1 .. a_K of f, with their evaluation count.
 
     They come from one pass over the leaf cells of the dyadic tree, every
     other functional summed from its children (:func:`_functionals_pass`).
@@ -306,62 +304,54 @@ def compute_functionals(f, cfg: KpConfig, complex_valued: bool = False) -> tuple
     and one over the imaginary part.
     """
     if complex_valued:
-        re, _, _ = _functionals_pass(
+        re, _, evals_re = _functionals_pass(
             lambda *a: np.real(np.asarray(f(*a), dtype=complex)), cfg
         )
-        im, _, _ = _functionals_pass(
+        im, _, evals_im = _functionals_pass(
             lambda *a: np.imag(np.asarray(f(*a), dtype=complex)), cfg
         )
-        return tuple(complex(a, b) for a, b in zip(re.tolist(), im.tolist()))
-    return tuple(_functionals_pass(f, cfg)[0].tolist())
-
-
-def _given_or_computed(functionals, f, cfg: KpConfig, complex_valued: bool = False):
-    """``functionals`` as a tuple, of the truncation's length, or those of f."""
-    if functionals is None:
-        return compute_functionals(f, cfg, complex_valued)
-    a = tuple(functionals)
-    if len(a) != cfg.truncation:
-        raise ValueError("functionals length must equal the truncation")
-    return a
-
-
-def compute_functionals_detailed(f, cfg: KpConfig):
-    """Functionals plus the total quadrature evaluation count."""
+        values = re.astype(complex)
+        values.imag = im
+        return Functionals(values, evals_re + evals_im)
     values, _, evals = _functionals_pass(f, cfg)
-    return tuple(values.tolist()), evals
+    return Functionals(values, evals)
+
+
+def _check_length(a: Functionals, cfg: KpConfig) -> None:
+    if len(a.values) != cfg.truncation:
+        raise ValueError("functionals length must equal the truncation")
 
 
 def kp_norm(
-    f,
+    a: Functionals,
     p: float,
     cfg: KpConfig,
     abs_bound: float | None = None,
     conditionally_integrable: bool = False,
-    functionals: Sequence[float] | None = None,
 ) -> NormResult:
-    """Truncated K^p norm with a rigorous tail bound.
+    """Truncated K^p norm of the functionals ``a`` with a rigorous tail bound.
 
     For finite p the value is (sum over k <= K of t_k |a_k|^p)^(1/p),
     summed with exactly rounded summation (``math.fsum``); p = inf takes the
     max of |a_k|.  The tail bound is (sum over k > K of t_k)^(1/p) * M,
-    where M bounds the unseen |a_k|: the integral of |f| when supplied,
-    otherwise the largest computed |a_k| (a heuristic that is only safe
-    for absolutely integrable f, hence ``conditionally_integrable`` inputs
-    must supply ``abs_bound`` explicitly).
-
-    ``functionals`` allows reusing precomputed a_k across several p.
+    where M bounds the unseen |a_k|: the integral of |f| when supplied as
+    ``abs_bound`` (None or >= 0; inf is allowed), otherwise the largest
+    computed |a_k| (a heuristic that is only safe for absolutely integrable
+    f, hence ``conditionally_integrable`` inputs must supply ``abs_bound``
+    explicitly).
     """
     if not (p == math.inf or p >= 1.0):
         raise ValueError("p must be >= 1 or inf")
+    if abs_bound is not None and not abs_bound >= 0:
+        raise ValueError(f"abs_bound must be None or >= 0, got {abs_bound!r}")
     if conditionally_integrable and abs_bound is None:
         raise MissingAbsoluteBound(
             "tail of a conditionally integrable function cannot be bounded "
             "by computed functionals; pass abs_bound"
         )
+    _check_length(a, cfg)
     K = cfg.truncation
-    a = _given_or_computed(functionals, f, cfg)
-    abs_a = np.abs(np.asarray(a, dtype=np.float64))
+    abs_a = np.abs(a.values)
     big = float(abs_a.max())
     M = max(big, abs_bound) if abs_bound is not None else big
 
@@ -372,37 +362,23 @@ def kp_norm(
         t = cfg.weights.term(np.arange(1, K + 1))
         value = kernels.neumaier_sum(t * abs_a**p) ** (1.0 / p)
         tail_bound = cfg.weights.tail(K) ** (1.0 / p) * M
-    pairs = tuple(zip(range(1, K + 1), a))
-    return NormResult(float(value), float(tail_bound), pairs)
+    return NormResult(float(value), float(tail_bound))
 
 
-def k2_inner(
-    f,
-    g,
-    cfg: KpConfig,
-    complex_valued: bool = False,
-    functionals_f: Sequence | None = None,
-    functionals_g: Sequence | None = None,
-):
+def k2_inner(af: Functionals, ag: Functionals, cfg: KpConfig):
     """Weighted sum of products of functionals: the K^2 inner product.
 
-    The second factor is conjugated, which is the identity for real-valued
-    integrands; pass ``complex_valued=True`` to integrate complex
-    integrands (real and imaginary parts by separate quadrature) and apply
-    genuine conjugation.  ``functionals_f`` and ``functionals_g`` reuse
-    precomputed functionals, which must number the truncation, as in
-    :func:`kp_norm`.
+    The second factor is conjugated.  The result is complex when either
+    record is, and a float otherwise.
     """
-    K = cfg.truncation
-    af = _given_or_computed(functionals_f, f, cfg, complex_valued)
-    ag = _given_or_computed(functionals_g, g, cfg, complex_valued)
-    t = cfg.weights.term(np.arange(1, K + 1))
-    if complex_valued:
-        terms = t * np.asarray(af, dtype=complex) * np.conj(np.asarray(ag, dtype=complex))
+    _check_length(af, cfg)
+    _check_length(ag, cfg)
+    t = cfg.weights.term(np.arange(1, cfg.truncation + 1))
+    terms = t * af.values * np.conj(ag.values)
+    if np.iscomplexobj(terms):
         return complex(
             kernels.neumaier_sum(terms.real), kernels.neumaier_sum(terms.imag)
         )
-    terms = t * np.asarray(af, dtype=np.float64) * np.asarray(ag, dtype=np.float64)
     return float(kernels.neumaier_sum(terms))
 
 
@@ -448,23 +424,17 @@ def lq_norm(f, q: float, window: Sequence[Interval], quad_tol: float = 1e-10) ->
 
 
 def verify_embedding(
-    f,
-    q: float,
-    p: float,
-    cfg: KpConfig,
-    lq_value: float | None = None,
-    functionals: Sequence[float] | None = None,
+    a: Functionals, q: float, p: float, cfg: KpConfig, lq_value: float
 ) -> EmbeddingReport:
     """Check the continuous-embedding inequality at truncation K.
 
-    Computes the K^p norm and the L^q norm over the window and reports
-    whether kp <= lq + tail_bound + 1e-8, the last term an allowance for
-    quadrature error.  ``lq_value`` may be supplied exactly (e.g. for step
-    functions) to keep the two sides independent.
+    Takes the K^p norm of the functionals ``a`` and reports whether
+    kp <= lq_value + tail_bound + 1e-8, the last term an allowance for
+    quadrature error.  ``lq_value`` is the L^q norm of the same f over the
+    window: exact where it is known (e.g. for step functions), which keeps
+    the two sides independent, or :func:`lq_norm`.
     """
-    norm = kp_norm(f, p, cfg, functionals=functionals)
-    if lq_value is None:
-        lq_value = lq_norm(f, q, cfg.family.window, cfg.quad_tol)
+    norm = kp_norm(a, p, cfg)
     slack = norm.tail_bound + _QUAD_SLACK
     passed = norm.value <= lq_value + slack
     return EmbeddingReport(p, q, norm.value, float(lq_value), norm.tail_bound, slack, passed)

@@ -294,8 +294,8 @@ def measure_suite(seed: int) -> list:
 _DEFAULT_WINDOW = Interval(0.0, 1.0)
 
 
-def default_config(**overrides) -> KpConfig:
-    return KpConfig(DualityFamily((_DEFAULT_WINDOW,)), **overrides)
+def default_config() -> KpConfig:
+    return KpConfig(DualityFamily((_DEFAULT_WINDOW,)))
 
 
 def embeddings_suite(seed: int) -> list:
@@ -308,9 +308,7 @@ def embeddings_suite(seed: int) -> list:
         functionals = compute_functionals(f, cfg)
         for p in (1.0, 2.0, 4.0):
             for q in (1.0, 2.0, math.inf):
-                rep = verify_embedding(
-                    f, q, p, cfg, lq_value=f.lq_norm(q), functionals=functionals
-                )
+                rep = verify_embedding(functionals, q, p, cfg, f.lq_norm(q))
                 worst = min(worst, rep.lq_value + rep.slack - rep.kp_value)
                 checks += 1
     return [_row("embeddings", "kp_norm_le_lq_norm", worst, 1e-8, checks)]
@@ -332,20 +330,18 @@ def minkowski_suite(seed: int) -> list:
         ag = compute_functionals(g, cfg)
         asum = compute_functionals(f + g, cfg)
         for p in (1.0, 2.0, 4.0):
-            nf = kp_norm(f, p, cfg, functionals=af).value
-            ng = kp_norm(g, p, cfg, functionals=ag).value
-            ns = kp_norm(f + g, p, cfg, functionals=asum).value
+            nf = kp_norm(af, p, cfg).value
+            ng = kp_norm(ag, p, cfg).value
+            ns = kp_norm(asum, p, cfg).value
             worst_tri = min(worst_tri, nf + ng + 1e-9 - ns)
 
         alpha = float(rng.uniform(-3.0, 3.0))
         scaled = compute_functionals(f.scaled(alpha), cfg)
-        n1 = kp_norm(f.scaled(alpha), 2.0, cfg, functionals=scaled).value
-        n2 = abs(alpha) * kp_norm(f, 2.0, cfg, functionals=af).value
+        n1 = kp_norm(scaled, 2.0, cfg).value
+        n2 = abs(alpha) * kp_norm(af, 2.0, cfg).value
         worst_hom = min(worst_hom, 1e-12 - abs(n1 - n2))
 
-        values = [
-            kp_norm(f, p, cfg, functionals=af).value for p in (1.0, 2.0, 4.0, math.inf)
-        ]
+        values = [kp_norm(af, p, cfg).value for p in (1.0, 2.0, 4.0, math.inf)]
         for lo_v, hi_v in zip(values[:-1], values[1:]):
             worst_mono = min(worst_mono, hi_v + 1e-12 - lo_v)
     return [
@@ -365,10 +361,9 @@ def parallelogram_suite(seed: int) -> list:
     for _ in range(_N_PAIRS):
         f = random_step(rng, _DEFAULT_WINDOW)
         g = random_step(rng, _DEFAULT_WINDOW)
-        nf = kp_norm(f, 2.0, cfg).value
-        ng = kp_norm(g, 2.0, cfg).value
-        np_ = kp_norm(f + g, 2.0, cfg).value
-        nm = kp_norm(f - g, 2.0, cfg).value
+        nf, ng, np_, nm = (
+            kp_norm(compute_functionals(h, cfg), 2.0, cfg).value for h in (f, g, f + g, f - g)
+        )
         resid = abs(np_**2 + nm**2 - 2.0 * nf**2 - 2.0 * ng**2)
         worst = min(worst, 1e-9 - resid)
     return [_row("parallelogram", "parallelogram_identity", worst, 1e-9, _N_PAIRS)]
@@ -383,7 +378,8 @@ def weak_strong_suite(seed: int) -> list:
     ms = [1, 2, 4, 8, 16, 32, 64]
     values = {}
     for m in ms:
-        values[m] = kp_norm(lambda x, m=m: np.sin(m * x), 2.0, cfg).value
+        am = compute_functionals(lambda x, m=m: np.sin(m * x), cfg)
+        values[m] = kp_norm(am, 2.0, cfg).value
     collapse = values[1] / 16.0 - values[64]
     worst_mono = math.inf
     for a, b in zip(ms[2:-1], ms[3:]):  # non-increasing after m = 4

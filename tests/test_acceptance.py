@@ -85,10 +85,12 @@ def test_criterion_3_reference_values():
     terms = [2.0**-k * (2.0 ** -math.floor(math.log2(k))) ** 2 for k in range(1, 65)]
     oracle = math.fsum(terms) ** 0.5
 
-    norm = kp_norm(lambda x: np.ones_like(x), 2.0, cfg).value
+    norm = kp_norm(compute_functionals(lambda x: np.ones_like(x), cfg), 2.0, cfg).value
     chi_left = lambda x: ((x >= 0.0) & (x <= 0.5)).astype(float)
     chi_right = lambda x: ((x >= 0.5) & (x <= 1.0)).astype(float)
-    inner = k2_inner(chi_left, chi_right, cfg)
+    inner = k2_inner(
+        compute_functionals(chi_left, cfg), compute_functionals(chi_right, cfg), cfg
+    )
 
     ok_norm = abs(norm - oracle) <= 1e-6 and abs(oracle - 0.77538) < 2e-5
     ok_inner = abs(inner - 0.125) <= 1e-10
@@ -116,7 +118,10 @@ def test_criterion_4_minkowski_and_parallelogram():
 def test_criterion_5_weak_to_strong_collapse():
     cfg = KpConfig(DualityFamily((Interval(0.0, 2.0 * math.pi),)), quad_tol=1e-12)
     ms = [1, 2, 4, 8, 16, 32, 64]
-    values = {m: kp_norm(lambda x, m=m: np.sin(m * x), 2.0, cfg).value for m in ms}
+    values = {
+        m: kp_norm(compute_functionals(lambda x, m=m: np.sin(m * x), cfg), 2.0, cfg).value
+        for m in ms
+    }
     collapse = values[64] <= values[1] / 16.0
     tail = [values[m] for m in ms[2:]]  # m = 4, 8, ..., 64
     monotone = all(a >= b for a, b in zip(tail, tail[1:]))
@@ -131,9 +136,7 @@ def test_criterion_6_norm_order_chain():
     for _ in range(100):
         f = random_step(rng, UNIT)
         a = compute_functionals(f, cfg)
-        values = [
-            kp_norm(f, p, cfg, functionals=a).value for p in (1.0, 2.0, 4.0, math.inf)
-        ]
+        values = [kp_norm(a, p, cfg).value for p in (1.0, 2.0, 4.0, math.inf)]
         for low, high in zip(values, values[1:]):
             worst = min(worst, high - low)
     report(

@@ -705,8 +705,9 @@ def test_functionals_cost_no_more_than_per_cell(name):
             name,
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="ROADMAP item 1: integrate_boxes adds w * inner_tol in place "
-                "of the measured inner errors, which the diagonal jump's exceed",
+                reason="ROADMAP item 2: the jump at y = x falls in the blind strip "
+                "past the last Kronrod node of some inner panels, so 754 inner "
+                "integrals miss it while all 3,510 report errors within their share",
             ),
         )
         if name == "jump-2d"
@@ -763,14 +764,15 @@ def test_complex_functionals_match_closed_forms():
 
     got = compute_functionals(f, cfg, complex_valued=True)
     lo, hi = cfg.family.cell_bounds(cfg.truncation)
-    for k, (z, a, b) in enumerate(zip(got, lo[:, 0], hi[:, 0]), start=1):
+    assert got.values.dtype == np.complex128
+    for k, (z, a, b) in enumerate(zip(got.values, lo[:, 0], hi[:, 0]), start=1):
         a = max(a, 0.37)
         want = (cmath.exp(3j * b) - cmath.exp(3j * a)) / 3j if b > a else 0j
         # every functional's error is within quad_tol, or the pass raises
         assert abs(z.real - want.real) <= cfg.quad_tol, k
         assert abs(z.imag - want.imag) <= cfg.quad_tol, k
     scalar = compute_functionals(lambda x: cmath.exp(3j * x), cfg, complex_valued=True)
-    assert scalar[0] == pytest.approx((cmath.exp(3j) - 1) / 3j, abs=1e-10)
+    assert scalar.values[0] == pytest.approx((cmath.exp(3j) - 1) / 3j, abs=1e-10)
 
 
 def test_cell_error_over_tol_raises():

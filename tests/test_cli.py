@@ -116,6 +116,31 @@ class TestNorm:
         assert rows[0]["quantity"] == "kp_norm[p=inf]"
         assert float(rows[0]["value"]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bound", ["nan", "-5", "-inf"])
+    def test_bad_abs_bound_is_a_usage_error(self, capsys, monkeypatch, bound):
+        # a bad bound used to fall back to the computed |a_k|, the heuristic
+        # that --conditionally-integrable forbids; it is refused before
+        # anything is integrated
+        def never(*args):
+            raise AssertionError("integrated before the usage error")
+
+        monkeypatch.setattr(kspaces.cli, "compute_functionals_detailed", never)
+        code, out, err = run(
+            capsys, "norm", "-p", "2", "--expr", "x1", "-K", "8",
+            "--conditionally-integrable", f"--abs-bound={bound}",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --abs-bound:")
+
+    def test_infinite_abs_bound_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "norm", "-p", "2", "--expr", "x1", "-K", "8",
+            "--conditionally-integrable", "--abs-bound=inf",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0]["tail_bound"]) == math.inf
+
     @pytest.mark.parametrize(
         "flags, evals",
         [

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from kspaces import (
     DimensionCapExceeded,
     DualityFamily,
     EvaluationError,
+    Functionals,
     Interval,
     KpConfig,
     MissingAbsoluteBound,
@@ -19,7 +19,6 @@ from kspaces import (
     lq_norm,
     verify_embedding,
 )
-from kspaces import gauge, kp
 from kspaces.verify import random_step
 
 UNIT_WINDOW = Interval(0.0, 1.0)
@@ -36,6 +35,11 @@ def one(x):
 
 def chi(lo, hi):
     return lambda x: ((x >= lo) & (x <= hi)).astype(float)
+
+
+def norm(f, p, cfg):
+    """The K^p norm of f, from its functionals."""
+    return kp_norm(compute_functionals(f, cfg), p, cfg)
 
 
 # ------------------------------------------------------------ enumeration
@@ -83,22 +87,24 @@ class TestDyadicEnumeration:
 
 class TestFunctional:
     def test_indicator_on_whole_window(self, cfg):
-        assert compute_functionals(one, cfg)[0] == pytest.approx(1.0, abs=1e-12)
+        assert compute_functionals(one, cfg).values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_sine_whole_window(self, cfg):
         f = lambda x: np.sin(2 * np.pi * x)
-        assert compute_functionals(f, cfg)[0] == pytest.approx(0.0, abs=cfg.quad_tol)
+        assert compute_functionals(f, cfg).values[0] == pytest.approx(0.0, abs=cfg.quad_tol)
 
     def test_sine_half_window(self, cfg):
         # antiderivative oracle: (1 - cos(pi)) / (2 pi) = 1/pi
         f = lambda x: np.sin(2 * np.pi * x)
-        assert compute_functionals(f, cfg)[1] == pytest.approx(1.0 / math.pi, abs=1e-10)
+        assert compute_functionals(f, cfg).values[1] == pytest.approx(1.0 / math.pi, abs=1e-10)
 
     def test_reproducibility(self, cfg):
         f = lambda x: np.exp(x) * np.sin(5 * x)
         a = compute_functionals(f, cfg)
         b = compute_functionals(f, cfg)
-        assert a == b  # bitwise: fixed enumeration, fixed summation order
+        # bitwise: fixed enumeration, fixed summation order
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.evaluations == b.evaluations
 
 
 # ------------------------------------------------------------------ norms
@@ -116,10 +122,10 @@ def chi_oracle_norm(p: float, K: int = 64) -> float:
 
 class TestKpNorm:
     def test_zero_function(self, cfg):
-        assert kp_norm(lambda x: np.zeros_like(x), 2.0, cfg).value == 0.0
+        assert norm(lambda x: np.zeros_like(x), 2.0, cfg).value == 0.0
 
     def test_chi_p2_against_oracle(self, cfg):
-        res = kp_norm(one, 2.0, cfg)
+        res = norm(one, 2.0, cfg)
         oracle = chi_oracle_norm(2.0)
         assert res.value == pytest.approx(oracle, abs=1e-6)
         # frozen values: the oracle itself and the displayed reference
@@ -128,35 +134,51 @@ class TestKpNorm:
 
     def test_chi_p1_and_p4_against_oracle(self, cfg):
         for p in (1.0, 4.0):
-            assert kp_norm(one, p, cfg).value == pytest.approx(
+            assert norm(one, p, cfg).value == pytest.approx(
                 chi_oracle_norm(p), abs=1e-8
             )
 
     def test_chi_p_infinity(self, cfg):
-        res = kp_norm(one, math.inf, cfg)
+        res = norm(one, math.inf, cfg)
         assert res.value == pytest.approx(1.0, abs=1e-10)  # attained at k = 1
 
     def test_tail_bound_geometric(self, cfg):
-        res = kp_norm(one, 2.0, cfg)
+        res = norm(one, 2.0, cfg)
         assert res.tail_bound == pytest.approx(2.0**-32, rel=1e-12)
 
     def test_functionals_recorded(self, cfg):
-        res = kp_norm(one, 2.0, cfg)
-        assert len(res.functionals) == cfg.truncation
-        ks, values = zip(*res.functionals)
-        assert ks == tuple(range(1, 65))
-        assert values[0] == pytest.approx(1.0, abs=1e-12)
+        a = compute_functionals(one, cfg)
+        assert a.values.dtype == np.float64
+        assert a.values.shape == (cfg.truncation,)
+        assert a.values[0] == pytest.approx(1.0, abs=1e-12)
+        assert a.evaluations > 0
 
     def test_conditionally_integrable_needs_bound(self, cfg):
+        a = compute_functionals(one, cfg)
         with pytest.raises(MissingAbsoluteBound):
-            kp_norm(one, 2.0, cfg, conditionally_integrable=True)
-        res = kp_norm(one, 2.0, cfg, conditionally_integrable=True, abs_bound=1.0)
+            kp_norm(a, 2.0, cfg, conditionally_integrable=True)
+        res = kp_norm(a, 2.0, cfg, conditionally_integrable=True, abs_bound=1.0)
         assert res.tail_bound >= 2.0**-32
+
+    @pytest.mark.parametrize("bound", [math.nan, -5.0, -math.inf])
+    def test_abs_bound_must_be_non_negative(self, cfg, bound):
+        # a bad bound used to fall back to the computed |a_k|, the heuristic
+        # that conditionally_integrable forbids
+        a = compute_functionals(one, cfg)
+        for ci in (False, True):
+            with pytest.raises(ValueError, match="abs_bound"):
+                kp_norm(a, 2.0, cfg, conditionally_integrable=ci, abs_bound=bound)
+
+    def test_abs_bound_may_be_infinite(self, cfg):
+        a = compute_functionals(one, cfg)
+        res = kp_norm(a, 2.0, cfg, conditionally_integrable=True, abs_bound=math.inf)
+        assert res.tail_bound == math.inf
+        assert kp_norm(a, 2.0, cfg, abs_bound=0.0).tail_bound == 2.0**-32
 
     def test_homogeneity(self, cfg):
         f = random_step(np.random.default_rng(0), UNIT_WINDOW)
-        n1 = kp_norm(lambda x: 2.5 * f(x), 2.0, cfg).value
-        n2 = 2.5 * kp_norm(f, 2.0, cfg).value
+        n1 = norm(lambda x: 2.5 * f(x), 2.0, cfg).value
+        n2 = 2.5 * norm(f, 2.0, cfg).value
         assert abs(n1 - n2) < 1e-12
 
     def test_monotone_in_p_at_equal_truncation(self, cfg):
@@ -164,59 +186,71 @@ class TestKpNorm:
         for _ in range(20):
             f = random_step(rng, UNIT_WINDOW)
             a = compute_functionals(f, cfg)
-            values = [
-                kp_norm(f, p, cfg, functionals=a).value
-                for p in (1.0, 2.0, 4.0, math.inf)
-            ]
+            values = [kp_norm(a, p, cfg).value for p in (1.0, 2.0, 4.0, math.inf)]
             for low, high in zip(values, values[1:]):
                 assert low <= high + 1e-12
 
     def test_invalid_p(self, cfg):
         with pytest.raises(ValueError):
-            kp_norm(one, 0.5, cfg)
+            norm(one, 0.5, cfg)
 
     def test_complex_integrand_raises(self, cfg):
         # a cast to float keeps the real part, 0, and reports a zero norm
         with pytest.raises(EvaluationError, match="complex_valued=True"):
-            kp_norm(lambda x: 1j * np.ones_like(x), 2.0, cfg)
+            compute_functionals(lambda x: 1j * np.ones_like(x), cfg)
 
 
 class TestK2Inner:
     def test_inner_matches_norm_squared(self, cfg):
         f = random_step(np.random.default_rng(7), UNIT_WINDOW)
-        ip = k2_inner(f, f, cfg)
-        n2 = kp_norm(f, 2.0, cfg).value ** 2
+        a = compute_functionals(f, cfg)
+        ip = k2_inner(a, a, cfg)
+        n2 = kp_norm(a, 2.0, cfg).value ** 2
         assert abs(ip - n2) < 1e-10
 
     def test_inner_with_zero(self, cfg):
         f = random_step(np.random.default_rng(8), UNIT_WINDOW)
-        assert k2_inner(f, lambda x: np.zeros_like(x), cfg) == 0.0
+        zero = compute_functionals(lambda x: np.zeros_like(x), cfg)
+        assert k2_inner(compute_functionals(f, cfg), zero, cfg) == 0.0
 
     def test_cross_indicators(self, cfg):
         # only the whole-window cell sees both halves: t_1 * (1/2) * (1/2)
-        got = k2_inner(chi(0.0, 0.5), chi(0.5, 1.0), cfg)
+        left = compute_functionals(chi(0.0, 0.5), cfg)
+        got = k2_inner(left, compute_functionals(chi(0.5, 1.0), cfg), cfg)
         assert got == pytest.approx(0.125, abs=1e-10)
 
     def test_complex_conjugation(self, cfg):
         f = lambda x: np.exp(2j * np.pi * x)
-        ip = k2_inner(f, f, cfg, complex_valued=True)
+        a = compute_functionals(f, cfg, complex_valued=True)
+        assert a.values.dtype == np.complex128
+        ip = k2_inner(a, a, cfg)
         assert ip.imag == pytest.approx(0.0, abs=1e-10)
         assert ip.real > 0.0
+
+    def test_complex_exactly_when_a_factor_is(self):
+        cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=3)
+        real = Functionals(np.array([1.0, 2.0, 3.0]), 0)
+        cplx = Functionals(np.array([1.0, 2.0j, 3.0]), 0)
+        assert type(k2_inner(real, real, cfg)) is float
+        # t = 1/2, 1/4, 1/8; the second factor is conjugated
+        assert k2_inner(real, cplx, cfg) == complex(0.5 + 9 / 8, -1.0)
+        assert k2_inner(cplx, real, cfg) == complex(0.5 + 9 / 8, 1.0)
 
     @pytest.mark.parametrize("short", ["f", "g"])
     def test_functionals_of_the_wrong_length_are_refused(self, short):
         cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=8)
-        given = {"functionals_f": (1.0,) * 8, "functionals_g": (1.0,) * 8}
-        given[f"functionals_{short}"] = (1.0,)
+        given = {"f": Functionals(np.ones(8), 0), "g": Functionals(np.ones(8), 0)}
+        given[short] = Functionals(np.ones(1), 0)
         with pytest.raises(ValueError, match="truncation"):
-            k2_inner(None, None, cfg, **given)
+            k2_inner(given["f"], given["g"], cfg)
         with pytest.raises(ValueError, match="truncation"):
-            kp_norm(None, 2.0, cfg, functionals=(1.0,) * 9)
+            kp_norm(Functionals(np.ones(9), 0), 2.0, cfg)
 
     def test_symmetry_real(self, cfg):
         rng = np.random.default_rng(9)
         f, g = random_step(rng, UNIT_WINDOW), random_step(rng, UNIT_WINDOW)
-        assert k2_inner(f, g, cfg) == pytest.approx(k2_inner(g, f, cfg), abs=1e-14)
+        af, ag = compute_functionals(f, cfg), compute_functionals(g, cfg)
+        assert k2_inner(af, ag, cfg) == pytest.approx(k2_inner(ag, af, cfg), abs=1e-14)
 
 
 # -------------------------------------------------------------- embedding
@@ -224,13 +258,16 @@ class TestK2Inner:
 
 class TestEmbedding:
     def test_chi_embeds(self, cfg):
-        rep = verify_embedding(one, 2.0, 2.0, cfg)
+        lq = lq_norm(one, 2.0, cfg.family.window, cfg.quad_tol)
+        rep = verify_embedding(compute_functionals(one, cfg), 2.0, 2.0, cfg, lq)
         assert rep.passed
         assert rep.kp_value == pytest.approx(0.77537, abs=1e-4)
         assert rep.lq_value == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_function(self, cfg):
-        rep = verify_embedding(lambda x: np.zeros_like(x), 1.0, 2.0, cfg)
+        zero = lambda x: np.zeros_like(x)  # noqa: E731
+        lq = lq_norm(zero, 1.0, cfg.family.window, cfg.quad_tol)
+        rep = verify_embedding(compute_functionals(zero, cfg), 1.0, 2.0, cfg, lq)
         assert rep.passed and rep.kp_value == 0.0
 
     def test_random_step_grid(self, cfg):
@@ -240,9 +277,7 @@ class TestEmbedding:
             a = compute_functionals(f, cfg)
             for p in (1.0, 2.0, 4.0):
                 for q in (1.0, 2.0, math.inf):
-                    rep = verify_embedding(
-                        f, q, p, cfg, lq_value=f.lq_norm(q), functionals=a
-                    )
+                    rep = verify_embedding(a, q, p, cfg, f.lq_norm(q))
                     assert rep.passed
 
     def test_lq_norm_quadrature_matches_exact(self, cfg):
@@ -272,21 +307,6 @@ class TestEmbedding:
             lq_norm(f, math.inf, (UNIT_WINDOW,) * 3)
 
 
-def test_only_small_leaf_plans_are_cached():
-    family = DualityFamily((UNIT_WINDOW,))
-    K = gauge._MAX_IN_FLIGHT
-    assert kp._leaf_plan(family, K) is kp._leaf_plan(family, K)
-    # a plan of 10^6 cells is about 13 MB of arrays, rebuilt on each call
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert kp._leaf_plan(family, 10**6)[0].shape == (500_001, 1)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held < 1_000_000
-
-
 def test_singular_points_need_a_1d_family():
     KpConfig(DualityFamily((UNIT_WINDOW,)), singular_points=(0.3,))
     with pytest.raises(ValueError, match="1-D"):
@@ -310,8 +330,8 @@ def test_weighted_hoelder_on_functionals(cfg):
     for _ in range(25):
         f = random_step(rng, UNIT_WINDOW)
         g = random_step(rng, UNIT_WINDOW)
-        a = np.array(compute_functionals(f, cfg))
-        b = np.array(compute_functionals(g, cfg))
+        a = compute_functionals(f, cfg).values
+        b = compute_functionals(g, cfg).values
         for p in (2.0, 4.0, 1.5):
             q = p / (p - 1.0)
             lhs = abs(float(np.sum(t * a * b)))
@@ -344,11 +364,11 @@ def test_weights_are_taken_in_one_array_call():
         truncation=40,
     )
     a = tuple(float(k) for k in range(40))
-    got = kp_norm(None, 2.0, cfg, functionals=a).value
+    got = kp_norm(Functionals(np.array(a), 0), 2.0, cfg).value
     assert len(calls) == 1 and calls[0].tolist() == list(range(1, 41))
     want = math.fsum(ratio.term(k) * x * x for k, x in enumerate(a, start=1)) ** 0.5
     assert got == pytest.approx(want, rel=1e-15)
-    k2_inner(None, None, cfg, functionals_f=a, functionals_g=a)
+    k2_inner(Functionals(np.array(a), 0), Functionals(np.array(a), 0), cfg)
     assert len(calls) == 2 and calls[1].tolist() == list(range(1, 41))
 
 
@@ -357,8 +377,8 @@ def test_parallelogram_identity(cfg):
     for _ in range(10):
         f = random_step(rng, UNIT_WINDOW)
         g = random_step(rng, UNIT_WINDOW)
-        nf = kp_norm(f, 2.0, cfg).value
-        ng = kp_norm(g, 2.0, cfg).value
-        ns = kp_norm(f + g, 2.0, cfg).value
-        nd = kp_norm(f - g, 2.0, cfg).value
+        nf = norm(f, 2.0, cfg).value
+        ng = norm(g, 2.0, cfg).value
+        ns = norm(f + g, 2.0, cfg).value
+        nd = norm(f - g, 2.0, cfg).value
         assert abs(ns**2 + nd**2 - 2 * nf**2 - 2 * ng**2) < 1e-9
