@@ -82,9 +82,18 @@ def gk15_batch(fvals, halfwidths):
     """Apply the Gauss-Kronrod 7/15 pair to a batch of panels.
 
     ``fvals`` has shape (m, 15): integrand values at ``GK15_NODES`` for each
-    panel.  ``halfwidths`` has shape (m,).  Returns ``(values, errors)``
-    where ``values[i]`` approximates the panel integral and ``errors[i]`` is
-    the QUADPACK-style error estimate.
+    panel.  ``halfwidths`` has shape (m,).  Returns ``(values, errors,
+    unresolved)`` where ``values[i]`` approximates the panel integral,
+    ``errors[i]`` is the QUADPACK-style error estimate
+    sasc * min(1, (200 |K - G| / sasc)^1.5), never below 50 eps resabs, and
+    ``unresolved[i]`` is true where that scale factor is 1, judged before
+    the floor: the Gauss and Kronrod results disagree by at least 0.5% of
+    the panel's mean absolute deviation, so halving the panel seldom
+    resolves it.  The shells of ``gauge``'s improper mode quarter such
+    panels; every other driver bisects them, since an outer box axis over
+    inner integrals that miss a jump stays unresolved at any width.
+    Scaling ``fvals`` by a power of two scales both sides of that test
+    exactly and leaves the flag unchanged.
     """
     fvals = np.asarray(fvals, dtype=np.float64)
     halfwidths = np.asarray(halfwidths, dtype=np.float64)
@@ -101,10 +110,11 @@ def gk15_batch(fvals, halfwidths):
 
     mask = (sasc != 0.0) & (errors != 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = sasc[mask] * np.minimum(
-            1.0, (200.0 * errors[mask] / sasc[mask]) ** 1.5
-        )
+        ratio = 200.0 * errors[mask] / sasc[mask]
+        scaled = sasc[mask] * np.minimum(1.0, ratio**1.5)
+    unresolved = np.zeros(errors.shape, dtype=bool)
+    unresolved[mask] = ratio >= 1.0
     errors[mask] = scaled
     floor = 50.0 * _EPS * resabs * ah
     np.maximum(errors, floor, out=errors)
-    return values, errors
+    return values, errors, unresolved

@@ -47,13 +47,15 @@ def close_err(a, b, value):
 # ------------------------------------------------------------ loop reference
 
 
-def adaptive(fn, lo, hi, tol):
+def adaptive(fn, lo, hi, tol, quarter=False):
     """Batched breadth-first GK15 refinement of one interval [lo, hi].
 
     Splits every panel whose error exceeds its width-proportional share of
     ``tol``; stops early once the global error total drops below ``tol``.
     Panels too narrow to split are force-accepted so the loop always
-    terminates with an honest error total.  Returns (value, error).
+    terminates with an honest error total.  A split panel is halved, or
+    with ``quarter`` (as in shells) cut into four quarters where GK15 left
+    it unresolved.  Returns (value, error).
     """
     total_w = hi - lo
     if total_w <= 0.0:
@@ -64,7 +66,7 @@ def adaptive(fn, lo, hi, tol):
     acc_err_sum = 0.0
 
     while active_lo.size:
-        centers, vals, errs = gauge._gk15_round(fn, active_lo, active_hi)
+        centers, vals, errs, unresolved = gauge._gk15_round(fn, active_lo, active_hi)
         seg = np.zeros(errs.size, dtype=np.intp)  # every panel is in the interval
         if acc_err_sum + gauge._error_sums(errs, seg, 1)[0] <= tol:
             acc_val.append(vals)
@@ -74,7 +76,8 @@ def adaptive(fn, lo, hi, tol):
         acc_val.append(vals[done])
         acc_err.append(errs[done])
         acc_err_sum += gauge._error_sums(errs[done], seg[done], 1)[0]
-        active_lo, active_hi = gauge._bisect(active_lo, active_hi, centers, ~done)
+        four = unresolved[~done] if quarter else None
+        active_lo, active_hi = gauge._bisect(active_lo, active_hi, centers, ~done, four)
 
     value = gauge.kernels.neumaier_sum(np.concatenate(acc_val))
     error = gauge.kernels.neumaier_sum(np.concatenate(acc_err))
@@ -88,21 +91,29 @@ def shells(fn, s, far, tol_q, cauchy_tol):
     each step the side stops once three consecutive shell integrals fell
     below ``cauchy_tol`` or once the epsilon algorithm's abserr was within
     ``cauchy_tol`` at the step end before and its abserr plus the move of
-    its limit over the step is within it now."""
+    its limit over the step is within it now.  A shell's tol is never below
+    ``_SHELL_FLOOR`` times the last shell integral of the step before,
+    times max(1, |s| / width); its unresolved panels are quartered."""
     span = far - s
     parts, errs = [], []
     small_run = 0
     step_left = 3
     wynn = gauge._Wynn()
     before, held = 0.0, False  # the last step end's limit, its abserr within cauchy_tol
+    last = 0.0  # the last shell integral of the step before
     frac = 1.0
     for m in range(gauge.MAX_SHELLS):
         frac_in = frac * gauge.SHELL_RATIO
         x_out = s + span * frac
         x_in = s + span * frac_in
         a, b = (x_in, x_out) if x_in < x_out else (x_out, x_in)
-        tol_shell = tol_q * (1.0 - gauge.SHELL_RATIO) * frac
-        v, e = adaptive(fn, a, b, tol_shell)
+        # |s| over the shell's width, which is its distance from s
+        cond = abs(s) / (0.5 * abs(span)) / frac if frac > 0.0 else 1.0
+        tol_shell = max(
+            tol_q * (1.0 - gauge.SHELL_RATIO) * frac,
+            gauge._SHELL_FLOOR * abs(last) * max(cond, 1.0),
+        )
+        v, e = adaptive(fn, a, b, tol_shell, quarter=True)
         parts.append(v)
         errs.append(e)
         small_run = small_run + 1 if abs(v) < cauchy_tol else 0
@@ -111,6 +122,7 @@ def shells(fn, s, far, tol_q, cauchy_tol):
         step_left -= 1
         if step_left and m + 1 < gauge.MAX_SHELLS:
             continue
+        last = v
         if small_run >= 3:
             return gauge.kernels.neumaier_sum(parts), gauge.kernels.neumaier_sum(errs) + cauchy_tol
         tail = abserr + abs(limit - before)
@@ -797,8 +809,7 @@ def gk15_round_one_call(fn, lo, hi, *args):
     centers = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
     xs = centers[:, None] + halfw[:, None] * gauge.kernels.GK15_NODES
-    vals, errs = gauge.kernels.gk15_batch(fn(*args, xs), halfw)
-    return centers, vals, errs
+    return (centers, *gauge.kernels.gk15_batch(fn(*args, xs), halfw))
 
 
 def _x2sin_derivative(x):
@@ -806,7 +817,7 @@ def _x2sin_derivative(x):
 
 
 WIDE_ROUNDS = {
-    # shells toward 0; the widest round has 4,544 panels
+    # shells toward 0; the widest round has 6,318 panels
     "x2sin-derivative": (
         lambda f: hk_integrate_many(f, [0.0], [1.0], 1e-3, [0.0]),
         _x2sin_derivative,

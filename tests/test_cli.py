@@ -67,6 +67,18 @@ class TestIntegrate:
         _, rows = parse_csv(out)
         assert abs(float(rows[0]["value"]) - 2.0) <= float(rows[0]["error_bound"]) <= 1e-10
 
+    def test_log_squared_converges_near_its_rounding_floor(self, capsys):
+        # its deep shells' tols fall below their GK15 rounding floor unless
+        # floored relative to the shells before, and then the request ran out
+        # of its 50M evaluations
+        code, out, _ = run(
+            capsys, "integrate", "--expr", "ln(x1)^2", "--interval", "0,1", "--singular", "0",
+            "--tol", "1e-12",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert abs(float(rows[0]["value"]) - 2.0) <= float(rows[0]["error_bound"]) <= 1e-12
+
     def test_tame_box_scaled(self, capsys):
         code, out, _ = run(
             capsys,

@@ -426,6 +426,10 @@ def _gap(x):
 _GAP = 2.0**-7 - 2.0**-9  # the width of the gap
 
 
+def _inv_sqrt_cos(x):
+    return x**-0.5 + np.cos(30.0 * x)
+
+
 # name: (f, lo, hi, tol, singular points, exact value)
 IMPROPER = {
     "power-0.9": (lambda x: x**-0.9, 0.0, 1.0, 1e-3, [0.0], 10.0),
@@ -450,6 +454,12 @@ IMPROPER = {
         lambda x: _gap(x) / np.sqrt(x), 0.0, 1.0, 1e-3, [0.0],
         2.0 - 2.0 * (2.0**-3.5 - 2.0**-4.5),
     ),
+    # tols whose shell shares fall below the shells' rounding floor
+    **{
+        f"inv-sqrt-cos-{tol}": (_inv_sqrt_cos, 0.0, 1.0, tol, [0.0], 2.0 + math.sin(30.0) / 30.0)
+        for tol in (1e-11, 1e-12, 1e-13)
+    },
+    "log-squared-1e-12": (lambda x: np.log(x) ** 2, 0.0, 1.0, 1e-12, [0.0], 2.0),
 }
 
 
@@ -468,11 +478,95 @@ def test_interior_log_leaf_costs_the_same_at_every_tol():
     assert evals == [360] * 3
 
 
+def test_shell_tols_stop_at_the_rounding_floor():
+    # each shell's share of tol halves with its width; floored at 64 eps of
+    # the side's last shell, the tightest tols cost a few hundred more
+    # evaluations instead of bisecting to the width floor
+    evals = [
+        hk_integrate(_inv_sqrt_cos, Interval(0, 1), tol, [0.0]).evaluations
+        for tol in (1e-10, 1e-11, 1e-12, 1e-13)
+    ]
+    assert evals == [525, 705, 915, 1_200]
+
+
 def test_oscillatory_shells_end_by_the_cauchy_rule():
     # sin(1/x)'s epsilon abserr does not fall within cauchy_tol before the
-    # Cauchy rule ends its side, so it takes the shells it took without it
+    # Cauchy rule ends its side, so it takes the shells it took without it;
+    # with unresolved shell panels halved rather than quartered, 82,260
     r = hk_integrate(lambda x: np.sin(1.0 / x), Interval(0, 1), 1e-6, singular_points=[0.0])
-    assert r.evaluations == 82_260
+    assert r.evaluations == 63_660
+
+
+def _x2sin_derivative(x):
+    return 2.0 * x * np.sin(x**-2) - (2.0 / x) * np.cos(x**-2)
+
+
+def test_shell_panels_are_halves_or_quarters_on_the_dyadic_grid():
+    # Toward 0 on [0, 1], shell m is [2^-(m+1), 2^-m], of width w = 2^-(m+1).
+    # Each panel is read back from its nodes: node 7 is its center, and the
+    # outer nodes give its width, w / 2^d at depth d.  Its center must be
+    # w + (2j + 1) w / 2^(d+1) exactly, and its parent or grandparent must
+    # have been evaluated: GK15-unresolved panels are quartered, so some
+    # parents never are.
+    rows = []
+
+    def f(x):
+        rows.append(x.copy())
+        return _x2sin_derivative(x)
+
+    hk_integrate(f, Interval(0, 1), 1e-3, singular_points=[0.0])
+    xs = np.concatenate(rows)
+    centers = xs[:, 7]
+    widths = (xs[:, -1] - xs[:, 0]) / gauge.kernels.GK15_NODES[-1]
+    m = np.floor(-np.log2(centers))
+    w = 2.0**-(m + 1)
+    depth = np.log2(w / widths)
+    d = np.round(depth)
+    assert np.abs(depth - d).max() < 1e-6
+    k = (centers - w) * 2.0 ** (d + 1) / w  # exact: 2j + 1
+    assert (k == np.round(k)).all() and (k % 2 == 1).all() and (k < 2.0 ** (d + 1)).all()
+    seen = set(zip(m.tolist(), d.tolist(), ((k - 1) // 2).tolist()))
+    orphans = 0
+    for shell, dep, j in seen:
+        if dep and (shell, dep - 1, j // 2) not in seen:
+            orphans += 1
+            assert (shell, dep - 2, j // 4) in seen
+    assert orphans > 0
+
+
+def test_box_axes_only_bisect():
+    # every inner integral misses the jump at x2 = 1 - x1, so the outer
+    # panels stay unresolved: quartered, the outer axis cost 21,532,485
+    r = integrate_nd_result(lambda x, y: (x + y <= 1.0) * 1.0, [Interval(0, 1)] * 2, 1e-6)
+    assert r.evaluations == 165_915
+
+
+def _x_a_sin_x_b_derivative(a, b):
+    """d/dx [x^a sin(x^-b)], whose integral over [0, 1] is sin 1 for a > 0."""
+    return lambda x: a * x ** (a - 1) * np.sin(x**-b) - b * x ** (a - b - 1) * np.cos(x**-b)
+
+
+# (a, b, tol): evaluations, for every case of a in {1, 1.5, 2, 3},
+# b in {0.5, 1, 2} and tol in {1e-3, 1e-5, 1e-7} that converges within 10^6
+X_A_SIN_X_B = {
+    (1, 0.5, 1e-3): 375, (1, 0.5, 1e-5): 6_765, (1, 0.5, 1e-7): 56_130,
+    (1, 1, 1e-3): 33_345,
+    (1.5, 0.5, 1e-3): 195, (1.5, 0.5, 1e-5): 960, (1.5, 0.5, 1e-7): 4_050,
+    (1.5, 1, 1e-3): 13_890, (1.5, 1, 1e-5): 35_145,
+    (2, 0.5, 1e-3): 150, (2, 0.5, 1e-5): 345, (2, 0.5, 1e-7): 960,
+    (2, 1, 1e-3): 1_635, (2, 1, 1e-5): 14_460, (2, 1, 1e-7): 144_405,
+    (2, 2, 1e-3): 234_960,
+    (3, 0.5, 1e-3): 105, (3, 0.5, 1e-5): 150, (3, 0.5, 1e-7): 195,
+    (3, 1, 1e-3): 375, (3, 1, 1e-5): 2_760, (3, 1, 1e-7): 13_200,
+    (3, 2, 1e-3): 50_265, (3, 2, 1e-5): 927_075,
+}
+
+
+@pytest.mark.parametrize("a, b, tol", X_A_SIN_X_B, ids=[str(c) for c in X_A_SIN_X_B])
+def test_x_a_sin_x_b_derivatives_integrate_to_sin_1(a, b, tol):
+    r = hk_integrate(_x_a_sin_x_b_derivative(a, b), Interval(0, 1), tol, [0.0])
+    assert abs(r.value - math.sin(1.0)) <= r.error_estimate <= tol
+    assert r.evaluations == X_A_SIN_X_B[a, b, tol]
 
 
 def _wynn(sums):

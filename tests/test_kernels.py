@@ -39,7 +39,7 @@ def test_gk15_exact_on_polynomials():
     # Kronrod-15 integrates degree <= 22 exactly; check x^8 on [0, 1]
     nodes = 0.5 + 0.5 * kernels.GK15_NODES
     fv = (nodes**8)[None, :]
-    val, err = kernels.gk15_batch(fv, np.array([0.5]))
+    val, err, _ = kernels.gk15_batch(fv, np.array([0.5]))
     assert abs(val[0] - 1.0 / 9.0) < 1e-15
     assert err[0] < 1e-14
 
@@ -48,8 +48,30 @@ def test_gk15_error_estimate_flags_rough_panels():
     # a jump inside the panel must produce a large error estimate
     xs = 0.5 + 0.5 * kernels.GK15_NODES
     fv = np.where(xs > 0.31, 1.0, 0.0)[None, :]
-    _, err = kernels.gk15_batch(fv, np.array([0.5]))
+    _, err, _ = kernels.gk15_batch(fv, np.array([0.5]))
     assert err[0] > 1e-3
+
+
+def _unresolved(f, scale=1.0):
+    xs = 0.5 + 0.5 * kernels.GK15_NODES  # one panel on [0, 1]
+    return kernels.gk15_batch(scale * f(xs)[None, :], np.array([0.5]))[2][0]
+
+
+UNRESOLVED = {  # integrand on [0, 1]: whether GK15 leaves its panel unresolved
+    "sin(200x)": (lambda x: np.sin(200.0 * x), True),
+    "cubic": (lambda x: 2.0 * x**3 - x + 0.25, False),
+    "constant": (lambda x: np.full_like(x, 3.0), False),
+}
+
+
+@pytest.mark.parametrize("name", UNRESOLVED)
+def test_gk15_flags_panels_it_cannot_resolve(name):
+    f, want = UNRESOLVED[name]
+    assert _unresolved(f) == want
+    # a power-of-two scale scales both sides of the test exactly, which is
+    # what keeps the benchmark's seed-scaled integrands at one cost
+    for j in (-60, -7, 1, 9, 60):
+        assert _unresolved(f, 2.0**j) == want, j
 
 
 # Each integrand needs bisection somewhere, so some interval sums more than
