@@ -458,11 +458,14 @@ def _lockstep(fn, offset, lo, hi, tol, quarter):
         stop = acc_err_sum + _error_sums(errs, seg, n) <= tol
         done = stop[seg] | _settled(active_lo, active_hi, errs, tol[seg], total_w[seg])
         accepted.append((seg[done], vals[done], errs[done]))
-        acc_err_sum += _error_sums(errs[done], seg[done], n)
         split = ~done
+        left = seg[split]
+        if not left.size:  # the last round: skip the bookkeeping for a next one
+            break
+        acc_err_sum += _error_sums(errs[done], seg[done], n)
         four = unresolved[split] if quarter and unresolved.any() else None
         active_lo, active_hi = _bisect(active_lo, active_hi, centers, split, four)
-        seg = seg[split].repeat(2 if four is None else 2 + 2 * four)
+        seg = left.repeat(2 if four is None else 2 + 2 * four)
 
     if not accepted:
         return np.zeros(n), np.zeros(n)
