@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -575,113 +576,119 @@ class _Wynn:
         return result, abserr
 
 
+def _side(s, span, tol_q, cauchy_tol, evals):
+    """One singular side's shells toward its singular point ``s``: shell m
+    lies between s + span * r^m and s + span * r^(m+1), r = ``SHELL_RATIO``.
+
+    A generator: each step it yields the (lo, hi, tol) of the shells it
+    takes and is sent their (value, error) pairs.  A side with k small
+    shells in a row takes run - k more (fewer at ``MAX_SHELLS``), as the
+    Cauchy rule needs at least that many to end it.  After each step it
+    stops on the first of two rules:
+
+    * Cauchy: ``run`` consecutive shell integrals (the Cauchy differences
+      of its partial sums) fell below its ``cauchy_tol``.  It returns the
+      sum of its shells, and their errors plus ``cauchy_tol`` as the tail
+      allowance.
+    * epsilon: :class:`_Wynn`'s abserr was within ``cauchy_tol`` at the
+      step end before, and its abserr now plus the move of its limit over
+      the step is too.  It returns the extrapolated limit, and the shells'
+      errors plus that abserr and move.
+
+    So an extrapolated limit must hold over a step of further shells, as a
+    small shell must be followed by more before the Cauchy rule ends a side.
+    A shell's tol is its width share of ``tol_q``, but never below
+    ``_SHELL_FLOOR`` times the side's last shell integral of the step
+    before, times max(1, |s| / width), so deep shells of a tight tol stop
+    at their rounding floor.  After ``MAX_SHELLS`` shells it raises
+    :class:`ToleranceNotMet` with the sum of its shells and ``evals[0]``,
+    its interval's evaluations.
+    """
+    run = 3  # consecutive small shells that settle a side
+    # |s| over the width of the shell at frac 1; a zero span has empty shells
+    near = abs(s) / (0.5 * abs(span)) if span else 0.0
+    wynn = _Wynn()
+    values, errors = [], []
+    frac, small = 1.0, 0  # small: the run of small shells
+    before, held = 0.0, False  # the last step end's limit, its abserr within cauchy_tol
+    while True:
+        floor = _SHELL_FLOOR * abs(values[-1]) if values else 0.0
+        shells = []
+        for _ in range(min(run - small, MAX_SHELLS - len(values))):
+            a, b = s + span * frac, s + span * (frac * SHELL_RATIO)
+            cond = near / frac if frac > 0.0 else 1.0
+            tol = max(tol_q * (1.0 - SHELL_RATIO) * frac, floor * max(cond, 1.0))
+            shells.append((min(a, b), max(a, b), tol))
+            frac *= SHELL_RATIO
+        for v, e in (yield shells):
+            values.append(v)
+            errors.append(e)
+            small = small + 1 if abs(v) < cauchy_tol else 0
+            limit, abserr = wynn.add(v)
+        if small >= run:
+            return kernels.neumaier_sum(values), kernels.neumaier_sum(errors) + cauchy_tol
+        tail = abserr + abs(limit - before)
+        if held and tail <= cauchy_tol:
+            return limit, kernels.neumaier_sum(errors) + tail
+        before, held = limit, abserr <= cauchy_tol
+        if len(values) >= MAX_SHELLS:
+            raise ToleranceNotMet(
+                f"shell integrals near singular point {s} did not "
+                f"settle within {MAX_SHELLS} shells",
+                value=kernels.neumaier_sum(values),
+                evaluations=int(evals[0]),
+            )
+
+
 def _shell_integrate(f, lo, hi, sings, tol, max_evals):
     """Improper-mode (values, errors, evaluations) over [lo[i], hi[i]],
     each holding one of ``sings`` and with its own tolerance ``tol[i]`` and
     ``max_evals`` budget.
 
-    Each singular side (:func:`_segments`) is integrated in geometric
-    shells shrinking toward its singular point.  After each step a side
-    stops on the first of two rules:
-
-    * Cauchy: ``run`` consecutive shell integrals (the Cauchy differences
-      of its partial sums) fell below its ``cauchy_tol``.  Its value is the
-      sum of its shells, and its error includes ``cauchy_tol`` as the tail
-      allowance.
-    * epsilon: :class:`_Wynn`'s abserr was within ``cauchy_tol`` at the
-      step end before, and its abserr now plus the move of its limit over
-      the step is too.  Its value is the extrapolated limit, and its error
-      includes that abserr and move.
-
-    So an extrapolated limit must hold over a step of further shells, as a
-    small shell must be followed by more before the Cauchy rule ends a side.
-    A side with k small shells in a row needs at least run - k more before
-    the Cauchy rule can end it, so each step takes that many shells of every
-    unsettled side in one :func:`_adaptive_many` call.
+    Each singular side (:func:`_segments`) is a :func:`_side` generator,
+    and the sides of all intervals run in lock step: each step, the shells
+    every live side asks for go into one :func:`_adaptive_many` call, every
+    side's first shell, then every side's second, and so on; their results
+    go back to their sides, and the sides that end are summed per interval.
 
     That call quarters the panels GK15 leaves unresolved rather than halving
     them.  On a shell of an oscillatory singularity such panels are where
     the Gauss and Kronrod results disagree at full scale, and nearly every
     half of one is split again, so the half's round is wasted.  A shell of
     a log or power singularity is smooth at its own scale and seldom has
-    such panels.  A shell's tol is its width share of the side's ``tol_q``,
-    but never below ``_SHELL_FLOOR`` times the side's last shell integral
-    of the step before, times max(1, |s| / width), so deep shells of a
-    tight tol stop at their rounding floor.
+    such panels.
     """
-    run = 3  # consecutive small shells that settle a side
-    sides = []  # (interval, singular point, span, tol_q, cauchy_tol)
+    fn = _VecFn(f, max_evals, lo.size)
+    live = []  # (interval, side, the shells it asks for)
     for i, (a, b, t) in enumerate(zip(lo.tolist(), hi.tolist(), tol.tolist())):
         pairs = _segments(a, b, sings)
-        sides += [
-            (i, s, far - s, 0.5 * t * abs(far - s) / (b - a), t / (4.0 * len(pairs)))
-            for s, far in pairs
-        ]
-    root, s, span, tol_q, cauchy_tol = np.array(sides).T
-    root = root.astype(np.intp)
-    near = np.abs(s) / (0.5 * np.abs(span))  # |s| / width of a side's shell at frac 1
-    frac = np.ones(root.size)
-    small, shells = np.zeros((2, root.size), dtype=np.intp)  # run length, shells done
-    fn = _VecFn(f, max_evals, lo.size)
-    done = []  # (side, value, error) of every shell, in shell order per side
-    wynn = [_Wynn() for _ in range(root.size)]
-    limit, abserr = np.zeros((2, root.size))  # each side's latest epsilon result
-    before = np.zeros(root.size)  # its limit at the step end before
-    held = np.zeros(root.size, dtype=bool)  # its abserr was within cauchy_tol there
-    by_eps = np.zeros(root.size, dtype=bool)  # sides the epsilon rule ended
-    tail = cauchy_tol.copy()  # each side's allowance for the shells not taken
-    last = np.zeros(root.size)  # its last shell integral at the step end before
-
-    live = np.arange(root.size)
-    while live.size:
-        take = np.minimum(run - small[live], MAX_SHELLS - shells[live])
-        shells[live] += take
-        batch = []  # for each j: the sides taking a j-th shell this step, their frac
-        for j in range(take.max()):
-            k = live[take > j]
-            batch.append((k, frac[k]))
-            frac[k] *= SHELL_RATIO
-        side, f_out = (np.concatenate(c) for c in zip(*batch))
-        x_out = s[side] + span[side] * f_out
-        x_in = s[side] + span[side] * (f_out * SHELL_RATIO)
-        cond = np.divide(near[side], f_out, out=np.ones(side.size), where=f_out > 0.0)
-        floor = _SHELL_FLOOR * np.abs(last[side]) * np.maximum(cond, 1.0)
+        for s, far in pairs:
+            tol_q = 0.5 * t * abs(far - s) / (b - a)
+            count = fn.evals[i : i + 1]  # a view: the interval's evaluations so far
+            side = _side(s, far - s, tol_q, t / (4.0 * len(pairs)), count)
+            live.append((i, side, next(side)))
+    ended = []  # (interval, value, error) of every side that ended
+    while live:
+        # every side's first shell, then every side's second, and so on
+        rows = zip_longest(*(asks for *_, asks in live))  # None past a side's last
+        asked = [(k, shell) for row in rows for k, shell in enumerate(row) if shell is not None]
+        root = np.array([live[k][0] for k, _ in asked])
         v, e = _adaptive_many(
-            lambda seg, xs: fn(xs, None, root[side[seg]]),
-            np.minimum(x_in, x_out),
-            np.maximum(x_in, x_out),
-            np.maximum(tol_q[side] * (1.0 - SHELL_RATIO) * f_out, floor),
+            lambda seg, xs: fn(xs, None, root[seg]),
+            *np.array([shell for _, shell in asked]).T,
             quarter=True,
         )
-        done.append((side, v, e))
-        at = 0
-        for k, _ in batch:  # each side's shells in shell order
-            vk = v[at : at + k.size]
-            small[k] = np.where(np.abs(vk) < cauchy_tol[k], small[k] + 1, 0)
-            last[k] = vk
-            for i, x in zip(k.tolist(), vk.tolist()):
-                limit[i], abserr[i] = wynn[i].add(x)
-            at += k.size
-        cauchy = small[live] >= run
-        eps_tail = abserr[live] + np.abs(limit[live] - before[live])
-        eps = ~cauchy & held[live] & (eps_tail <= cauchy_tol[live])
-        by_eps[live], tail[live[eps]] = eps, eps_tail[eps]
-        before[live], held[live] = limit[live], abserr[live] <= cauchy_tol[live]
-        live = live[~cauchy & ~eps]
-        failed = live[shells[live] >= MAX_SHELLS]
-        if failed.size:
-            k = failed[0]
-            side, v, _ = (np.concatenate(c) for c in zip(*done))
-            raise ToleranceNotMet(
-                f"shell integrals near singular point {float(s[k])} did not "
-                f"settle within {MAX_SHELLS} shells",
-                value=kernels.neumaier_sum(v[side == k]),
-                evaluations=int(fn.evals[root[k]]),
-            )
-
-    side_v, side_e = _group_sums(*(np.concatenate(c) for c in zip(*done)), root.size)
-    side_v = np.where(by_eps, limit, side_v)
-    values, errors = _group_sums(root, side_v, side_e + tail, lo.size)
+        got = [[] for _ in live]
+        for (k, _), pair in zip(asked, zip(v.tolist(), e.tolist())):
+            got[k].append(pair)
+        still = []
+        for (i, side, _), pairs in zip(live, got):
+            try:
+                still.append((i, side, side.send(pairs)))
+            except StopIteration as end:
+                ended.append((i, *end.value))
+        live = still
+    values, errors = _group_sums(*map(np.array, zip(*ended)), lo.size)
     return values, errors, fn.evals
 
 

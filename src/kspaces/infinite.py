@@ -74,8 +74,14 @@ def integrate_limit(
     when the successive differences among the three most recent partial
     integrals all fall below ``tol``; the full partial-value trace is
     reported so callers can apply stricter criteria.  Raises
-    :class:`NotCauchy` when ``max_n`` terms pass without settling.
+    :class:`NotCauchy` when ``max_n`` terms pass without settling, and
+    :class:`ValueError`, before integrating any term, for ``max_n`` < 1 or
+    a ``tol`` that is not positive, which no difference could fall below.
     """
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     criterion = (
         f"successive differences among the last 3 partial integrals < {tol:g}"
     )

@@ -160,6 +160,8 @@ class KpConfig:
     singular_points: tuple = ()
 
     def __post_init__(self):
+        if isinstance(self.truncation, bool) or not isinstance(self.truncation, (int, np.integer)):
+            raise ValueError(f"truncation must be an integer, got {self.truncation!r}")
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
         if not self.quad_tol > 0:
@@ -413,7 +415,7 @@ def lq_norm(f, q: float, window: Sequence[Interval], quad_tol: float = 1e-10) ->
         axes = [np.linspace(iv.lo, iv.hi, _SUP_GRID) for iv in window]
         mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
         return float(np.max(np.asarray(np.abs(f(*mesh)), dtype=np.float64)))
-    if q < 1:
+    if not q >= 1:  # NaN too
         raise ValueError("q must be >= 1 or inf")
 
     def absq(*xs):

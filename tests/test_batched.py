@@ -439,6 +439,12 @@ def test_shell_steps_take_only_the_shells_the_stop_rule_needs():
     assert r.value == pytest.approx(0.5 + 1 / 16 + 1 / 64, abs=1e-14)
 
 
+def _zero_then_inv(x):
+    # 0 on [0, 1], so the side toward 0 ends after its first 3 shells; each
+    # shell toward 2 on [2, 3] integrates 1/|x - 2| to ln 2, which never settles
+    return (x > 1.5) / np.abs(x - 2.0)
+
+
 @pytest.mark.parametrize("cap", [5, 8, 9])
 def test_shells_match_the_sequential_loop_under_a_shell_cap(row_by_row_gk15, monkeypatch, cap):
     # the cap cuts the 3-shell step at shell 4 (cap 5) and the 2-shell step
@@ -446,15 +452,23 @@ def test_shells_match_the_sequential_loop_under_a_shell_cap(row_by_row_gk15, mon
     # only two shells small; cap 9 ends where the Cauchy rule does
     monkeypatch.setattr(gauge, "MAX_SHELLS", cap)
 
-    def outcome(integrate):
+    def outcome(integrate, f, lo, hi, sings):
         try:
-            return [list(r) for r in integrate(_three_large_shells, [0.0], [1.0], 1e-3, [0.0])]
+            return [list(r) for r in integrate(f, lo, hi, 1e-3, sings)]
         except ToleranceNotMet as exc:
             return str(exc), exc.value, exc.evaluations
 
-    want = outcome(shells_loop)
-    assert outcome(hk_integrate_many) == want
+    one = (_three_large_shells, [0.0], [1.0], [0.0])
+    want = outcome(shells_loop, *one)
+    assert outcome(hk_integrate_many, *one) == want
     assert isinstance(want, tuple) == (cap < 9)
+    # two intervals: the side toward 2 reaches the cap after the side
+    # toward 0 has ended, and is charged its own interval's evaluations
+    two = (_zero_then_inv, [0.0, 2.0], [1.0, 3.0], [0.0, 2.0])
+    want = outcome(shells_loop, *two)
+    assert outcome(hk_integrate_many, *two) == want
+    assert want[0].startswith("shell integrals near singular point 2.0 ")
+    assert want[2] == 15 * cap
 
 
 def test_cells_holding_a_singular_point_share_integrand_calls():

@@ -399,6 +399,16 @@ def test_zero_width_stays_zero():
     assert values.tolist() == evals.tolist() == [0]
 
 
+def test_singular_points_one_ulp_apart_leave_an_empty_side():
+    # the middle of [0.3, 0.3 + ulp] rounds to its right end, so the side
+    # toward that end has zero span and only empty shells
+    b = math.nextafter(0.3, 1.0)
+    assert gauge._segments(0.3, b, [0.3, b])[1] == (b, b)
+    r = hk_integrate(lambda x: np.log(np.abs(x - 0.3)), Interval(0.3, b), 1e-10, [0.3, b])
+    assert r.evaluations == 15
+    assert r.value == pytest.approx((b - 0.3) * (math.log(b - 0.3) - 1.0), abs=1e-15)
+
+
 # ------------------------------------------------ improper integrals, exactly
 
 _CI_1 = 0.33740392290096813466  # the cosine integral Ci(1)

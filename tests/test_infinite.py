@@ -123,3 +123,22 @@ class TestIntegrateLimit:
 
         with pytest.raises(ValueError):
             integrate_limit(seq(), TailMeasureConfig(), tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            ({"max_n": 0}, "max_n"),
+            ({"max_n": -3}, "max_n"),
+            ({"tol": 0.0}, "tol"),
+            ({"tol": -1e-6}, "tol"),
+            ({"tol": math.nan}, "tol"),
+        ],
+        ids=["max-n-0", "max-n-negative", "tol-0", "tol-negative", "tol-nan"],
+    )
+    def test_bad_max_n_or_tol_raise_before_any_term(self, kw, match):
+        def seq():
+            raise AssertionError("a term was taken")
+            yield
+
+        with pytest.raises(ValueError, match=match):
+            integrate_limit(seq(), TailMeasureConfig(), **kw)

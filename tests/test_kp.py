@@ -306,6 +306,22 @@ class TestEmbedding:
         with pytest.raises(DimensionCapExceeded):
             lq_norm(f, math.inf, (UNIT_WINDOW,) * 3)
 
+    @pytest.mark.parametrize("q", [0.5, math.nan])
+    def test_lq_norm_refuses_q_below_1_before_integrating(self, q):
+        def f(*xs):
+            raise AssertionError("integrated")
+
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            lq_norm(f, q, (UNIT_WINDOW,))
+
+
+@pytest.mark.parametrize("K", [2.5, 64.0, "8", True])
+def test_truncation_must_be_an_integer(K):
+    family = DualityFamily((UNIT_WINDOW,))
+    assert KpConfig(family, truncation=np.int64(8)).truncation == 8
+    with pytest.raises(ValueError, match="truncation must be an integer"):
+        KpConfig(family, truncation=K)
+
 
 def test_singular_points_need_a_1d_family():
     KpConfig(DualityFamily((UNIT_WINDOW,)), singular_points=(0.3,))
