@@ -91,11 +91,6 @@ class BoxSet:
             self.tail_family,
         )
 
-    def contains(self, point: Sequence[float]) -> bool:
-        if len(point) != self.dim:
-            raise ValueError("point dimension mismatch")
-        return all(iv.contains(x) for iv, x in zip(self.base, point))
-
 
 def _check_family(a: BoxSet, b: BoxSet):
     if a.tail_family is not b.tail_family:

@@ -6,8 +6,9 @@ Results are emitted as a CSV or JSON table with the columns
 0 success, 1 computation error, 2 usage error, 3 verify-suite failure.
 
 Configuration may be given as a JSON file (``--config``); command-line
-flags override file values.  Each setting has one entry in ``SETTINGS``,
-whose check applies to its flag and its config key alike.
+flags override file values.  Each setting has one entry in ``SETTINGS``:
+its default, and the check that applies to the default, its flag and its
+config key alike.
 ``--deterministic`` zeroes the wall_ms column so identical invocations
 produce byte-identical tables.
 """
@@ -21,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -126,22 +127,25 @@ def _one_of(choices: tuple):
     return _rule(f"one of {', '.join(choices)}", lambda v: v in choices)
 
 
-# Each run setting: config key (also the argparse dest of its flag) ->
-# (RunConfig field, check, parser from flag text to the value a config file
-# holds, or None where argparse has typed the flag already).
+# Each run setting: config key (also the argparse dest of its flag and the
+# attribute of the run config) -> (default, as a config file would hold it;
+# check; parser from flag text to the value a config file holds, or None
+# where argparse has typed the flag already).
 SETTINGS = {
-    "window": ("window", _window, _parse_box),
-    "truncation": ("truncation", _truncation, None),
-    "quad_tol": ("quad_tol", _positive, None),
-    "tol": ("tol", _positive, None),
-    "weights": ("weights_ratio", _weights, _parse_weights),
-    "tail_family": ("tail_family", _one_of(TAIL_FAMILIES), None),
-    "normalized": ("normalized", _boolean, None),
-    "singular_points": ("singular_points", _points, _parse_floats),
-    "format": ("format", _one_of(FORMATS), None),
-    "seed": ("seed", _rule("an integer", _integer, int), None),
-    "deterministic": ("deterministic", _boolean, None),
+    "window": ([[0.0, 1.0]], _window, _parse_box),
+    "truncation": (64, _truncation, None),
+    "quad_tol": (1e-10, _positive, None),
+    "tol": (1e-10, _positive, None),
+    "weights": ({"name": "geometric", "ratio": 0.5}, _weights, _parse_weights),
+    "tail_family": ("canonical-j", _one_of(TAIL_FAMILIES), None),
+    "normalized": (True, _boolean, None),
+    "singular_points": ([], _points, _parse_floats),
+    "format": ("csv", _one_of(FORMATS), None),
+    "seed": (0, _rule("an integer", _integer, int), None),
+    "deterministic": (False, _boolean, None),
 }
+# the defaults as their checks return them, checked once
+_DEFAULTS = {key: check(default) for key, (default, check, _) in SETTINGS.items()}
 
 
 def _checked(label: str, check, value, parse=None):
@@ -165,51 +169,37 @@ def _read_config(path) -> dict:
     return data
 
 
-@dataclass
-class RunConfig:
-    window: list = field(default_factory=lambda: [(0.0, 1.0)])
-    truncation: int = 64
-    quad_tol: float = 1e-10
-    tol: float = 1e-10
-    weights_ratio: float = 0.5
-    tail_family: str = "canonical-j"
-    normalized: bool = True
-    singular_points: list = field(default_factory=list)
-    format: str = "csv"
-    seed: int = 0
-    deterministic: bool = False
+def _run_config(args) -> SimpleNamespace:
+    """The defaults, then the ``--config`` file, then the flags given; every
+    value passes the check of its SETTINGS entry."""
+    cfg = SimpleNamespace(**_DEFAULTS)
+    for key, value in _read_config(args.config).items():
+        if key not in SETTINGS:
+            raise UsageError(f"invalid config: unknown key {key!r}")
+        setattr(cfg, key, _checked(f"invalid config: {key}", SETTINGS[key][1], value))
+    for key, (_, check, parse) in SETTINGS.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            setattr(cfg, key, _checked(key, check, value, parse))
+    return cfg
 
-    @staticmethod
-    def from_sources(args) -> "RunConfig":
-        """The defaults, then the ``--config`` file, then the flags given;
-        every value passes the check of its SETTINGS entry."""
-        cfg = RunConfig()
-        for key, value in _read_config(args.config).items():
-            if key not in SETTINGS:
-                raise UsageError(f"invalid config: unknown key {key!r}")
-            name, check, _ = SETTINGS[key]
-            setattr(cfg, name, _checked(f"invalid config: {key}", check, value))
-        for key, (name, check, parse) in SETTINGS.items():
-            value = getattr(args, key, None)
-            if value is not None:
-                setattr(cfg, name, _checked(key, check, value, parse))
-        return cfg
 
-    def kp_config(self) -> KpConfig:
-        family = DualityFamily(tuple(Interval(a, b) for a, b in self.window))
-        try:
-            return KpConfig(
-                family,
-                weights=geometric_weights(self.weights_ratio),
-                truncation=self.truncation,
-                quad_tol=self.quad_tol,
-                singular_points=tuple(self.singular_points),
-            )
-        except ValueError as exc:  # singular points KpConfig refuses
-            raise UsageError(str(exc)) from exc
+def _kp_config(cfg) -> KpConfig:
+    family = DualityFamily(tuple(Interval(a, b) for a, b in cfg.window))
+    try:
+        return KpConfig(
+            family,
+            weights=geometric_weights(cfg.weights),
+            truncation=cfg.truncation,
+            quad_tol=cfg.quad_tol,
+            singular_points=tuple(cfg.singular_points),
+        )
+    except ValueError as exc:  # singular points KpConfig refuses
+        raise UsageError(str(exc)) from exc
 
-    def tail_config(self) -> TailMeasureConfig:
-        return TailMeasureConfig(TailFamily(self.tail_family), normalized=self.normalized)
+
+def _tail_config(cfg) -> TailMeasureConfig:
+    return TailMeasureConfig(TailFamily(cfg.tail_family), normalized=cfg.normalized)
 
 
 def _box(text: str) -> list:
@@ -254,7 +244,7 @@ class _Timer:
         return 0.0 if self.t0 is None else round(1000.0 * (time.perf_counter() - self.t0), 3)
 
 
-def _cmd_integrate(args, cfg: RunConfig):
+def _cmd_integrate(args, cfg):
     timer = _Timer(cfg.deterministic)
     if args.interval and args.box:
         raise UsageError("give either --interval (1-d HK) or --box (tame), not both")
@@ -275,7 +265,7 @@ def _cmd_integrate(args, cfg: RunConfig):
         box = _box(args.box)
         f = _compiled(args.expr, len(box))
         res = integrate_nd_result(f, box, tol=cfg.tol)
-        factor = cfg.tail_config().tail_product(len(box))
+        factor = _tail_config(cfg).tail_product(len(box))
         err = res.error_estimate * factor
         return [("tame_integral", res.value * factor, err, 0.0, res.evaluations, timer.ms())]
     raise UsageError("integrate needs --interval or --box")
@@ -291,9 +281,9 @@ def _parse_p(text: str) -> float:
     return p
 
 
-def _cmd_norm(args, cfg: RunConfig):
+def _cmd_norm(args, cfg):
     timer = _Timer(cfg.deterministic)
-    kcfg = cfg.kp_config()
+    kcfg = _kp_config(cfg)
     f = _compiled(args.expr, kcfg.family.dim)
     p = _parse_p(args.p)
     if args.abs_bound is not None:
@@ -311,9 +301,9 @@ def _cmd_norm(args, cfg: RunConfig):
     return [row]
 
 
-def _cmd_inner(args, cfg: RunConfig):
+def _cmd_inner(args, cfg):
     timer = _Timer(cfg.deterministic)
-    kcfg = cfg.kp_config()
+    kcfg = _kp_config(cfg)
     f = _compiled(args.expr, kcfg.family.dim)
     g = _compiled(args.expr2, kcfg.family.dim)
     af = compute_functionals_detailed(f, kcfg)
@@ -327,7 +317,7 @@ def _cmd_inner(args, cfg: RunConfig):
     return [("k2_inner", value, err, tail, af.evaluations + ag.evaluations, timer.ms())]
 
 
-def _cmd_fourier(args, cfg: RunConfig):
+def _cmd_fourier(args, cfg):
     timer = _Timer(cfg.deterministic)
     box = _box(args.box) if args.box else [Interval(a, b) for a, b in cfg.window]
     f = _compiled(args.expr, len(box))
@@ -344,7 +334,7 @@ def _cmd_fourier(args, cfg: RunConfig):
     return rows
 
 
-def _cmd_verify(args, cfg: RunConfig):
+def _cmd_verify(args, cfg):
     names = args.suite or list(SUITE_NAMES)
     rows = []
     any_failed = False
@@ -447,7 +437,7 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
 
     try:
-        cfg = RunConfig.from_sources(args)
+        cfg = _run_config(args)
         if args.command == "verify":
             rows, any_failed = _cmd_verify(args, cfg)
         else:

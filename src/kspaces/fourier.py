@@ -37,9 +37,6 @@ class FrequencyPoint:
     def get(self, k: int) -> float:
         return self.coords[k - 1] if 1 <= k <= len(self.coords) else 0.0
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
 
 @dataclass(frozen=True)
 class FourierValue:

@@ -12,9 +12,10 @@ Two modes:
   GK15 leaves unresolved are quartered (:func:`_adaptive_many`).
 
 :func:`integrate_boxes` is the tensor-product quadrature used by the
-higher-dimensional modules, and by :func:`hk_integrate_many` for intervals
-without a singular point, over many boxes in one pass;
-:func:`integrate_nd_result` is its one-box case.
+higher-dimensional modules, over many boxes in one pass;
+:func:`integrate_nd_result` is its one-box case.  Its core,
+:func:`_integrate_boxes`, also takes :func:`hk_integrate_many`'s intervals
+without a singular point.
 
 :func:`_adaptive_many` is the one adaptive loop: many independent intervals
 in lock step, with one integrand call and one GK15 call per round (per block
@@ -106,10 +107,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
@@ -161,10 +158,6 @@ class TaggedPartition:
             if prev_hi is not None and cell.lo != prev_hi:
                 raise ValueError("partition cells must be adjacent and ordered")
             prev_hi = cell.hi
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.cells[0][1].lo, self.cells[-1][1].hi)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -242,7 +235,7 @@ def _real(r):
     if r.dtype.kind == "c":
         raise EvaluationError(
             "integrand returned complex values; integrate the real and imaginary "
-            "parts apart, as compute_functionals(..., complex_valued=True) does"
+            "parts apart, as compute_functionals does"
         )
     return r.astype(np.float64, copy=False)
 
@@ -576,6 +569,17 @@ class _Wynn:
         return result, abserr
 
 
+def _diverges(limit, total, moduli):
+    """QUADPACK qagse's test on divergence (its ``ier`` = 6), for the
+    extrapolated ``limit`` of shells with the plain sum ``total`` and the
+    sum of moduli ``moduli``: the ratio of limit to sum lies outside
+    [0.01, 100], unless both are within 1% of ``moduli``, as when shells of
+    both signs cancel.  A zero sum counts as an infinite ratio."""
+    if max(abs(limit), abs(total)) <= 0.01 * moduli:
+        return False
+    return not (total and 0.01 <= limit / total <= 100.0)
+
+
 def _side(s, span, tol_q, cauchy_tol, evals):
     """One singular side's shells toward its singular point ``s``: shell m
     lies between s + span * r^m and s + span * r^(m+1), r = ``SHELL_RATIO``.
@@ -597,6 +601,20 @@ def _side(s, span, tol_q, cauchy_tol, evals):
 
     So an extrapolated limit must hold over a step of further shells, as a
     small shell must be followed by more before the Cauchy rule ends a side.
+
+    A divergent integral's shells grow geometrically and extrapolate to the
+    anti-limit of their series.  So at each step end where the epsilon
+    abserr is within ``cauchy_tol`` (a limit held, or one ending the side)
+    and the last shell is larger in modulus than the one before, a limit
+    that :func:`_diverges` finds far from the plain sum of the shells
+    raises :class:`ToleranceNotMet`.  The growth matters because that sum
+    lacks the part of the side inside its last shell, which qagse's sum
+    holds: shrinking shells whose limit is 240 times their sum are
+    ``x^-0.999``'s, which converges to 1000.  Waiting for the rule to end
+    the side would be too late: the next step's shells reach 8 times the
+    shell their tol floor is taken from, and at tol 1e-10 those of
+    ``1/x^2`` at 0 split until the budget runs out.
+
     A shell's tol is its width share of ``tol_q``, but never below
     ``_SHELL_FLOOR`` times the side's last shell integral of the step
     before, times max(1, |s| / width), so deep shells of a tight tol stop
@@ -610,6 +628,7 @@ def _side(s, span, tol_q, cauchy_tol, evals):
     wynn = _Wynn()
     values, errors = [], []
     frac, small = 1.0, 0  # small: the run of small shells
+    moduli = 0.0  # the sum of |shell integral|
     before, held = 0.0, False  # the last step end's limit, its abserr within cauchy_tol
     while True:
         floor = _SHELL_FLOOR * abs(values[-1]) if values else 0.0
@@ -624,9 +643,20 @@ def _side(s, span, tol_q, cauchy_tol, evals):
             values.append(v)
             errors.append(e)
             small = small + 1 if abs(v) < cauchy_tol else 0
+            moduli += abs(v)
             limit, abserr = wynn.add(v)
         if small >= run:
             return kernels.neumaier_sum(values), kernels.neumaier_sum(errors) + cauchy_tol
+        total = wynn.total + wynn.comp  # the plain sum of the shells
+        # an abserr within cauchy_tol comes from six shells or more
+        growing = abserr <= cauchy_tol and abs(values[-1]) > abs(values[-2])
+        if growing and _diverges(limit, total, moduli):
+            raise ToleranceNotMet(
+                f"shell integrals near singular point {s} extrapolate to "
+                f"{limit:.6g} but sum to {total:.6g}: the integral probably diverges",
+                value=total,
+                evaluations=int(evals[0]),
+            )
         tail = abserr + abs(limit - before)
         if held and tail <= cauchy_tol:
             return limit, kernels.neumaier_sum(errors) + tail
@@ -640,10 +670,10 @@ def _side(s, span, tol_q, cauchy_tol, evals):
             )
 
 
-def _shell_integrate(f, lo, hi, sings, tol, max_evals):
-    """Improper-mode (values, errors, evaluations) over [lo[i], hi[i]],
-    each holding one of ``sings`` and with its own tolerance ``tol[i]`` and
-    ``max_evals`` budget.
+def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol):
+    """Improper-mode (values, errors) over [lo[i], hi[i]], each holding one
+    of ``sings`` and with its own tolerance ``tol[i]``; ``fn`` charges the
+    evaluations of interval i to its root ``roots[i]``.
 
     Each singular side (:func:`_segments`) is a :func:`_side` generator,
     and the sides of all intervals run in lock step: each step, the shells
@@ -658,13 +688,12 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
     a log or power singularity is smooth at its own scale and seldom has
     such panels.
     """
-    fn = _VecFn(f, max_evals, lo.size)
     live = []  # (interval, side, the shells it asks for)
-    for i, (a, b, t) in enumerate(zip(lo.tolist(), hi.tolist(), tol.tolist())):
+    for i, (r, a, b, t) in enumerate(zip(roots.tolist(), lo.tolist(), hi.tolist(), tol.tolist())):
         pairs = _segments(a, b, sings)
         for s, far in pairs:
             tol_q = 0.5 * t * abs(far - s) / (b - a)
-            count = fn.evals[i : i + 1]  # a view: the interval's evaluations so far
+            count = fn.evals[r : r + 1]  # a view: the interval's evaluations so far
             side = _side(s, far - s, tol_q, t / (4.0 * len(pairs)), count)
             live.append((i, side, next(side)))
     ended = []  # (interval, value, error) of every side that ended
@@ -672,7 +701,7 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
         # every side's first shell, then every side's second, and so on
         rows = zip_longest(*(asks for *_, asks in live))  # None past a side's last
         asked = [(k, shell) for row in rows for k, shell in enumerate(row) if shell is not None]
-        root = np.array([live[k][0] for k, _ in asked])
+        root = roots[[live[k][0] for k, _ in asked]]
         v, e = _adaptive_many(
             lambda seg, xs: fn(xs, None, root[seg]),
             *np.array([shell for _, shell in asked]).T,
@@ -688,8 +717,7 @@ def _shell_integrate(f, lo, hi, sings, tol, max_evals):
             except StopIteration as end:
                 ended.append((i, *end.value))
         live = still
-    values, errors = _group_sums(*map(np.array, zip(*ended)), lo.size)
-    return values, errors, fn.evals
+    return _group_sums(*map(np.array, zip(*ended)), lo.size)
 
 
 def _segments(lo: float, hi: float, sings):
@@ -716,7 +744,9 @@ def _holding(lo, hi, sings):
 
 def _hk_many(f, lo, hi, tol, singular_points, max_evals):
     """:func:`hk_integrate_many` short of its final check: (values, errors,
-    evaluations) whatever the errors, ``tol`` broadcast to one per interval."""
+    evaluations) whatever the errors, ``tol`` broadcast to one per interval.
+    One :class:`_VecFn` wraps ``f`` for every interval, so ``f`` is probed
+    for vectorization once and evaluations are counted in one place."""
     tol = np.asarray(tol, dtype=np.float64)
     if not (tol > 0.0).all():
         raise ValueError("tol must be positive")
@@ -727,20 +757,19 @@ def _hk_many(f, lo, hi, tol, singular_points, max_evals):
         raise ValueError(f"singular_points must be a 1-D sequence, got shape {sings.shape}")
     if not np.isfinite(sings).all():
         raise ValueError(f"singular points must be finite, got {sings.tolist()}")
+    fn = _VecFn(f, max_evals, lo.size)
     shelled = _holding(lo, hi, sings)
-    plain = np.flatnonzero(~shelled)
+    plain = np.flatnonzero(~shelled & (hi > lo))
     values, errors = np.zeros(lo.size), np.zeros(lo.size)
-    evals = np.zeros(lo.size, dtype=np.int64)
-
-    values[plain], errors[plain], evals[plain] = integrate_boxes(
-        f, lo[plain, None], hi[plain, None], 0.5 * tol[plain], max_evals
+    values[plain], errors[plain] = _integrate_boxes(
+        fn, plain, np.empty((plain.size, 0)), lo[plain, None], hi[plain, None], 0.5 * tol[plain]
     )
     held = np.flatnonzero(shelled)
     if held.size:
-        values[held], errors[held], evals[held] = _shell_integrate(
-            f, lo[held], hi[held], sings.tolist(), tol[held], max_evals
+        values[held], errors[held] = _shell_integrate(
+            fn, held, lo[held], hi[held], sings.tolist(), tol[held]
         )
-    return values, errors, evals
+    return values, errors, fn.evals
 
 
 def hk_integrate_many(
@@ -756,7 +785,7 @@ def hk_integrate_many(
     budget; returns (values, errors, evaluations).
 
     Intervals holding no declared singular point run together in one
-    :func:`integrate_boxes` pass at tol/2.  Around each singular point the
+    :func:`_integrate_boxes` pass at tol/2.  Around each singular point the
     integral is taken in improper mode: geometric shells shrinking toward
     the point, each side stopped by the first of two rules on its partial
     sums, with cauchy_tol = tol/4 shared among the singular sides.  Either
@@ -771,8 +800,9 @@ def hk_integrate_many(
     of the HK integral over expanding subintervals, which is what makes
     conditionally integrable oscillatory integrands computable.
 
-    Raises :class:`ToleranceNotMet` if a budget runs out or an interval's
-    error estimate exceeds its tol, :class:`EvaluationError` if ``f``
+    Raises :class:`ToleranceNotMet` if a budget runs out, an interval's
+    error estimate exceeds its tol or a side's shells look divergent
+    (:func:`_side`), :class:`EvaluationError` if ``f``
     returns non-finite values away from declared singular points, and
     :class:`ValueError`, as :class:`Interval` does, for an interval with a
     non-finite end or lo > hi, as well as for ``lo`` and ``hi`` that are not

@@ -132,7 +132,6 @@ class WeightSequence:
 
     term: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[int], float]
-    name: str = "custom"
 
 
 def geometric_weights(ratio: float = 0.5) -> WeightSequence:
@@ -145,7 +144,6 @@ def geometric_weights(ratio: float = 0.5) -> WeightSequence:
     return WeightSequence(
         term=lambda k: (1.0 - ratio) * ratio ** (k - 1),
         tail=lambda K: ratio**K,
-        name=f"geometric:{ratio:g}",
     )
 
 
@@ -297,26 +295,30 @@ def _functionals_pass(f, cfg: KpConfig):
     return values, errors, int(evals.sum())
 
 
-def compute_functionals(f, cfg: KpConfig, complex_valued: bool = False) -> Functionals:
+def compute_functionals(f, cfg: KpConfig) -> Functionals:
     """All functionals a_1 .. a_K of f, with their evaluation count.
 
     They come from one pass over the leaf cells of the dyadic tree, every
     other functional summed from its children (:func:`_functionals_pass`).
-    Complex integrands are integrated as two real passes, one over the real
-    and one over the imaginary part.
+    That pass integrates the real part of f and notes whether f returned
+    complex values; only then does a second pass integrate the imaginary
+    part, and the values are complex.
     """
-    if complex_valued:
-        re, _, evals_re = _functionals_pass(
-            lambda *a: np.real(np.asarray(f(*a), dtype=complex)), cfg
-        )
-        im, _, evals_im = _functionals_pass(
-            lambda *a: np.imag(np.asarray(f(*a), dtype=complex)), cfg
-        )
-        values = re.astype(complex)
-        values.imag = im
-        return Functionals(values, evals_re + evals_im)
-    values, _, evals = _functionals_pass(f, cfg)
-    return Functionals(values, evals)
+    complex_seen = False
+
+    def real(*a):
+        nonlocal complex_seen
+        r = np.asarray(f(*a))
+        complex_seen |= r.dtype.kind == "c"
+        return r.real
+
+    values, _, evals = _functionals_pass(real, cfg)
+    if not complex_seen:
+        return Functionals(values, evals)
+    im, _, evals_im = _functionals_pass(lambda *a: np.imag(np.asarray(f(*a), dtype=complex)), cfg)
+    values = values.astype(complex)
+    values.imag = im
+    return Functionals(values, evals + evals_im)
 
 
 def _check_length(a: Functionals, cfg: KpConfig) -> None:

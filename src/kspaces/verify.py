@@ -31,16 +31,6 @@ _MAX_LEVEL = 4  # of random_step
 _N_FUNCTIONS = 100
 _N_PAIRS = 100
 
-SUITE_NAMES = (
-    "gauge",
-    "measure",
-    "embeddings",
-    "minkowski",
-    "parallelogram",
-    "weak-strong",
-    "fourier",
-)
-
 
 @dataclass(frozen=True)
 class CheckRow:
@@ -463,6 +453,8 @@ SUITES = {
     "weak-strong": weak_strong_suite,
     "fourier": fourier_suite,
 }
+
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(names, seed: int = 0) -> list:

@@ -386,6 +386,21 @@ def test_hk_integrate_many_checks_each_interval_against_its_own_tol():
         hk_integrate_many(f, lo, hi, [10.0, 1e-10])
 
 
+def test_a_scalar_only_integrand_is_probed_once_per_call():
+    # one plain and one shelled interval share one integrand wrapper, so
+    # math.exp is tried on an array once before it is looped over
+    arrays = []
+
+    def f(x):
+        arrays.append(isinstance(x, np.ndarray))
+        return math.exp(x)
+
+    values, _, evals = hk_integrate_many(f, [1.0, 0.0], [2.0, 1.0], 1e-10, [0.0])
+    assert sum(arrays) == 1
+    assert evals.tolist() == [15, 270]
+    np.testing.assert_allclose(values, [math.e**2 - math.e, math.e - 1.0], rtol=1e-12)
+
+
 # ---------------------------------------------------------- lock-step shells
 
 
@@ -788,7 +803,7 @@ def test_complex_functionals_match_closed_forms():
     def f(x):
         return np.exp(3j * x) * (x > 0.37)
 
-    got = compute_functionals(f, cfg, complex_valued=True)
+    got = compute_functionals(f, cfg)
     lo, hi = cfg.family.cell_bounds(cfg.truncation)
     assert got.values.dtype == np.complex128
     for k, (z, a, b) in enumerate(zip(got.values, lo[:, 0], hi[:, 0]), start=1):
@@ -797,7 +812,7 @@ def test_complex_functionals_match_closed_forms():
         # every functional's error is within quad_tol, or the pass raises
         assert abs(z.real - want.real) <= cfg.quad_tol, k
         assert abs(z.imag - want.imag) <= cfg.quad_tol, k
-    scalar = compute_functionals(lambda x: cmath.exp(3j * x), cfg, complex_valued=True)
+    scalar = compute_functionals(lambda x: cmath.exp(3j * x), cfg)
     assert scalar.values[0] == pytest.approx((cmath.exp(3j) - 1) / 3j, abs=1e-10)
 
 

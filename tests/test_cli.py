@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -11,7 +10,8 @@ import time
 import pytest
 
 import kspaces
-from kspaces.cli import COLUMNS, SETTINGS, RunConfig, run_command
+from kspaces.cli import COLUMNS, run_command
+from kspaces.verify import run_suites
 
 
 def run(capsys, *argv):
@@ -270,6 +270,14 @@ class TestVerify:
         names = {r["quantity"].split(":")[0] for r in rows}
         assert "gauge.cousin_is_delta_fine" in names
         assert "gauge.refinement_preserves_fineness" in names
+
+    def test_measure_and_fourier_suites_pass(self):
+        # in process, as `ks verify` runs them; the margins move in their
+        # last digits with BLAS rounding, so only the verdicts are checked
+        for seed in (0, 3):
+            rows = run_suites(["measure", "fourier"], seed=seed)
+            assert {r.suite for r in rows} == {"measure", "fourier"}
+            assert [r.name for r in rows if not r.passed] == [], seed
 
     def test_failing_row_gives_exit_3(self, capsys, monkeypatch):
         from kspaces import verify as verify_mod
@@ -573,12 +581,6 @@ def test_singular_points_off_1d_are_usage_errors(capsys, tmp_path, name):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("usage error: singular points apply only to")
-
-
-def test_settings_table_covers_run_config():
-    # one table entry per RunConfig field, in field order
-    fields = [f.name for f in dataclasses.fields(RunConfig)]
-    assert [name for name, _, _ in SETTINGS.values()] == fields
 
 
 @pytest.mark.parametrize("name", BAD_NUMBERS)

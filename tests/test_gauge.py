@@ -168,7 +168,7 @@ class TestHkIntegrate:
     )
     def test_complex_integrand_raises(self, f, singular):
         # a cast to float keeps the real part: sin(3)/3 for exp(3ix)
-        with pytest.raises(EvaluationError, match="complex_valued=True"):
+        with pytest.raises(EvaluationError, match="as compute_functionals does"):
             hk_integrate(f, Interval(0, 1), singular_points=singular)
 
     def test_linearity_on_smooth_corpus(self):
@@ -255,7 +255,7 @@ class TestIntegrateNd:
         assert r.evaluations >= 15
 
     def test_complex_integrand_raises(self):
-        with pytest.raises(EvaluationError, match="complex_valued=True"):
+        with pytest.raises(EvaluationError, match="as compute_functionals does"):
             integrate_nd_result(lambda x, y: np.exp(1j * (x + y)), [Interval(0, 1)] * 2)
 
 
@@ -456,6 +456,11 @@ IMPROPER = {
         for tol in (1e-8, 3.125e-10, 1e-10)
     },
     "sin-inv": (lambda x: np.sin(1.0 / x), 0.0, 1.0, 1e-6, [0.0], math.sin(1.0) - _CI_1),
+    # shrinking shells whose epsilon limit is far from their sum, which
+    # lacks the part of the side inside the last shell: no divergence
+    "power-0.999": (lambda x: x**-0.999, 0.0, 1.0, 1e-6, [0.0], 1000.0),
+    "one-minus-half-inv-sqrt": (lambda x: 1.0 - 0.5 / np.sqrt(x), 0.0, 1.0, 1e-6, [0.0], 0.0),
+    "one-minus-power-0.95": (lambda x: 1.0 - 0.1 * x**-0.95, 0.0, 1.0, 1e-10, [0.0], -1.0),
     # shells 0-5 follow a geometric series, whose limit the epsilon
     # algorithm takes at six sums, before the gap shows in shells 7 and 8
     "gap": (_gap, 0.0, 1.0, 1e-3, [0.0], 1.0 - _GAP),
@@ -505,6 +510,38 @@ def test_oscillatory_shells_end_by_the_cauchy_rule():
     # with unresolved shell panels halved rather than quartered, 82,260
     r = hk_integrate(lambda x: np.sin(1.0 / x), Interval(0, 1), 1e-6, singular_points=[0.0])
     assert r.evaluations == 63_660
+
+
+DIVERGENT = {
+    "inv-square": (lambda x: 1.0 / x**2, 0.0, 1e-6),
+    # at tol 1e-10 the step after the hold ran out of budget instead
+    "inv-square-1e-10": (lambda x: 1.0 / x**2, 0.0, 1e-10),
+    "inv-power-1.5": (lambda x: x**-1.5, 0.0, 1e-6),
+    "one-minus-inv-square": (lambda x: -1.0 / x**2 + 1.0, 0.0, 1e-6),
+    "interior-inv-square": (lambda x: 1.0 / (x - 0.3) ** 2, 0.3, 1e-6),
+    "interior-inv-power-1.5": (lambda x: 1.0 / np.abs(x - 0.3) ** 1.5, 0.3, 1e-8),
+}
+
+
+@pytest.mark.parametrize("f, s, tol", DIVERGENT.values(), ids=DIVERGENT)
+def test_divergent_integrals_raise(f, s, tol):
+    # shells that double or grow by 2^0.5 extrapolate to the anti-limit of
+    # their series (-1 for 1 + 2 + 4 + ...), which held over a step as a
+    # limit and was printed with an error bound near 1e-9
+    with pytest.raises(ToleranceNotMet, match="the integral probably diverges") as info:
+        hk_integrate(f, Interval(0, 1), tol, singular_points=[s])
+    assert f"singular point {s} " in str(info.value)
+    assert info.value.evaluations > 0
+    assert abs(info.value.value) > 10.0  # the sum of the shells, not the anti-limit
+
+
+def test_divergence_test_spares_cancelling_shells():
+    assert gauge._diverges(-1.0, 511.0, 511.0)  # the anti-limit of 1 + 2 + ...
+    assert gauge._diverges(1.0, 0.0, 0.5)  # an infinite ratio
+    assert not gauge._diverges(2.0, 1.99, 1.99)
+    # limit and sum of the other sign, both within 1% of the moduli
+    assert not gauge._diverges(1e-3, -1e-3, 1.0)
+    assert gauge._diverges(0.1, -0.1, 1.0)
 
 
 def _x2sin_derivative(x):

@@ -6,7 +6,6 @@ import pytest
 from kspaces import (
     DimensionCapExceeded,
     DualityFamily,
-    EvaluationError,
     Functionals,
     Interval,
     KpConfig,
@@ -194,10 +193,13 @@ class TestKpNorm:
         with pytest.raises(ValueError):
             norm(one, 0.5, cfg)
 
-    def test_complex_integrand_raises(self, cfg):
-        # a cast to float keeps the real part, 0, and reports a zero norm
-        with pytest.raises(EvaluationError, match="complex_valued=True"):
-            compute_functionals(lambda x: 1j * np.ones_like(x), cfg)
+    def test_complex_integrand_gives_complex_functionals(self, cfg):
+        # the real pass sees complex values, so an imaginary pass follows;
+        # a cast to float would keep the real part, 0, and a zero norm
+        a = compute_functionals(lambda x: 1j * np.ones_like(x), cfg)
+        lo, hi = cfg.family.cell_bounds(cfg.truncation)
+        assert a.values.dtype == np.complex128
+        np.testing.assert_allclose(a.values, 1j * (hi - lo)[:, 0], rtol=0, atol=1e-15)
 
 
 class TestK2Inner:
@@ -221,7 +223,7 @@ class TestK2Inner:
 
     def test_complex_conjugation(self, cfg):
         f = lambda x: np.exp(2j * np.pi * x)
-        a = compute_functionals(f, cfg, complex_valued=True)
+        a = compute_functionals(f, cfg)
         assert a.values.dtype == np.complex128
         ip = k2_inner(a, a, cfg)
         assert ip.imag == pytest.approx(0.0, abs=1e-10)
