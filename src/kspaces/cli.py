@@ -113,13 +113,13 @@ _interval = _rule(
     "a pair [lo, hi] of finite numbers, lo <= hi", _pair, lambda v: tuple(map(float, v))
 )
 _window = _rule(
-    "a non-empty list", lambda v: isinstance(v, list) and v, lambda v: list(map(_interval, v))
+    "a non-empty list", lambda v: isinstance(v, list) and v, lambda v: tuple(map(_interval, v))
 )
 _weights = _rule(
     '{"name": "geometric", "ratio": r}, 0 < r < 1', _geometric, lambda v: v.get("ratio", 0.5)
 )
 _points = _rule(
-    "a list of finite numbers", lambda v: isinstance(v, list) and all(map(_finite, v)), list
+    "a list of finite numbers", lambda v: isinstance(v, list) and all(map(_finite, v)), tuple
 )
 
 
@@ -144,7 +144,8 @@ SETTINGS = {
     "seed": (0, _rule("an integer", _integer, int), None),
     "deterministic": (False, _boolean, None),
 }
-# the defaults as their checks return them, checked once
+# the defaults as their checks return them (tuples, not lists, so that no
+# run can change another's), checked once
 _DEFAULTS = {key: check(default) for key, (default, check, _) in SETTINGS.items()}
 
 
@@ -192,7 +193,7 @@ def _kp_config(cfg) -> KpConfig:
             weights=geometric_weights(cfg.weights),
             truncation=cfg.truncation,
             quad_tol=cfg.quad_tol,
-            singular_points=tuple(cfg.singular_points),
+            singular_points=cfg.singular_points,
         )
     except ValueError as exc:  # singular points KpConfig refuses
         raise UsageError(str(exc)) from exc

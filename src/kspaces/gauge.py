@@ -580,6 +580,24 @@ def _diverges(limit, total, moduli):
     return not (total and 0.01 <= limit / total <= 100.0)
 
 
+def _recedes(values, limit, total):
+    """Whether the last six of the shell integrals ``values``, which sum to
+    ``total``, each step their partial sum away from ``limit``, and each but
+    the first is larger in modulus than the shell before it: the shells of
+    a divergent integral near its singular point, six being the sums
+    :class:`_Wynn` needs for an abserr below the largest float."""
+    if len(values) < 6:
+        return False
+    start = total  # the partial sum before shell -k
+    for k in range(1, 7):
+        start -= values[-k]
+        if (limit - start) * values[-k] >= 0.0:
+            return False
+        if k < 6 and abs(values[-k]) <= abs(values[-k - 1]):
+            return False
+    return True
+
+
 def _side(s, span, tol_q, cauchy_tol, evals):
     """One singular side's shells toward its singular point ``s``: shell m
     lies between s + span * r^m and s + span * r^(m+1), r = ``SHELL_RATIO``.
@@ -604,16 +622,20 @@ def _side(s, span, tol_q, cauchy_tol, evals):
 
     A divergent integral's shells grow geometrically and extrapolate to the
     anti-limit of their series.  So at each step end where the epsilon
-    abserr is within ``cauchy_tol`` (a limit held, or one ending the side)
-    and the last shell is larger in modulus than the one before, a limit
-    that :func:`_diverges` finds far from the plain sum of the shells
-    raises :class:`ToleranceNotMet`.  The growth matters because that sum
-    lacks the part of the side inside its last shell, which qagse's sum
-    holds: shrinking shells whose limit is 240 times their sum are
-    ``x^-0.999``'s, which converges to 1000.  Waiting for the rule to end
-    the side would be too late: the next step's shells reach 8 times the
-    shell their tol floor is taken from, and at tol 1e-10 those of
-    ``1/x^2`` at 0 split until the budget runs out.
+    abserr is within ``cauchy_tol`` (a limit held, or one ending the side),
+    the last six shells grew and stepped away from the limit
+    (:func:`_recedes`), and :func:`_diverges` finds the limit far from the
+    plain sum of the shells, the side raises :class:`ToleranceNotMet`.  The
+    sum lacks the part of the side inside its last shell, which qagse's sum
+    holds, so the ratio alone refuses convergent sides: shrinking shells
+    whose limit is 240 times their sum are ``x^-0.999``'s, which converges
+    to 1000, and the growing stretches of oscillating shells, such as
+    ``x^-0.9 sin(ln x) + 1``'s, sum to far from their limit too; but in
+    every convergent case tried, such shells stepped toward the limit, or
+    shrank, within six.  Waiting for the rule to end the side would be too
+    late: the next step's shells reach 8 times the shell their tol floor is
+    taken from, and at tol 1e-10 those of ``1/x^2`` at 0 split until the
+    budget runs out.
 
     A shell's tol is its width share of ``tol_q``, but never below
     ``_SHELL_FLOOR`` times the side's last shell integral of the step
@@ -648,9 +670,7 @@ def _side(s, span, tol_q, cauchy_tol, evals):
         if small >= run:
             return kernels.neumaier_sum(values), kernels.neumaier_sum(errors) + cauchy_tol
         total = wynn.total + wynn.comp  # the plain sum of the shells
-        # an abserr within cauchy_tol comes from six shells or more
-        growing = abserr <= cauchy_tol and abs(values[-1]) > abs(values[-2])
-        if growing and _diverges(limit, total, moduli):
+        if abserr <= cauchy_tol and _diverges(limit, total, moduli) and _recedes(values, limit, total):
             raise ToleranceNotMet(
                 f"shell integrals near singular point {s} extrapolate to "
                 f"{limit:.6g} but sum to {total:.6g}: the integral probably diverges",

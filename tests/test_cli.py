@@ -10,7 +10,7 @@ import time
 import pytest
 
 import kspaces
-from kspaces.cli import COLUMNS, run_command
+from kspaces.cli import _DEFAULTS, COLUMNS, run_command
 from kspaces.verify import run_suites
 
 
@@ -410,6 +410,12 @@ class TestConfigFile:
         )
         payload = json.loads(out)
         assert payload[0]["tail_bound"] == pytest.approx(2.0**-32, rel=1e-12)
+
+    def test_runs_share_no_default_they_could_change(self):
+        # every run's config starts from these objects; a list or dict,
+        # which one run could change in place for the next, has no hash
+        for value in _DEFAULTS.values():
+            hash(value)
 
     @pytest.mark.parametrize("name", INVALID_CONFIGS)
     def test_invalid_config_rejected(self, capsys, tmp_path, name):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -440,6 +441,12 @@ def _inv_sqrt_cos(x):
     return x**-0.5 + np.cos(30.0 * x)
 
 
+def _log_osc(a, b, phi, c):
+    """x^-a sin(b ln x + phi) + c on [0, 1], and its integral."""
+    exact = (cmath.exp(1j * phi) / (1.0 - a + 1j * b)).imag + c
+    return (lambda x: x**-a * np.sin(b * np.log(x) + phi) + c), exact
+
+
 # name: (f, lo, hi, tol, singular points, exact value)
 IMPROPER = {
     "power-0.9": (lambda x: x**-0.9, 0.0, 1.0, 1e-3, [0.0], 10.0),
@@ -461,6 +468,20 @@ IMPROPER = {
     "power-0.999": (lambda x: x**-0.999, 0.0, 1.0, 1e-6, [0.0], 1000.0),
     "one-minus-half-inv-sqrt": (lambda x: 1.0 - 0.5 / np.sqrt(x), 0.0, 1.0, 1e-6, [0.0], 0.0),
     "one-minus-power-0.95": (lambda x: 1.0 - 0.1 * x**-0.95, 0.0, 1.0, 1e-10, [0.0], -1.0),
+    # oscillating shells, which grow for stretches and sum to far from
+    # their limit there: no divergence either
+    **{
+        f"log-sine-{a}-{b}-{phi:.3g}-{c}-{tol}": (f, 0.0, 1.0, tol, [0.0], exact)
+        for a, b, phi, c, tol in [
+            (0.9, 1.0, 0.0, 1.0, 1e-6),
+            (0.9, 1.0, 0.0, 1.0, 1e-10),
+            (0.8, 1.0, 0.0, 1.0, 1e-6),
+            (0.95, 0.3, math.pi / 3, 1.0, 1e-6),
+            (0.9, 1.0, math.pi / 2, 1.0, 1e-6),
+            (0.9, 0.05, math.pi / 6, -1.0, 1e-6),
+        ]
+        for f, exact in [_log_osc(a, b, phi, c)]
+    },
     # shells 0-5 follow a geometric series, whose limit the epsilon
     # algorithm takes at six sums, before the gap shows in shells 7 and 8
     "gap": (_gap, 0.0, 1.0, 1e-3, [0.0], 1.0 - _GAP),
@@ -542,6 +563,19 @@ def test_divergence_test_spares_cancelling_shells():
     # limit and sum of the other sign, both within 1% of the moduli
     assert not gauge._diverges(1e-3, -1e-3, 1.0)
     assert gauge._diverges(0.1, -0.1, 1.0)
+
+
+def test_divergence_needs_six_shells_that_grow_and_recede():
+    doubling = [2.0**k for k in range(9)]  # 1 + 2 + 4 + ..., anti-limit -1
+    halving = [2.0**-k for k in range(9)]  # 1 + 1/2 + ..., limit 2
+    assert gauge._recedes(doubling, -1.0, sum(doubling))
+    assert not gauge._recedes(doubling[:5], -1.0, sum(doubling[:5]))  # five shells
+    assert not gauge._recedes(doubling, 1e3, sum(doubling))  # growing toward the limit
+    assert not gauge._recedes(halving, -1.0, sum(halving))  # shrinking away from it
+    assert not gauge._recedes(halving, 2.0, sum(halving))
+    # larger than the shell before, but stepping toward the limit
+    back = doubling[:5] + [-(2.0**5)] + doubling[6:]
+    assert not gauge._recedes(back, -1.0, sum(back))
 
 
 def _x2sin_derivative(x):
