@@ -6,7 +6,14 @@ class KSError(Exception):
 
 
 class EvaluationError(KSError):
-    """An integrand was undefined or returned a non-finite value."""
+    """An integrand was undefined or returned a non-finite value.
+
+    ``point``, where known, holds the coordinates at which it was.
+    """
+
+    def __init__(self, message, point=None):
+        super().__init__(message)
+        self.point = point
 
 
 class ToleranceNotMet(KSError):

@@ -14,7 +14,9 @@ Grammar (whitespace-insensitive, positions reported 1-based):
     FUNC       := sin cos exp ln abs sqrt
 
 Comparisons evaluate to 1.0/0.0, which is how piecewise integrands (step
-functions, indicators) are written: ``(0 <= x1) * (x1 <= 0.5)``.
+functions, indicators) are written: ``(0 <= x1) * (x1 <= 0.5)``.  A compiled
+one-variable expression lists where such a comparison flips as its
+``breakpoints`` (:func:`compile_expression`).
 
 Evaluation is NumPy-vectorized: compiled expressions accept arrays for the
 variables and broadcast.
@@ -272,8 +274,69 @@ def _build(node):
     raise TypeError(f"not an AST node: {node!r}")
 
 
+def _affine(node):
+    """(a, c) with ``node`` = a x1 + c, or None if it is not affine in x1
+    alone."""
+    if not variables(node):
+        try:
+            with np.errstate(all="ignore"):
+                return 0.0, float(_build(node)(()))
+        except ZeroDivisionError:  # Python floats, as the callable raises too
+            return None
+    if isinstance(node, Var):
+        return (1.0, 0.0) if node.index == 1 else None
+    if isinstance(node, Unary) and node.op == "neg":
+        arg = _affine(node.arg)
+        return None if arg is None else (-arg[0], -arg[1])
+    if not (isinstance(node, Binary) and node.op in "+-*/"):
+        return None
+    lhs, rhs = _affine(node.lhs), _affine(node.rhs)
+    if lhs is None or rhs is None:
+        return None
+    (a, c), (b, d) = lhs, rhs
+    if node.op == "+":
+        return a + b, c + d
+    if node.op == "-":
+        return a - b, c - d
+    if node.op == "*" and not (a and b):
+        return a * d + b * c, c * d
+    if node.op == "/" and not b and d:
+        return a / d, c / d
+    return None
+
+
+def _breakpoints(node) -> tuple:
+    """The sorted, finite roots of every comparison in ``node`` whose two
+    sides differ by a x1 + c with a != 0: the points where a one-variable
+    expression may jump."""
+    points = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Unary):
+            stack.append(node.arg)
+        elif isinstance(node, (Binary, Compare)):
+            stack += [node.lhs, node.rhs]
+            if isinstance(node, Compare):
+                lhs, rhs = _affine(node.lhs), _affine(node.rhs)
+                if lhs is not None and rhs is not None and lhs[0] != rhs[0]:
+                    points.add((rhs[1] - lhs[1]) / (lhs[0] - rhs[0]))
+    return tuple(sorted(p for p in points if math.isfinite(p)))
+
+
 def compile_expression(node, dim: int):
-    """Compile an AST to a vectorized callable of ``dim`` array arguments."""
+    """Compile an AST to a vectorized callable of ``dim`` array arguments.
+
+    The callable's ``breakpoints`` attribute lists, for ``dim`` = 1, the
+    points where its value may jump: the sorted, finite root of every
+    comparison, at any depth (``sin(3*(x1 <= 0.3) + x1)`` too), whose two
+    sides differ by a x1 + c with a != 0, such as ``x1 <= c``, ``c > x1``
+    or ``2*x1 - 1 >= 0.002``.  :func:`kspaces.gauge.hk_integrate_many`
+    splits its intervals there.  Other jumps are not found: a comparison of
+    a non-affine side (``x1^2 <= 0.5``), and every jump of an expression of
+    two or more variables (a guard such as ``x1 + x2 <= 1``), whose
+    ``breakpoints`` are empty.
+    """
     used = variables(node)
     if used and max(used) > dim:
         raise ValueError(
@@ -288,6 +351,7 @@ def compile_expression(node, dim: int):
             out = body(args)
         return np.asarray(out, dtype=np.float64)
 
+    f.breakpoints = _breakpoints(node) if dim == 1 else ()
     return f
 
 

@@ -9,7 +9,8 @@ Two modes:
   geometric shell refinement toward declared singular points so that
   improper/highly oscillatory integrands (the ones that are HK- but not
   Lebesgue-integrable) converge.  Panels are halved; inside a shell, those
-  GK15 leaves unresolved are quartered (:func:`_adaptive_many`).
+  GK15 leaves unresolved are quartered (:func:`_adaptive_many`).  Intervals
+  are first cut at the integrand's ``breakpoints``, where it may jump.
 
 :func:`integrate_boxes` is the tensor-product quadrature used by the
 higher-dimensional modules, over many boxes in one pass;
@@ -268,7 +269,7 @@ class _VecFn:
                     raise
                 except Exception as exc:
                     point = (*row[self.n_params :], x)
-                    raise EvaluationError(f"integrand failed at {point}") from exc
+                    raise EvaluationError(f"integrand failed at {point}", point) from exc
         return out
 
     def _vectorized(self, xs, lead):
@@ -308,7 +309,7 @@ class _VecFn:
             where = f"at {point}" if len(point) > 1 else f"near x={point[0]!r}"
             if not lead.shape[1]:  # a 1-D interval, which may declare the point
                 where += "; declare the point as singular if this is an improper integral"
-            raise EvaluationError(f"integrand non-finite {where}")
+            raise EvaluationError(f"integrand non-finite {where}", point)
         return r
 
 
@@ -640,9 +641,19 @@ def _side(s, span, tol_q, cauchy_tol, evals):
     A shell's tol is its width share of ``tol_q``, but never below
     ``_SHELL_FLOOR`` times the side's last shell integral of the step
     before, times max(1, |s| / width), so deep shells of a tight tol stop
-    at their rounding floor.  After ``MAX_SHELLS`` shells it raises
-    :class:`ToleranceNotMet` with the sum of its shells and ``evals[0]``,
-    its interval's evaluations.
+    at their rounding floor.
+
+    A side that has not ended raises :class:`ToleranceNotMet` naming s,
+    with the sum of its shells and ``evals[0]``, its interval's
+    evaluations, after ``MAX_SHELLS`` shells, or when it cannot go on
+    because the integrand is non-finite in the shells of this step, which
+    lie below every shell it has integrated: the caller then throws that
+    :class:`EvaluationError` in at its yield.  So ``1/x`` at 0 ends where it
+    overflows, near 2^-1024, and ``1/(x-1)`` at 1 at its shell
+    [1 - 2^-53, 1], whose inner end rounds to 1, as do some of its nodes.  A
+    finite integrand goes on past that shell to empty ones, having
+    integrated the whole side.  At the side's first step the point may as
+    well be one not declared, and the error goes on as it is.
     """
     run = 3  # consecutive small shells that settle a side
     # |s| over the width of the shell at frac 1; a zero span has empty shells
@@ -652,6 +663,14 @@ def _side(s, span, tol_q, cauchy_tol, evals):
     frac, small = 1.0, 0  # small: the run of small shells
     moduli = 0.0  # the sum of |shell integral|
     before, held = 0.0, False  # the last step end's limit, its abserr within cauchy_tol
+
+    def unsettled(until):
+        return ToleranceNotMet(
+            f"shell integrals near singular point {s} did not settle {until}",
+            value=kernels.neumaier_sum(values),
+            evaluations=int(evals[0]),
+        )
+
     while True:
         floor = _SHELL_FLOOR * abs(values[-1]) if values else 0.0
         shells = []
@@ -661,7 +680,13 @@ def _side(s, span, tol_q, cauchy_tol, evals):
             tol = max(tol_q * (1.0 - SHELL_RATIO) * frac, floor * max(cond, 1.0))
             shells.append((min(a, b), max(a, b), tol))
             frac *= SHELL_RATIO
-        for v, e in (yield shells):
+        try:
+            pairs = yield shells
+        except EvaluationError as exc:
+            if not values:
+                raise
+            raise unsettled(f"before the integrand became non-finite at x={exc.point[-1]!r}") from exc
+        for v, e in pairs:
             values.append(v)
             errors.append(e)
             small = small + 1 if abs(v) < cauchy_tol else 0
@@ -682,12 +707,7 @@ def _side(s, span, tol_q, cauchy_tol, evals):
             return limit, kernels.neumaier_sum(errors) + tail
         before, held = limit, abserr <= cauchy_tol
         if len(values) >= MAX_SHELLS:
-            raise ToleranceNotMet(
-                f"shell integrals near singular point {s} did not "
-                f"settle within {MAX_SHELLS} shells",
-                value=kernels.neumaier_sum(values),
-                evaluations=int(evals[0]),
-            )
+            raise unsettled(f"within {MAX_SHELLS} shells")
 
 
 def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol):
@@ -722,11 +742,18 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol):
         rows = zip_longest(*(asks for *_, asks in live))  # None past a side's last
         asked = [(k, shell) for row in rows for k, shell in enumerate(row) if shell is not None]
         root = roots[[live[k][0] for k, _ in asked]]
-        v, e = _adaptive_many(
-            lambda seg, xs: fn(xs, None, root[seg]),
-            *np.array([shell for _, shell in asked]).T,
-            quarter=True,
-        )
+        try:
+            v, e = _adaptive_many(
+                lambda seg, xs: fn(xs, None, root[seg]),
+                *np.array([shell for _, shell in asked]).T,
+                quarter=True,
+            )
+        except EvaluationError as exc:
+            for _, side, shells in live:  # the side whose shells hold the point ends
+                los, his, _ = zip(*shells)
+                if exc.point and min(los) <= exc.point[-1] <= max(his):
+                    side.throw(exc)
+            raise
         got = [[] for _ in live]
         for (k, _), pair in zip(asked, zip(v.tolist(), e.tolist())):
             got[k].append(pair)
@@ -762,33 +789,76 @@ def _holding(lo, hi, sings):
     return (hi > lo) & ((lo[:, None] <= sings) & (sings <= hi[:, None])).any(axis=1)
 
 
+def _points(name, points):
+    """``points`` as a 1-D float64 array; raises ValueError unless it is
+    one of finite numbers."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D sequence, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{name} must be finite, got {points.tolist()}")
+    return points
+
+
+def _pieces(lo, hi, tol, points):
+    """The intervals [lo[i], hi[i]] cut at the ``points`` strictly inside
+    them: (root, lo, hi, tol) of the pieces, piece j belonging to interval
+    ``root[j]``, each interval's pieces in ascending order, and each
+    piece's tol its width share of its interval's.  Without such a point,
+    the intervals themselves."""
+    if not points.size:  # most integrands: skip the searches
+        return np.arange(lo.size), lo, hi, tol
+    points = np.unique(points)
+    first = np.searchsorted(points, lo, side="right")
+    cuts = np.maximum(np.searchsorted(points, hi, side="left") - first, 0)
+    if not cuts.any():
+        return np.arange(lo.size), lo, hi, tol
+    root = np.repeat(np.arange(lo.size), cuts + 1)
+    lo_p, hi_p, tol_p = lo[root], hi[root], tol[root]
+    rows = np.repeat(np.arange(lo.size), cuts)
+    c = np.arange(rows.size)
+    at = points[first[rows] + c - (cuts.cumsum() - cuts)[rows]]
+    # cut c of interval i ends piece c + i and starts piece c + i + 1
+    hi_p[c + rows], lo_p[c + rows + 1] = at, at
+    cut = cuts[root] > 0
+    tol_p[cut] *= (hi_p[cut] - lo_p[cut]) / (hi - lo)[root[cut]]
+    return root, lo_p, hi_p, tol_p
+
+
 def _hk_many(f, lo, hi, tol, singular_points, max_evals):
     """:func:`hk_integrate_many` short of its final check: (values, errors,
     evaluations) whatever the errors, ``tol`` broadcast to one per interval.
     One :class:`_VecFn` wraps ``f`` for every interval, so ``f`` is probed
-    for vectorization once and evaluations are counted in one place."""
+    for vectorization once and evaluations are counted in one place.
+
+    Each interval is cut at the points of ``f.breakpoints`` strictly inside
+    it (:func:`_pieces`), and its pieces are integrated as intervals are,
+    in the same pass: the evaluations of a piece are charged to its
+    interval and its budget, and the pieces' values and errors are summed
+    per interval."""
     tol = np.asarray(tol, dtype=np.float64)
     if not (tol > 0.0).all():
         raise ValueError("tol must be positive")
     lo, hi = _ends(lo, hi, 1)
     tol = np.broadcast_to(tol, lo.shape)
-    sings = np.asarray(singular_points, dtype=np.float64)
-    if sings.ndim != 1:
-        raise ValueError(f"singular_points must be a 1-D sequence, got shape {sings.shape}")
-    if not np.isfinite(sings).all():
-        raise ValueError(f"singular points must be finite, got {sings.tolist()}")
-    fn = _VecFn(f, max_evals, lo.size)
+    sings = _points("singular points", singular_points)
+    points = _points("breakpoints", getattr(f, "breakpoints", ()))
+    n = lo.size
+    fn = _VecFn(f, max_evals, n)
+    root, lo, hi, tol = _pieces(lo, hi, tol, points)
     shelled = _holding(lo, hi, sings)
     plain = np.flatnonzero(~shelled & (hi > lo))
     values, errors = np.zeros(lo.size), np.zeros(lo.size)
     values[plain], errors[plain] = _integrate_boxes(
-        fn, plain, np.empty((plain.size, 0)), lo[plain, None], hi[plain, None], 0.5 * tol[plain]
+        fn, root[plain], np.empty((plain.size, 0)), lo[plain, None], hi[plain, None], 0.5 * tol[plain]
     )
     held = np.flatnonzero(shelled)
     if held.size:
         values[held], errors[held] = _shell_integrate(
-            fn, held, lo[held], hi[held], sings.tolist(), tol[held]
+            fn, root[held], lo[held], hi[held], sings.tolist(), tol[held]
         )
+    if root.size > n:  # some interval was cut
+        values, errors = _group_sums(root, values, errors, n)
     return values, errors, fn.evals
 
 
@@ -820,14 +890,29 @@ def hk_integrate_many(
     of the HK integral over expanding subintervals, which is what makes
     conditionally integrable oscillatory integrands computable.
 
+    Breakpoints, QUADPACK QAGP's ``points``: if ``f`` has a ``breakpoints``
+    attribute, a sequence of finite points where it may jump, each interval
+    is cut at those strictly inside it.  Its pieces are integrated as
+    intervals are, in the same pass, each with its width share of the
+    interval's tol (a piece holding a singular point in shells); their
+    evaluations count toward the interval's budget, and their values and
+    errors are summed.  :func:`kspaces.expr.compile_expression` sets the
+    attribute to the roots of an expression's comparisons, and any other
+    callable may carry one.  A jump not so declared is found only as far as
+    bisection finds it: one between a panel's last GK15 node and its edge
+    (0.43% of its width) is not seen, and the panel is accepted with an
+    estimate near 1e-14.  The box quadrature (:func:`integrate_boxes`)
+    reads no breakpoints, so a 2-D guard such as ``x1 + x2 <= 1`` is still
+    blind.
+
     Raises :class:`ToleranceNotMet` if a budget runs out, an interval's
-    error estimate exceeds its tol or a side's shells look divergent
-    (:func:`_side`), :class:`EvaluationError` if ``f``
-    returns non-finite values away from declared singular points, and
-    :class:`ValueError`, as :class:`Interval` does, for an interval with a
-    non-finite end or lo > hi, as well as for ``lo`` and ``hi`` that are not
-    1-D arrays of one shape, a tol that does not broadcast to them or is not
-    positive, or a non-finite singular point.
+    error estimate exceeds its tol or a side's shells look divergent or
+    reach a non-finite integrand (:func:`_side`), :class:`EvaluationError`
+    if ``f`` returns non-finite values away from declared singular points,
+    and :class:`ValueError`, as :class:`Interval` does, for an interval with
+    a non-finite end or lo > hi, as well as for ``lo`` and ``hi`` that are
+    not 1-D arrays of one shape, a tol that does not broadcast to them or is
+    not positive, or a non-finite singular point or breakpoint.
     """
     values, errors, evals = _hk_many(f, lo, hi, tol, singular_points, max_evals)
     tol = np.broadcast_to(tol, values.shape)

@@ -302,7 +302,9 @@ def compute_functionals(f, cfg: KpConfig) -> Functionals:
     other functional summed from its children (:func:`_functionals_pass`).
     That pass integrates the real part of f and notes whether f returned
     complex values; only then does a second pass integrate the imaginary
-    part, and the values are complex.
+    part, and the values are complex.  Both passes carry f's
+    ``breakpoints``, where a 1-D leaf is cut
+    (:func:`kspaces.gauge.hk_integrate_many`).
     """
     complex_seen = False
 
@@ -312,10 +314,14 @@ def compute_functionals(f, cfg: KpConfig) -> Functionals:
         complex_seen |= r.dtype.kind == "c"
         return r.real
 
+    def imag(*a):
+        return np.imag(np.asarray(f(*a), dtype=complex))
+
+    real.breakpoints = imag.breakpoints = getattr(f, "breakpoints", ())
     values, _, evals = _functionals_pass(real, cfg)
     if not complex_seen:
         return Functionals(values, evals)
-    im, _, evals_im = _functionals_pass(lambda *a: np.imag(np.asarray(f(*a), dtype=complex)), cfg)
+    im, _, evals_im = _functionals_pass(imag, cfg)
     values = values.astype(complex)
     values.imag = im
     return Functionals(values, evals + evals_im)

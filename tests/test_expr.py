@@ -86,6 +86,34 @@ class TestParseAndEval:
         np.testing.assert_allclose(f(x, x), x * x + 1)
 
 
+BREAKPOINTS = {
+    "x1 <= 0.999": (0.999,),
+    "0.3 > x1": (0.3,),
+    "2*x1 - 1 >= 0.002": (0.501,),
+    "(1 - x1)/4 < x1/4": (0.5,),
+    "sin(3*(x1 <= 0.3) + x1)": (0.3,),
+    "(x1 <= 0.7) + 2*(x1 > 0.2)*x1 + (0.2 == x1)": (0.2, 0.7),
+    "x1 <= ln(2)/pi": (math.log(2) / math.pi,),
+    # not affine in x1, no root, or a root that is not finite
+    "x1^2 <= 0.5": (),
+    "exp(x1) < 2": (),
+    "0*x1 <= 1": (),
+    "x1 <= 1/0": (),
+    "x1 <= 10^400": (),
+    "sin(x1)": (),
+}
+
+
+@pytest.mark.parametrize("text, points", BREAKPOINTS.items(), ids=list(BREAKPOINTS))
+def test_breakpoints_are_the_roots_of_affine_comparisons(text, points):
+    f = compile_expression(parse_expression(text), 1)
+    assert f.breakpoints == points
+
+
+def test_expressions_of_two_variables_have_no_breakpoints():
+    assert compile_expression(parse_expression("(x1 <= 0.5)*x2"), 2).breakpoints == ()
+
+
 HANDCRAFTED = [
     "sin(2*pi*x1)",
     "x1^2",

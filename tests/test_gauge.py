@@ -25,7 +25,7 @@ from kspaces import (
     riemann_sum,
     uniform_partition,
 )
-from kspaces import gauge
+from kspaces import compile_expression, gauge, parse_expression
 
 
 def test_interval_validation():
@@ -355,6 +355,16 @@ def _scaled(a, x):
     return a * x
 
 
+def _with_breakpoints(f, points):
+    """``f`` as a callable whose ``breakpoints`` attribute is ``points``."""
+
+    def g(x):
+        return f(x)
+
+    g.breakpoints = points
+    return g
+
+
 BAD_SHAPES = {
     "many-unequal": (lambda: hk_integrate_many(np.sin, [0, 0], [1], 1e-8), r"\(2,\) and \(1,\)"),
     "many-scalar": (lambda: hk_integrate_many(np.sin, 0.0, 1.0, 1e-8), r"1-D.*\(\) and \(\)"),
@@ -383,6 +393,10 @@ BAD_SHAPES = {
         lambda: hk_integrate(np.sin, Interval(0, 1), 1e-8, [0.5, -math.inf]),
         "must be finite",
     ),
+    "breakpoints-nan": (
+        lambda: hk_integrate(_with_breakpoints(np.sin, [0.5, math.nan]), Interval(0, 1)),
+        "breakpoints must be finite",
+    ),
 }
 
 
@@ -408,6 +422,87 @@ def test_singular_points_one_ulp_apart_leave_an_empty_side():
     r = hk_integrate(lambda x: np.log(np.abs(x - 0.3)), Interval(0.3, b), 1e-10, [0.3, b])
     assert r.evaluations == 15
     assert r.value == pytest.approx((b - 0.3) * (math.log(b - 0.3) - 1.0), abs=1e-15)
+
+
+# ------------------------------------------- breakpoints of 1-D integrands
+
+
+def _compiled(text):
+    return compile_expression(parse_expression(text), 1)
+
+
+def test_jumps_anywhere_are_within_their_error_estimate():
+    # GK15 samples no point within 0.43% of a panel edge, so a jump that
+    # close to the edge of some panel bisection reaches went unseen: 44 of
+    # these 400 positions were wrong by up to its height, with estimates
+    # near 1e-14
+    rng = np.random.default_rng(2020)
+    for b in rng.uniform(0.0, 1.0, 400).tolist():
+        r = hk_integrate(_compiled(f"(x1 <= {b!r}) + 2*(x1 > {b!r})*x1"), Interval(0, 1), 1e-10)
+        assert abs(r.value - (b + 1.0 - b * b)) <= r.error_estimate
+
+
+STEPS = {
+    "high": ("(x1 <= 0.999)", 0.999),
+    "low": ("(x1 >= 0.003)", 0.997),
+    "middle": ("(x1 <= 0.501)", 0.501),
+    "scaled": ("(2*x1 - 1 >= 0.002)", 0.499),
+}
+
+
+@pytest.mark.parametrize("text, exact", STEPS.values(), ids=STEPS)
+def test_steps_past_every_node_of_the_interval_are_seen(text, exact):
+    # each jump lies between the last GK15 node of [0, 1], or of a half,
+    # and its edge: the parent printed 1.0 or 0.5 after 15 or 45 evaluations
+    r = hk_integrate(_compiled(text), Interval(0, 1), 1e-10)
+    assert abs(r.value - exact) <= r.error_estimate <= 1e-10
+    assert r.evaluations == 30  # one panel on each side of the jump
+
+
+def test_a_callable_may_declare_its_own_breakpoints():
+    step = lambda x: np.where(x <= 0.999, 1.0, 0.0)  # noqa: E731
+    assert hk_integrate(step, Interval(0, 1)).value == 1.0  # the jump unseen
+    r = hk_integrate(_with_breakpoints(step, (0.999,)), Interval(0, 1))
+    assert abs(r.value - 0.999) <= r.error_estimate
+
+
+def test_a_comparison_inside_a_function_is_a_breakpoint():
+    f = _compiled("sin(3*(x1 <= 0.999) + x1)")
+    exact = math.cos(3.0) - math.cos(3.999) + math.cos(0.999) - math.cos(1.0)
+    r = hk_integrate(f, Interval(0, 1), 1e-10)
+    assert abs(r.value - exact) <= r.error_estimate <= 1e-10
+
+
+def test_points_outside_or_on_the_ends_change_nothing():
+    lo, hi = [0.0, 0.25, 0.5], [0.25, 0.5, 1.0]
+    f = _compiled("exp(x1) + (x1 <= 0.25) + (x1 >= 0.5) + (x1 <= -1) + (x1 >= 2)")
+    assert f.breakpoints == (-1.0, 0.25, 0.5, 2.0)
+    plain = _with_breakpoints(f, ())
+    for sings in ([], [0.0, 0.5]):
+        got = hk_integrate_many(f, lo, hi, 1e-10, sings)
+        want = hk_integrate_many(plain, lo, hi, 1e-10, sings)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_pieces_share_their_interval_tol_and_budget():
+    lo, hi, tol = np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([1e-8, 1e-6])
+    root, p_lo, p_hi, p_tol = gauge._pieces(lo, hi, tol, np.array([1.5, 0.75, 0.25, 0.75, 3.0]))
+    assert root.tolist() == [0, 0, 0, 1, 1]
+    assert p_lo.tolist() == [0.0, 0.25, 0.75, 1.0, 1.5]
+    assert p_hi.tolist() == [0.25, 0.75, 1.0, 1.5, 2.0]
+    assert p_tol.tolist() == [2.5e-9, 5e-9, 2.5e-9, 5e-7, 5e-7]
+    # the evaluations of both pieces are charged to their one interval
+    _, _, evals = hk_integrate_many(_compiled("(x1 <= 0.5)"), [0.0, 2.0], [1.0, 3.0], 1e-10)
+    assert evals.tolist() == [30, 15]
+
+
+def test_a_breakpoint_at_a_singular_point():
+    # both pieces end at the singular point, and each integrates it in shells
+    f = _compiled("(x1 <= 0.3) / sqrt(abs(x1 - 0.3)) + ln(abs(x1 - 0.3))")
+    assert f.breakpoints == (0.3,)
+    exact = 2.0 * math.sqrt(0.3) + 0.7 * math.log(0.7) + 0.3 * math.log(0.3) - 1.0
+    r = hk_integrate(f, Interval(0, 1), 1e-10, [0.3])
+    assert abs(r.value - exact) <= r.error_estimate <= 1e-10
 
 
 # ------------------------------------------------ improper integrals, exactly
@@ -554,6 +649,30 @@ def test_divergent_integrals_raise(f, s, tol):
     assert f"singular point {s} " in str(info.value)
     assert info.value.evaluations > 0
     assert abs(info.value.value) > 10.0  # the sum of the shells, not the anti-limit
+
+
+REACHED = {
+    "at-one": (lambda x: 1.0 / (x - 1.0), 1.0, "1.0"),
+    "at-zero": (lambda x: 1.0 / x, 0.0, "2.79322509210258e-309"),
+}
+
+
+@pytest.mark.parametrize("f, s, x", REACHED.values(), ids=REACHED)
+def test_a_side_that_reaches_its_singular_point_names_it(f, s, x):
+    # the shells of these log divergences are all ln 2: they neither settle
+    # nor grow, and went on until the integrand was non-finite at 1, where
+    # the inner end of shell [1 - 2^-53, 1] rounds, or where 1/x overflows,
+    # which raised EvaluationError telling to declare the declared point
+    message = f"near singular point {s} did not settle before the integrand became non-finite at x={x}$"
+    with pytest.raises(ToleranceNotMet, match=message) as info:
+        hk_integrate(f, Interval(0, 1), 1e-10, [s])
+    assert info.value.evaluations > 0
+
+
+def test_a_non_finite_value_at_a_side_s_first_step_is_an_evaluation_error():
+    # the first shells of the side at 0 hold 0.3, which may be a point not declared
+    with pytest.raises(EvaluationError, match="declare the point"):
+        hk_integrate(lambda x: np.log(x - 0.3), Interval(0, 1), 1e-10, [0.0])
 
 
 def test_divergence_test_spares_cancelling_shells():

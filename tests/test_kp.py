@@ -11,11 +11,13 @@ from kspaces import (
     KpConfig,
     MissingAbsoluteBound,
     WeightSequence,
+    compile_expression,
     compute_functionals,
     geometric_weights,
     k2_inner,
     kp_norm,
     lq_norm,
+    parse_expression,
     verify_embedding,
 )
 from kspaces.verify import random_step
@@ -104,6 +106,32 @@ class TestFunctional:
         # bitwise: fixed enumeration, fixed summation order
         assert a.values.tobytes() == b.values.tobytes()
         assert a.evaluations == b.evaluations
+
+
+    def test_a_jump_past_every_node_of_the_window(self):
+        # the jump at 0.999 lies past the last GK15 node of [0, 1]: without
+        # the expression's breakpoint a_1 was 1.0, and the norm that
+        # `ks norm -p 2 --expr "(x1 <= 0.999)" -K 4` prints 0.77308
+        cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=4)
+        a = compute_functionals(compile_expression(parse_expression("(x1 <= 0.999)"), 1), cfg)
+        cells = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.0, 0.25)]
+        exact = [min(v, 0.999) - u for u, v in cells]
+        assert a.values == pytest.approx(exact, abs=cfg.quad_tol)
+        t = [2.0**-k for k in range(1, 5)]
+        expected = math.sqrt(math.fsum(w * x * x for w, x in zip(t, exact)))
+        assert expected == pytest.approx(0.7723547598, abs=1e-10)
+        assert kp_norm(a, 2.0, cfg).value == pytest.approx(expected, abs=1e-10)
+
+    def test_both_passes_of_a_complex_integrand_take_its_breakpoints(self):
+        def f(x):
+            return np.exp(1j * x) * (x <= 0.999)
+
+        f.breakpoints = (0.999,)
+        cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=4)
+        a = compute_functionals(f, cfg).values[0]
+        exact = (np.exp(0.999j) - 1.0) / 1j
+        assert abs(a.real - exact.real) <= cfg.quad_tol
+        assert abs(a.imag - exact.imag) <= cfg.quad_tol
 
 
 # ------------------------------------------------------------------ norms
