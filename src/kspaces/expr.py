@@ -16,7 +16,8 @@ Grammar (whitespace-insensitive, positions reported 1-based):
 Comparisons evaluate to 1.0/0.0, which is how piecewise integrands (step
 functions, indicators) are written: ``(0 <= x1) * (x1 <= 0.5)``.  A compiled
 one-variable expression lists where such a comparison flips as its
-``breakpoints`` (:func:`compile_expression`).
+``breakpoints``, and the phase of sin and cos terms that oscillate without
+end toward a point as its ``phase`` (:func:`compile_expression`).
 
 Evaluation is NumPy-vectorized: compiled expressions accept arrays for the
 variables and broadcast.
@@ -324,6 +325,84 @@ def _breakpoints(node) -> tuple:
     return tuple(sorted(p for p in points if math.isfinite(p)))
 
 
+def _monomial(node):
+    """(c, s, p) with ``node`` = c (x1 - s)^p and p != 0; (c, None, 0) if
+    ``node`` is the constant c; else None.  Affine nodes are read by
+    :func:`_affine`, and products, quotients and constant powers of such
+    factors combine when their points s agree."""
+    line = _affine(node)
+    if line is not None:
+        a, b = line
+        return (b, None, 0.0) if not a else (a, 0.0 - b / a, 1.0)
+    if isinstance(node, Unary) and node.op == "neg":
+        m = _monomial(node.arg)
+        return None if m is None else (-m[0], m[1], m[2])
+    if not (isinstance(node, Binary) and node.op in "*/^"):
+        return None
+    lhs = _monomial(node.lhs)
+    if lhs is None:
+        return None
+    c, s, p = lhs
+    if node.op == "^":
+        q = _affine(node.rhs)  # the parser allows only constant exponents
+        if q is None or (c < 0.0 and not q[1].is_integer()):
+            return None
+        try:
+            return (c ** q[1], s, p * q[1]) if q[1] else (1.0, None, 0.0)
+        except (OverflowError, ZeroDivisionError):
+            return None
+    rhs = _monomial(node.rhs)
+    if rhs is None:
+        return None
+    d, t, q = rhs
+    if node.op == "/":
+        if not d:
+            return None
+        d, q = 1.0 / d, -q
+    if p and q and s != t:
+        return None
+    return c * d, (s if p else t) if p + q else None, p + q
+
+
+def _trig_free(node) -> bool:
+    """Whether ``node`` holds no sin and no cos."""
+    if isinstance(node, Unary):
+        return node.op not in ("sin", "cos") and _trig_free(node.arg)
+    if isinstance(node, (Binary, Compare)):
+        return _trig_free(node.lhs) and _trig_free(node.rhs)
+    return True
+
+
+def _phase(node):
+    """(s, c, k) if ``node`` is a sum of terms, each a sin or cos of
+    c (x1 - s)^-k with k > 0 times or over factors free of sin and cos,
+    with one (s, c, k) for every sin and cos; else None."""
+    phases = set()
+
+    def swings(node):
+        if isinstance(node, Unary) and node.op in ("sin", "cos"):
+            m = _monomial(node.arg)
+            if m is None or not m[2] < 0.0:
+                return False
+            c, s, p = m
+            phases.add((s, c, -p))
+            return True
+        if isinstance(node, Unary) and node.op == "neg":
+            return swings(node.arg)
+        if not isinstance(node, Binary):
+            return False
+        if node.op in "+-":
+            return swings(node.lhs) and swings(node.rhs)
+        if node.op == "*" and _trig_free(node.lhs):
+            return swings(node.rhs)
+        return node.op in "*/" and _trig_free(node.rhs) and swings(node.lhs)
+
+    if not swings(node) or len(phases) != 1:
+        return None
+    s, c, k = phases.pop()
+    return (s, c, k) if c and all(map(math.isfinite, (s, c, k))) else None
+
+
 def compile_expression(node, dim: int):
     """Compile an AST to a vectorized callable of ``dim`` array arguments.
 
@@ -336,6 +415,17 @@ def compile_expression(node, dim: int):
     a non-affine side (``x1^2 <= 0.5``), and every jump of an expression of
     two or more variables (a guard such as ``x1 + x2 <= 1``), whose
     ``breakpoints`` are empty.
+
+    Its ``phase`` attribute is (s, c, k) where the expression oscillates
+    without end toward s: it is a sum of terms, each a sin or cos of
+    c (x1 - s)^-k with k > 0 times or over factors free of sin and cos,
+    and every sin and cos takes that one (s, c, k).  Constant factors are
+    seen through, so ``8*(2*x1*sin(1/x1^2) - (2/x1)*cos(1/x1^2))`` has
+    (0, 1, 2), and ``cos(3/(x1-0.3))`` has (0.3, 3, 1).  Otherwise, and for
+    ``dim`` > 1, it is None: ``sin(x1)``, ``sin(1/x1) + sin(2/x1)`` (two
+    phases), ``sin(1/x1)*cos(x1)``, and ``sin(1/x1) + x1^-0.5``, whose
+    second term does not oscillate.  :func:`kspaces.gauge.hk_integrate_many`
+    cuts a side toward s at the zeros of the phase.
     """
     used = variables(node)
     if used and max(used) > dim:
@@ -352,6 +442,7 @@ def compile_expression(node, dim: int):
         return np.asarray(out, dtype=np.float64)
 
     f.breakpoints = _breakpoints(node) if dim == 1 else ()
+    f.phase = _phase(node) if dim == 1 else None
     return f
 
 

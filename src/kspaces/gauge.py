@@ -6,11 +6,24 @@ Two modes:
   (:func:`is_delta_fine`, :func:`cousin_partition`, :func:`riemann_sum`);
 * value mode -- :func:`hk_integrate_many` (one interval: :func:`hk_integrate`),
   adaptive refinement with a Gauss-Kronrod 7/15 error estimate, plus
-  geometric shell refinement toward declared singular points so that
+  shell refinement toward declared singular points so that
   improper/highly oscillatory integrands (the ones that are HK- but not
   Lebesgue-integrable) converge.  Panels are halved; inside a shell, those
   GK15 leaves unresolved are quartered (:func:`_adaptive_many`).  Intervals
   are first cut at the integrand's ``breakpoints``, where it may jump.
+
+Shells are geometric (:func:`_dyadic`), except on a side toward the point s
+of the integrand's ``phase`` (s, c, k): an integrand that oscillates as sin
+or cos of c (x - s)^-k, such as F' = (x^2 sin x^-2)'.  Dyadic shells cannot
+resolve those oscillations cheaply, as GK15 needs about one per panel
+before its estimate can be trusted.  That side is cut at the zeros of the
+phase, x_n = s +- (|c| / (n pi))^(1/k), and every half-period is a shell
+(:func:`_half_periods`), so the partial sums are those of an alternating
+series that Wynn's epsilon algorithm extrapolates, as QUADPACK's QAWF
+(Piessens et al. 1983) and Longman (1956) do cycle by cycle.  The side may
+end only while the integrals of |f| over its half-periods shrink
+(:func:`_shrinks`), since sums sampled at the zeros alone can converge
+where the integral does not.
 
 :func:`integrate_boxes` is the tensor-product quadrature used by the
 higher-dimensional modules, over many boxes in one pass;
@@ -47,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, count, islice, zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -331,7 +344,7 @@ def _ends(lo, hi, ndim):
     return lo, hi
 
 
-def _gk15_round(fn, lo, hi, *args):
+def _gk15_round(fn, lo, hi, *args, **ask):
     """One GK15 round over the panels [lo[j], hi[j]], ``fn(*args, xs)``
     giving the integrand at their nodes xs (m, 15), each of ``args``
     having one entry per panel.  A round of more than ``_MAX_IN_FLIGHT``
@@ -340,16 +353,16 @@ def _gk15_round(fn, lo, hi, *args):
     errors, unresolved), the last being ``gk15_batch``'s flag of the panels
     whose Gauss and Kronrod results still disagree at full scale, concatenated
     over the blocks: the panels a shell's round quarters
-    (:func:`_adaptive_many`)."""
+    (:func:`_adaptive_many`).  ``ask`` goes to ``gk15_batch``: with
+    ``absolute=True``, each panel's integral of |f| follows."""
     if lo.size > _MAX_IN_FLIGHT:
         blocks = [slice(g, g + _MAX_IN_FLIGHT) for g in range(0, lo.size, _MAX_IN_FLIGHT)]
-        parts = [_gk15_round(fn, lo[b], hi[b], *(a[b] for a in args))[1:] for b in blocks]
-        vals, errs, unresolved = (np.concatenate(c) for c in zip(*parts))
-        return 0.5 * (lo + hi), vals, errs, unresolved
+        parts = [_gk15_round(fn, lo[b], hi[b], *(a[b] for a in args), **ask)[1:] for b in blocks]
+        return (0.5 * (lo + hi), *(np.concatenate(c) for c in zip(*parts)))
     centers = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
     xs = centers[:, None] + halfw[:, None] * kernels.GK15_NODES
-    return (centers, *kernels.gk15_batch(fn(*args, xs), halfw))
+    return (centers, *kernels.gk15_batch(fn(*args, xs), halfw, **ask))
 
 
 def _settled(lo, hi, errs, tol, total_w):
@@ -390,24 +403,28 @@ def _error_sums(errs, seg, n):
     return np.bincount(seg, weights=errs, minlength=n)
 
 
-def _group_sums(seg, vals, errs, n):
-    """Exactly rounded sums of ``vals`` and of ``errs`` for each of ``n``
-    groups, term j belonging to group ``seg[j]``; empty groups are 0."""
+def _group_sums(seg, *terms, n):
+    """Exactly rounded sums of each array of ``terms`` (values, errors, ...)
+    for each of ``n`` groups, term j belonging to group ``seg[j]``; empty
+    groups are 0.  Returns one array of n sums per array of terms."""
     order = np.argsort(seg, kind="stable")
-    seg, vals, errs = seg[order], vals[order], errs[order]
     counts = np.bincount(seg, minlength=n)
     starts = counts.cumsum() - counts
-    values, errors = np.zeros(n), np.zeros(n)
     ids = counts.nonzero()[0]
-    values[ids], errors[ids] = vals[starts[ids]], errs[starts[ids]]
-    for i in (counts > 1).nonzero()[0]:
-        part = slice(starts[i], starts[i] + counts[i])
-        values[i] = kernels.neumaier_sum(vals[part])
-        errors[i] = kernels.neumaier_sum(errs[part])
-    return values, errors
+    many = (counts > 1).nonzero()[0]
+    parts = [slice(a, a + c) for a, c in zip(starts[many].tolist(), counts[many].tolist())]
+    sums = []
+    for t in terms:
+        t = t[order]
+        total = np.zeros(n)
+        total[ids] = t[starts[ids]]
+        for i, part in zip(many.tolist(), parts):
+            total[i] = kernels.neumaier_sum(t[part])
+        sums.append(total)
+    return tuple(sums)
 
 
-def _adaptive_many(fn, lo, hi, tol, quarter=False):
+def _adaptive_many(fn, lo, hi, tol, quarter=False, absolute=False):
     """Breadth-first GK15 refinement of many intervals, in lock step.
 
     Interval i is [lo[i], hi[i]] with tolerance tol[i].  Each round makes
@@ -418,7 +435,8 @@ def _adaptive_many(fn, lo, hi, tol, quarter=False):
     force-accepted (:func:`_settled`); an interval stops once its error
     total is within tol.  At most ``_MAX_IN_FLIGHT`` intervals are in
     flight; larger batches run as consecutive groups.  Returns (values,
-    errors) arrays.
+    errors) arrays, and with ``absolute`` a third, each interval's integral
+    of |f| summed over its accepted panels (``gk15_batch``'s resabs).
 
     Split panels are halved.  With ``quarter``, those GK15 left unresolved
     are cut into their four quarters in one round instead, since nearly
@@ -429,17 +447,19 @@ def _adaptive_many(fn, lo, hi, tol, quarter=False):
     never stops being unresolved, and quartering took ``x1 + x2 <= 1`` on
     [0, 1]^2 from 165,915 evaluations to 21,532,485.
     """
-    values, errors = np.zeros(lo.size), np.zeros(lo.size)
+    sums = np.zeros((3 if absolute else 2, lo.size))
     for g in range(0, lo.size, _MAX_IN_FLIGHT):
         grp = slice(g, g + _MAX_IN_FLIGHT)
-        values[grp], errors[grp] = _lockstep(fn, g, lo[grp], hi[grp], tol[grp], quarter)
-    return values, errors
+        for total, part in zip(sums, _lockstep(fn, g, lo[grp], hi[grp], tol[grp], quarter, absolute)):
+            total[grp] = part
+    return tuple(sums)
 
 
-def _lockstep(fn, offset, lo, hi, tol, quarter):
+def _lockstep(fn, offset, lo, hi, tol, quarter, absolute):
     """One group of :func:`_adaptive_many`; ``fn`` sees ``seg + offset``.
     A split panel is halved, or with ``quarter`` quartered where GK15 left
     it unresolved (:func:`_bisect`)."""
+    ask = {"absolute": True} if absolute else {}
     n = lo.size
     total_w = hi - lo
     # Active panels stay grouped by interval, each interval's in ascending order.
@@ -449,10 +469,12 @@ def _lockstep(fn, offset, lo, hi, tol, quarter):
     accepted = []
 
     while seg.size:
-        centers, vals, errs, unresolved = _gk15_round(fn, active_lo, active_hi, seg + offset)
+        centers, vals, errs, unresolved, *mass = _gk15_round(
+            fn, active_lo, active_hi, seg + offset, **ask
+        )
         stop = acc_err_sum + _error_sums(errs, seg, n) <= tol
         done = stop[seg] | _settled(active_lo, active_hi, errs, tol[seg], total_w[seg])
-        accepted.append((seg[done], vals[done], errs[done]))
+        accepted.append((seg[done], vals[done], errs[done], *(m[done] for m in mass)))
         split = ~done
         left = seg[split]
         if not left.size:  # the last round: skip the bookkeeping for a next one
@@ -463,8 +485,8 @@ def _lockstep(fn, offset, lo, hi, tol, quarter):
         seg = left.repeat(2 if four is None else 2 + 2 * four)
 
     if not accepted:
-        return np.zeros(n), np.zeros(n)
-    return _group_sums(*(np.concatenate(c) for c in zip(*accepted)), n)
+        return tuple(np.zeros(n) for _ in range(3 if absolute else 2))
+    return _group_sums(*(np.concatenate(c) for c in zip(*accepted)), n=n)
 
 
 class _Wynn:
@@ -599,15 +621,80 @@ def _recedes(values, limit, total):
     return True
 
 
-def _side(s, span, tol_q, cauchy_tol, evals):
-    """One singular side's shells toward its singular point ``s``: shell m
-    lies between s + span * r^m and s + span * r^(m+1), r = ``SHELL_RATIO``.
+def _dyadic(s, span):
+    """The shells of a side toward ``s`` whose far end is s + ``span``:
+    shell m lies between s + span * r^m and s + span * r^(m+1), r =
+    ``SHELL_RATIO``.  Yields each shell's (lo, hi, share, cond), share being
+    its width over the side's and cond |s| over its width."""
+    # |s| over the width of the shell at frac 1; a zero span has empty shells
+    near = abs(s) / (0.5 * abs(span)) if span else 0.0
+    frac = 1.0
+    while True:
+        a, b = s + span * frac, s + span * (frac * SHELL_RATIO)
+        yield min(a, b), max(a, b), (1.0 - SHELL_RATIO) * frac, near / frac if frac > 0.0 else 1.0
+        frac *= SHELL_RATIO
+
+
+def _turns(span, c, k):
+    """The phase c |x - s|^-k at the far end x = s + ``span`` of a side, in
+    half-periods (units of pi); infinite where it overflows."""
+    try:
+        return abs(c) * abs(span) ** -k / math.pi
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _too_narrow(lo, hi):
+    """Whether GK15 cannot bisect [lo, hi] ten times before
+    :func:`_settled` force-accepts its panels."""
+    return hi - lo <= 1024.0 * _MIN_REL_WIDTH * max(abs(lo), abs(hi), 1.0)
+
+
+def _half_periods(s, span, c, k):
+    """The shells of a side toward ``s`` whose far end is s + ``span``, for
+    an integrand whose every sin and cos takes c (x - s)^-k: cut at the
+    points x_n = s +- (|c| / (n pi))^(1/k) inside the side, where that
+    phase is a multiple of pi.  The stretch from the far end to the first
+    such point is the first shell, and every half-period after it is one,
+    until one is :func:`_too_narrow`.  None where the far end lies more
+    than 2^52 half-periods from s.  Yields (lo, hi, share, cond) as
+    :func:`_dyadic` does."""
+    turns = _turns(span, c, k)
+    if not turns < 2.0**52:
+        return
+    first = math.floor(turns) + 1
+    outer = s + span
+    for n in count(first):
+        x = s + math.copysign((abs(c) / (n * math.pi)) ** (1.0 / k), span)
+        lo, hi = min(outer, x), max(outer, x)
+        if n > first and _too_narrow(lo, hi):
+            return
+        yield lo, hi, (hi - lo) / abs(span), abs(s) / (hi - lo) if hi > lo else 1.0
+        outer = x
+
+
+def _shrinks(masses):
+    """Whether the integral of |f| over a phase side's last half-period is
+    at most half the largest over one before it; ``masses[0]``, the
+    stretch before the first half-period, does not count.  Half, not any
+    decrease: GK15's integrals of |cos| over the half-periods of
+    ``x^-3 cos(x^-2)``, all exactly 1, drift by up to 1.3%."""
+    return len(masses) > 2 and masses[-1] <= 0.5 * max(masses[1:-1])
+
+
+def _side(s, shells, tol_q, cauchy_tol, evals, swings=False):
+    """One singular side's shells toward its singular point ``s``, as the
+    iterator ``shells`` cuts them (:func:`_dyadic`, :func:`_half_periods`),
+    from the side's far end inward.
 
     A generator: each step it yields the (lo, hi, tol) of the shells it
-    takes and is sent their (value, error) pairs.  A side with k small
-    shells in a row takes run - k more (fewer at ``MAX_SHELLS``), as the
-    Cauchy rule needs at least that many to end it.  After each step it
-    stops on the first of two rules:
+    takes and is sent their (value, error) pairs, with ``swings`` their
+    (value, error, integral of |f|) triples.  A side with k small shells in
+    a row takes run - k more (fewer at ``MAX_SHELLS``), as the Cauchy rule
+    needs at least that many to end it; the first step of a side cut into
+    half-periods (``swings``) takes only the stretch before the first one,
+    so that every half-period's tol has a floor (below).  After each step
+    it stops on the first of two rules:
 
     * Cauchy: ``run`` consecutive shell integrals (the Cauchy differences
       of its partial sums) fell below its ``cauchy_tol``.  It returns the
@@ -620,6 +707,17 @@ def _side(s, span, tol_q, cauchy_tol, evals):
 
     So an extrapolated limit must hold over a step of further shells, as a
     small shell must be followed by more before the Cauchy rule ends a side.
+
+    The half-periods of an oscillatory side (``swings``) are sampled only
+    where its phase is a multiple of pi, which can be fooled: the partial
+    sums of ``x^-3 cos(x^-2)`` there are all -sin(1)/2, though its integral
+    swings by 1/2 inside every half-period and has no limit.  So such a
+    side ends by either rule only once the integral of |f| over its last
+    half-period has shrunk to half the largest before it
+    (:func:`_shrinks`), and a run of small shells that does not end it is
+    forgotten.  Where that integral does not shrink, as for ``x^-2
+    sin(1/x)`` (2 per half-period) or ``x^-2.5 sin(1/x)``, the side goes on
+    to ``MAX_SHELLS`` and raises.
 
     A divergent integral's shells grow geometrically and extrapolate to the
     anti-limit of their series.  So at each step end where the epsilon
@@ -640,12 +738,13 @@ def _side(s, span, tol_q, cauchy_tol, evals):
 
     A shell's tol is its width share of ``tol_q``, but never below
     ``_SHELL_FLOOR`` times the side's last shell integral of the step
-    before, times max(1, |s| / width), so deep shells of a tight tol stop
-    at their rounding floor.
+    before (of |f|, with ``swings``), times max(1, |s| / width), so deep
+    shells of a tight tol stop at their rounding floor.
 
     A side that has not ended raises :class:`ToleranceNotMet` naming s,
     with the sum of its shells and ``evals[0]``, its interval's
-    evaluations, after ``MAX_SHELLS`` shells, or when it cannot go on
+    evaluations, after ``MAX_SHELLS`` shells, when ``shells`` has no more
+    (half-periods too narrow for GK15 to split), or when it cannot go on
     because the integrand is non-finite in the shells of this step, which
     lie below every shell it has integrated: the caller then throws that
     :class:`EvaluationError` in at its yield.  So ``1/x`` at 0 ends where it
@@ -656,11 +755,9 @@ def _side(s, span, tol_q, cauchy_tol, evals):
     well be one not declared, and the error goes on as it is.
     """
     run = 3  # consecutive small shells that settle a side
-    # |s| over the width of the shell at frac 1; a zero span has empty shells
-    near = abs(s) / (0.5 * abs(span)) if span else 0.0
     wynn = _Wynn()
-    values, errors = [], []
-    frac, small = 1.0, 0  # small: the run of small shells
+    values, errors, masses = [], [], []  # masses: the shells' integrals of |f|, with swings
+    small = 0  # the run of small shells
     moduli = 0.0  # the sum of |shell integral|
     before, held = 0.0, False  # the last step end's limit, its abserr within cauchy_tol
 
@@ -672,28 +769,33 @@ def _side(s, span, tol_q, cauchy_tol, evals):
         )
 
     while True:
-        floor = _SHELL_FLOOR * abs(values[-1]) if values else 0.0
-        shells = []
-        for _ in range(min(run - small, MAX_SHELLS - len(values))):
-            a, b = s + span * frac, s + span * (frac * SHELL_RATIO)
-            cond = near / frac if frac > 0.0 else 1.0
-            tol = max(tol_q * (1.0 - SHELL_RATIO) * frac, floor * max(cond, 1.0))
-            shells.append((min(a, b), max(a, b), tol))
-            frac *= SHELL_RATIO
+        floor = _SHELL_FLOOR * (masses[-1] if masses else abs(values[-1]) if values else 0.0)
+        take = 1 if swings and not values else min(run - small, MAX_SHELLS - len(values))
+        asked = [
+            (a, b, max(tol_q * share, floor * max(cond, 1.0)))
+            for a, b, share, cond in islice(shells, take)
+        ]
+        if not asked:
+            raise unsettled("before its half-periods grew too narrow to split")
         try:
-            pairs = yield shells
+            got = yield asked
         except EvaluationError as exc:
             if not values:
                 raise
             raise unsettled(f"before the integrand became non-finite at x={exc.point[-1]!r}") from exc
-        for v, e in pairs:
+        for v, e, *mass in got:
             values.append(v)
             errors.append(e)
+            if swings:
+                masses += mass
             small = small + 1 if abs(v) < cauchy_tol else 0
             moduli += abs(v)
             limit, abserr = wynn.add(v)
+        ends = not swings or _shrinks(masses)
         if small >= run:
-            return kernels.neumaier_sum(values), kernels.neumaier_sum(errors) + cauchy_tol
+            if ends:
+                return kernels.neumaier_sum(values), kernels.neumaier_sum(errors) + cauchy_tol
+            small = 0
         total = wynn.total + wynn.comp  # the plain sum of the shells
         if abserr <= cauchy_tol and _diverges(limit, total, moduli) and _recedes(values, limit, total):
             raise ToleranceNotMet(
@@ -703,14 +805,15 @@ def _side(s, span, tol_q, cauchy_tol, evals):
                 evaluations=int(evals[0]),
             )
         tail = abserr + abs(limit - before)
-        if held and tail <= cauchy_tol:
+        if held and tail <= cauchy_tol and ends:
             return limit, kernels.neumaier_sum(errors) + tail
         before, held = limit, abserr <= cauchy_tol
         if len(values) >= MAX_SHELLS:
-            raise unsettled(f"within {MAX_SHELLS} shells")
+            why = "" if ends else ", as |f| over its half-periods did not shrink by half"
+            raise unsettled(f"within {MAX_SHELLS} shells{why}")
 
 
-def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol):
+def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol, phase=None):
     """Improper-mode (values, errors) over [lo[i], hi[i]], each holding one
     of ``sings`` and with its own tolerance ``tol[i]``; ``fn`` charges the
     evaluations of interval i to its root ``roots[i]``.
@@ -720,6 +823,9 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol):
     every live side asks for go into one :func:`_adaptive_many` call, every
     side's first shell, then every side's second, and so on; their results
     go back to their sides, and the sides that end are summed per interval.
+    A side toward the point s of the integrand's ``phase`` (s, c, k) is cut
+    into half-periods (:func:`_half_periods`), every other side into
+    dyadic shells (:func:`_dyadic`).
 
     That call quarters the panels GK15 leaves unresolved rather than halving
     them.  On a shell of an oscillatory singularity such panels are where
@@ -729,12 +835,20 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol):
     such panels.
     """
     live = []  # (interval, side, the shells it asks for)
+    absolute = False  # whether some side is cut into half-periods
     for i, (r, a, b, t) in enumerate(zip(roots.tolist(), lo.tolist(), hi.tolist(), tol.tolist())):
         pairs = _segments(a, b, sings)
         for s, far in pairs:
             tol_q = 0.5 * t * abs(far - s) / (b - a)
             count = fn.evals[r : r + 1]  # a view: the interval's evaluations so far
-            side = _side(s, far - s, tol_q, t / (4.0 * len(pairs)), count)
+            # half-periods if there is a first one wide enough to split, as
+            # on a side not a few ulps wide; else dyadic shells
+            shells = _half_periods(s, far - s, *phase[1:]) if phase and s == phase[0] else iter(())
+            head = list(islice(shells, 2))
+            swings = len(head) == 2
+            shells = chain(head, shells) if swings else _dyadic(s, far - s)
+            side = _side(s, shells, tol_q, t / (4.0 * len(pairs)), count, swings)
+            absolute |= swings
             live.append((i, side, next(side)))
     ended = []  # (interval, value, error) of every side that ended
     while live:
@@ -743,10 +857,11 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol):
         asked = [(k, shell) for row in rows for k, shell in enumerate(row) if shell is not None]
         root = roots[[live[k][0] for k, _ in asked]]
         try:
-            v, e = _adaptive_many(
+            out = _adaptive_many(
                 lambda seg, xs: fn(xs, None, root[seg]),
                 *np.array([shell for _, shell in asked]).T,
                 quarter=True,
+                absolute=absolute,
             )
         except EvaluationError as exc:
             for _, side, shells in live:  # the side whose shells hold the point ends
@@ -755,16 +870,16 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol):
                     side.throw(exc)
             raise
         got = [[] for _ in live]
-        for (k, _), pair in zip(asked, zip(v.tolist(), e.tolist())):
-            got[k].append(pair)
+        for (k, _), result in zip(asked, zip(*(a.tolist() for a in out))):
+            got[k].append(result)
         still = []
-        for (i, side, _), pairs in zip(live, got):
+        for (i, side, _), results in zip(live, got):
             try:
-                still.append((i, side, side.send(pairs)))
+                still.append((i, side, side.send(results)))
             except StopIteration as end:
                 ended.append((i, *end.value))
         live = still
-    return _group_sums(*map(np.array, zip(*ended)), lo.size)
+    return _group_sums(*map(np.array, zip(*ended)), n=lo.size)
 
 
 def _segments(lo: float, hi: float, sings):
@@ -855,10 +970,10 @@ def _hk_many(f, lo, hi, tol, singular_points, max_evals):
     held = np.flatnonzero(shelled)
     if held.size:
         values[held], errors[held] = _shell_integrate(
-            fn, root[held], lo[held], hi[held], sings.tolist(), tol[held]
+            fn, root[held], lo[held], hi[held], sings.tolist(), tol[held], getattr(f, "phase", None)
         )
     if root.size > n:  # some interval was cut
-        values, errors = _group_sums(root, values, errors, n)
+        values, errors = _group_sums(root, values, errors, n=n)
     return values, errors, fn.evals
 
 
@@ -904,6 +1019,27 @@ def hk_integrate_many(
     estimate near 1e-14.  The box quadrature (:func:`integrate_boxes`)
     reads no breakpoints, so a 2-D guard such as ``x1 + x2 <= 1`` is still
     blind.
+
+    Phase: if ``f`` has a ``phase`` attribute (s, c, k), with c != 0 and
+    k > 0, saying that f is a sum of terms, each a sin or cos of
+    c (x - s)^-k times a factor that does not oscillate, a side toward a
+    singular point equal to s is cut at the zeros of that phase instead of
+    geometrically (:func:`_half_periods`): the stretch before the first
+    zero is one shell, integrated alone at the side's first step, and every
+    half-period after it is one, each to its width share of the side's
+    tol.  Their partial sums go through the stop rules above, and the side
+    may end only once the integral of |f| over its last half-period has
+    shrunk to half the largest before it: sums sampled at the zeros of
+    ``x^-3 cos(x^-2)`` converge though its integral does not.  At tol 1e-10
+    the derivative of x^2 sin(x^-2) on [0, 1] takes 120 evaluations, where
+    dyadic shells exhausted the budget.  :func:`kspaces.expr.compile_expression`
+    sets the attribute, and a library callable may set it too, but only
+    where it holds: the half-period sums of a term that does not oscillate,
+    such as the x^-0.5 of ``sin(1/x) + x^-0.5``, converge too slowly for the
+    stop rules to judge.  A side whose far end lies more than 2^52
+    half-periods from s, or whose first half-period is too narrow for GK15
+    to split, keeps dyadic shells; one whose half-periods grow that narrow
+    before it ends raises.
 
     Raises :class:`ToleranceNotMet` if a budget runs out, an interval's
     error estimate exceeds its tol or a side's shells look divergent or

@@ -78,7 +78,7 @@ def neumaier_sum(values):
     return math.fsum(np.asarray(values, dtype=np.float64).tolist())
 
 
-def gk15_batch(fvals, halfwidths):
+def gk15_batch(fvals, halfwidths, absolute=False):
     """Apply the Gauss-Kronrod 7/15 pair to a batch of panels.
 
     ``fvals`` has shape (m, 15): integrand values at ``GK15_NODES`` for each
@@ -93,7 +93,10 @@ def gk15_batch(fvals, halfwidths):
     panels; every other driver bisects them, since an outer box axis over
     inner integrals that miss a jump stays unresolved at any width.
     Scaling ``fvals`` by a power of two scales both sides of that test
-    exactly and leaves the flag unchanged.
+    exactly and leaves the flag unchanged.  With ``absolute``, a fourth
+    array follows: each panel's Kronrod integral of |f|, QUADPACK's resabs
+    times the halfwidth, which the half-period shells of an oscillatory
+    singularity watch.
     """
     fvals = np.asarray(fvals, dtype=np.float64)
     halfwidths = np.asarray(halfwidths, dtype=np.float64)
@@ -117,4 +120,6 @@ def gk15_batch(fvals, halfwidths):
     errors[mask] = scaled
     floor = 50.0 * _EPS * resabs * ah
     np.maximum(errors, floor, out=errors)
+    if absolute:
+        return values, errors, unresolved, resabs * ah
     return values, errors, unresolved

@@ -303,7 +303,8 @@ def compute_functionals(f, cfg: KpConfig) -> Functionals:
     That pass integrates the real part of f and notes whether f returned
     complex values; only then does a second pass integrate the imaginary
     part, and the values are complex.  Both passes carry f's
-    ``breakpoints``, where a 1-D leaf is cut
+    ``breakpoints``, where a 1-D leaf is cut, and its ``phase``, where a
+    leaf's side toward a singular point is cut into half-periods
     (:func:`kspaces.gauge.hk_integrate_many`).
     """
     complex_seen = False
@@ -318,6 +319,7 @@ def compute_functionals(f, cfg: KpConfig) -> Functionals:
         return np.imag(np.asarray(f(*a), dtype=complex))
 
     real.breakpoints = imag.breakpoints = getattr(f, "breakpoints", ())
+    real.phase = imag.phase = getattr(f, "phase", None)
     values, _, evals = _functionals_pass(real, cfg)
     if not complex_seen:
         return Functionals(values, evals)

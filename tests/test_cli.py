@@ -108,6 +108,46 @@ class TestIntegrate:
         assert "error" in err
 
 
+# HK integrable on [0, 1] but not Lebesgue integrable, with their exact
+# values: sin 1, pi/2 - Si(1), sin 1 - Ci(1), and the integral of
+# u^-1/2 sin u over [1, inf) (mpmath, 30 digits).
+OSCILLATORY = {
+    "x2sin-derivative": ("2*x1*sin(1/x1^2) - (2/x1)*cos(1/x1^2)", math.sin(1.0)),
+    "sin-inv-over-x": ("sin(1/x1)/x1", 0.6247132564277136),
+    "sin-inv": ("sin(1/x1)", 0.5040670619069284),
+    "x^-1.5-sin-inv": ("x1^-1.5*sin(1/x1)", 0.632777533868738),
+}
+
+
+@pytest.mark.parametrize("tol", ["1e-4", "1e-6", "1e-8", "1e-10"])
+@pytest.mark.parametrize("name", OSCILLATORY)
+def test_oscillatory_singularities_meet_their_error_bound(capsys, name, tol):
+    # cut at the zeros of their phase; dyadic shells took millions of
+    # evaluations or exhausted the 50M budget at these tols
+    expr, exact = OSCILLATORY[name]
+    code, out, err = run(
+        capsys, "integrate", "--expr", expr, "--interval", "0,1", "--singular", "0",
+        "--tol", tol, "--format", "json",
+    )
+    assert code == 0, err
+    row = json.loads(out)[0]
+    assert abs(row["value"] - exact) <= row["error_bound"] <= float(tol)
+    assert row["evaluations"] <= 1000
+
+
+@pytest.mark.parametrize("expr", ["x1^-2*sin(1/x1)", "x1^-2.5*sin(1/x1)", "x1^-3*cos(1/x1^2)"])
+def test_oscillatory_integrals_without_a_limit_exit_1(capsys, expr):
+    # their sums at the zeros of the phase converge (those of
+    # x^-3 cos(x^-2) are all -sin(1)/2), but |f| over a half-period does
+    # not shrink, so the integral swings without end
+    code, _, err = run(
+        capsys, "integrate", "--expr", expr, "--interval", "0,1", "--singular", "0",
+        "--tol", "1e-6",
+    )
+    assert code == 1
+    assert "did not settle" in err and "did not shrink" in err
+
+
 class TestNorm:
     def test_reference_value(self, capsys):
         code, out, _ = run(

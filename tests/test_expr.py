@@ -114,6 +114,36 @@ def test_expressions_of_two_variables_have_no_breakpoints():
     assert compile_expression(parse_expression("(x1 <= 0.5)*x2"), 2).breakpoints == ()
 
 
+PHASES = {
+    "sin(1/x1)": (0.0, 1.0, 1.0),
+    "8*(2*x1*sin(1/x1^2) - (2/x1)*cos(1/x1^2))": (0.0, 1.0, 2.0),
+    "cos(3/(x1-0.3))": (0.3, 3.0, 1.0),
+    "x1^-2*sin(x1^-1)": (0.0, 1.0, 1.0),
+    "sin(1/x1)/x1 - (x1 <= 0.5)*cos(x1^-1)": (0.0, 1.0, 1.0),
+    "sin((2*x1 - 0.6)^-2)": (0.3, 0.25, 2.0),
+    # one shared phase missing, or a term that does not oscillate
+    "sin(x1)": None,
+    "sin(1/x1) + sin(2/x1)": None,
+    "sin(1/x1)*cos(x1)": None,
+    "1/x1^2": None,
+    "sin(1/x1) + x1^-0.5": None,
+    "sin(1/x1)^2": None,
+    "sin(1/x1)*sin(1/x1)": None,
+    "abs(sin(1/x1))": None,
+    "sin(1/(x1*(x1 - 1)))": None,
+}
+
+
+@pytest.mark.parametrize("text, phase", PHASES.items(), ids=list(PHASES))
+def test_phase_is_the_one_phase_of_a_sum_of_oscillating_terms(text, phase):
+    assert compile_expression(parse_expression(text), 1).phase == phase
+
+
+def test_expressions_of_two_variables_have_no_phase():
+    assert compile_expression(parse_expression("sin(1/x1)*x2"), 2).phase is None
+    assert compile_expression(parse_expression("sin(1/x1)"), 2).phase is None
+
+
 HANDCRAFTED = [
     "sin(2*pi*x1)",
     "x1^2",

@@ -505,6 +505,60 @@ def test_a_breakpoint_at_a_singular_point():
     assert abs(r.value - exact) <= r.error_estimate <= 1e-10
 
 
+# --------------------------------------- half-period shells of a phase
+
+
+def _x2sin_derivative(x):
+    return 2.0 * x * np.sin(x**-2.0) - (2.0 / x) * np.cos(x**-2.0)
+
+
+def test_half_periods_are_cut_at_the_zeros_of_the_phase():
+    # the left side of 0.3 for cos(3 / (x - 0.3)): cuts at 0.3 - 3 / (n pi)
+    shells = gauge._half_periods(0.3, -0.3, 3.0, 1.0)
+    cuts = [next(shells) for _ in range(4)]
+    n0 = math.floor(10.0 / math.pi) + 1  # the first zero inside [0, 0.3]
+    assert cuts[0][0] == 0.0  # the stretch from the far end
+    for j, (lo, hi, share, cond) in enumerate(cuts):
+        assert hi == pytest.approx(0.3 - 3.0 / ((n0 + j) * math.pi), rel=1e-15)
+        assert j == 0 or lo == pytest.approx(0.3 - 3.0 / ((n0 + j - 1) * math.pi), rel=1e-15)
+        assert share == (hi - lo) / 0.3 and cond == 0.3 / (hi - lo)
+    assert [c[1] for c in cuts[:-1]] == [c[0] for c in cuts[1:]]  # adjacent
+
+
+def test_a_callable_may_declare_its_own_phase():
+    plain = hk_integrate(_x2sin_derivative, Interval(0, 1), 1e-3, [0.0])
+    f = lambda x: _x2sin_derivative(x)  # noqa: E731
+    f.phase = (0.0, 1.0, 2.0)
+    r = hk_integrate(f, Interval(0, 1), 1e-10, [0.0])
+    assert abs(r.value - math.sin(1.0)) <= r.error_estimate <= 1e-10
+    assert r.evaluations * 1000 < plain.evaluations  # 120 against 234,960
+
+
+def test_both_sides_of_an_interior_phase_point():
+    # 3 times the integral of cos(u) / u^2 over [10, inf) and [30/7, inf)
+    f = _compiled("cos(3/(x1-0.3))")
+    assert f.phase == (0.3, 3.0, 1.0)
+    r = hk_integrate(f, Interval(0, 1), 1e-10, [0.3])
+    assert abs(r.value - 0.10992829118647805) <= r.error_estimate <= 1e-10
+    assert r.evaluations <= 1000
+
+
+def test_every_half_period_has_a_tol_floor():
+    # the stretch before the first zero is taken alone, so every half-period's
+    # tol is floored at 64 eps of |f| over the shell before it; at tol 1e-13
+    # the second half-period's width share fell below GK15's rounding floor,
+    # and its panels split until the 50M budget ran out
+    r = hk_integrate(_compiled("sin(1/x1)/x1"), Interval(0, 1), 1e-13, [0.0])
+    assert abs(r.value - 0.6247132564277136) <= r.error_estimate <= 1e-13
+    assert r.evaluations <= 1000
+
+
+@pytest.mark.parametrize("text", ["x1^-2*sin(1/x1)", "x1^-2.5*sin(1/x1)", "x1^-3*cos(1/x1^2)"])
+def test_a_phase_side_whose_swings_do_not_shrink_raises(text):
+    with pytest.raises(ToleranceNotMet, match="did not shrink by half"):
+        hk_integrate(_compiled(text), Interval(0, 1), 1e-6, [0.0])
+
+
 # ------------------------------------------------ improper integrals, exactly
 
 _CI_1 = 0.33740392290096813466  # the cosine integral Ci(1)

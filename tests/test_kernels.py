@@ -52,6 +52,18 @@ def test_gk15_error_estimate_flags_rough_panels():
     assert err[0] > 1e-3
 
 
+def test_gk15_integral_of_the_modulus_on_request():
+    # the fourth result is the Kronrod integral of |f|, resabs times the
+    # halfwidth: for sin on [0, 2 pi], near 4 where the integral is 0
+    xs = np.pi + np.pi * kernels.GK15_NODES
+    fv = np.sin(xs)[None, :]
+    val, err, unresolved, mass = kernels.gk15_batch(fv, np.array([np.pi]), absolute=True)
+    plain = kernels.gk15_batch(fv, np.array([np.pi]))
+    assert all(np.array_equal(a, b) for a, b in zip((val, err, unresolved), plain))
+    assert mass[0] == kernels.gk15_batch(np.abs(fv), np.array([np.pi]))[0][0]
+    assert abs(mass[0] - 4.0) < 0.1  # one panel across the kink of |sin| at pi
+
+
 def _unresolved(f, scale=1.0):
     xs = 0.5 + 0.5 * kernels.GK15_NODES  # one panel on [0, 1]
     return kernels.gk15_batch(scale * f(xs)[None, :], np.array([0.5]))[2][0]

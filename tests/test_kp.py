@@ -133,6 +133,22 @@ class TestFunctional:
         assert abs(a.real - exact.real) <= cfg.quad_tol
         assert abs(a.imag - exact.imag) <= cfg.quad_tol
 
+    def test_both_passes_of_a_complex_integrand_take_its_phase(self):
+        # F' = (x^2 sin x^-2)' times 1 + i; the leaf holding 0 is cut into
+        # half-periods, where dyadic shells exhausted the budget
+        def f(x):
+            return (1 + 1j) * (2 * x * np.sin(x**-2.0) - (2 / x) * np.cos(x**-2.0))
+
+        f.phase = (0.0, 1.0, 2.0)
+        cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=8, singular_points=(0.0,))
+        a = compute_functionals(f, cfg)
+        lo, hi = cfg.family.cell_bounds(8)
+        F = lambda x: x * x * math.sin(x**-2) if x else 0.0  # noqa: E731
+        exact = [F(y) - F(x) for x, y in zip(lo[:, 0], hi[:, 0])]
+        assert np.abs(a.values.real - exact).max() <= cfg.quad_tol
+        assert np.abs(a.values.imag - exact).max() <= cfg.quad_tol
+        assert a.evaluations <= 5000
+
 
 # ------------------------------------------------------------------ norms
 
