@@ -21,7 +21,7 @@ phase, x_n = s +- (|c| / (n pi))^(1/k), and every half-period is a shell
 (:func:`_half_periods`), so the partial sums are those of an alternating
 series that Wynn's epsilon algorithm extrapolates, as QUADPACK's QAWF
 (Piessens et al. 1983) and Longman (1956) do cycle by cycle.  The side may
-end only while the integrals of |f| over its half-periods shrink
+end only while the integrals of |f| over its half-periods fall toward 0
 (:func:`_shrinks`), since sums sampled at the zeros alone can converge
 where the integral does not.
 
@@ -403,25 +403,21 @@ def _error_sums(errs, seg, n):
     return np.bincount(seg, weights=errs, minlength=n)
 
 
-def _group_sums(seg, *terms, n):
-    """Exactly rounded sums of each array of ``terms`` (values, errors, ...)
-    for each of ``n`` groups, term j belonging to group ``seg[j]``; empty
-    groups are 0.  Returns one array of n sums per array of terms."""
+def _group_sums(seg, vals, errs, n):
+    """Exactly rounded sums of ``vals`` and of ``errs`` for each of ``n``
+    groups, term j belonging to group ``seg[j]``; empty groups are 0."""
     order = np.argsort(seg, kind="stable")
+    seg, vals, errs = seg[order], vals[order], errs[order]
     counts = np.bincount(seg, minlength=n)
     starts = counts.cumsum() - counts
+    values, errors = np.zeros(n), np.zeros(n)
     ids = counts.nonzero()[0]
-    many = (counts > 1).nonzero()[0]
-    parts = [slice(a, a + c) for a, c in zip(starts[many].tolist(), counts[many].tolist())]
-    sums = []
-    for t in terms:
-        t = t[order]
-        total = np.zeros(n)
-        total[ids] = t[starts[ids]]
-        for i, part in zip(many.tolist(), parts):
-            total[i] = kernels.neumaier_sum(t[part])
-        sums.append(total)
-    return tuple(sums)
+    values[ids], errors[ids] = vals[starts[ids]], errs[starts[ids]]
+    for i in (counts > 1).nonzero()[0]:
+        part = slice(starts[i], starts[i] + counts[i])
+        values[i] = kernels.neumaier_sum(vals[part])
+        errors[i] = kernels.neumaier_sum(errs[part])
+    return values, errors
 
 
 def _adaptive_many(fn, lo, hi, tol, quarter=False, absolute=False):
@@ -436,7 +432,8 @@ def _adaptive_many(fn, lo, hi, tol, quarter=False, absolute=False):
     total is within tol.  At most ``_MAX_IN_FLIGHT`` intervals are in
     flight; larger batches run as consecutive groups.  Returns (values,
     errors) arrays, and with ``absolute`` a third, each interval's integral
-    of |f| summed over its accepted panels (``gk15_batch``'s resabs).
+    of |f| summed in plain floating point over its accepted panels
+    (``gk15_batch``'s resabs).
 
     Split panels are halved.  With ``quarter``, those GK15 left unresolved
     are cut into their four quarters in one round instead, since nearly
@@ -447,12 +444,16 @@ def _adaptive_many(fn, lo, hi, tol, quarter=False, absolute=False):
     never stops being unresolved, and quartering took ``x1 + x2 <= 1`` on
     [0, 1]^2 from 165,915 evaluations to 21,532,485.
     """
-    sums = np.zeros((3 if absolute else 2, lo.size))
+    values, errors = np.zeros(lo.size), np.zeros(lo.size)
+    masses = np.zeros(lo.size) if absolute else None
     for g in range(0, lo.size, _MAX_IN_FLIGHT):
         grp = slice(g, g + _MAX_IN_FLIGHT)
-        for total, part in zip(sums, _lockstep(fn, g, lo[grp], hi[grp], tol[grp], quarter, absolute)):
-            total[grp] = part
-    return tuple(sums)
+        values[grp], errors[grp], *mass = _lockstep(
+            fn, g, lo[grp], hi[grp], tol[grp], quarter, absolute
+        )
+        if absolute:
+            masses[grp] = mass[0]
+    return (values, errors, masses) if absolute else (values, errors)
 
 
 def _lockstep(fn, offset, lo, hi, tol, quarter, absolute):
@@ -485,8 +486,11 @@ def _lockstep(fn, offset, lo, hi, tol, quarter, absolute):
         seg = left.repeat(2 if four is None else 2 + 2 * four)
 
     if not accepted:
-        return tuple(np.zeros(n) for _ in range(3 if absolute else 2))
-    return _group_sums(*(np.concatenate(c) for c in zip(*accepted)), n=n)
+        return (np.zeros(n),) * (3 if absolute else 2)
+    if not absolute:
+        return _group_sums(*(np.concatenate(c) for c in zip(*accepted)), n)
+    seg, vals, errs, mass = (np.concatenate(c) for c in zip(*accepted))
+    return (*_group_sums(seg, vals, errs, n), np.bincount(seg, weights=mass, minlength=n))
 
 
 class _Wynn:
@@ -635,13 +639,15 @@ def _dyadic(s, span):
         frac *= SHELL_RATIO
 
 
-def _turns(span, c, k):
-    """The phase c |x - s|^-k at the far end x = s + ``span`` of a side, in
-    half-periods (units of pi); infinite where it overflows."""
+def _first_zero(span, c, k):
+    """The index n of the first point x_n = s +- (|c| / (n pi))^(1/k),
+    where the phase c |x - s|^-k is n pi, inside a side whose far end is
+    s + ``span``; 0 where that end lies more than 2^52 half-periods from s."""
     try:
-        return abs(c) * abs(span) ** -k / math.pi
+        turns = abs(c) * abs(span) ** -k / math.pi
     except (OverflowError, ZeroDivisionError):
-        return math.inf
+        return 0
+    return math.floor(turns) + 1 if turns < 2.0**52 else 0
 
 
 def _too_narrow(lo, hi):
@@ -650,19 +656,14 @@ def _too_narrow(lo, hi):
     return hi - lo <= 1024.0 * _MIN_REL_WIDTH * max(abs(lo), abs(hi), 1.0)
 
 
-def _half_periods(s, span, c, k):
+def _half_periods(s, span, c, k, first):
     """The shells of a side toward ``s`` whose far end is s + ``span``, for
     an integrand whose every sin and cos takes c (x - s)^-k: cut at the
-    points x_n = s +- (|c| / (n pi))^(1/k) inside the side, where that
-    phase is a multiple of pi.  The stretch from the far end to the first
-    such point is the first shell, and every half-period after it is one,
-    until one is :func:`_too_narrow`.  None where the far end lies more
-    than 2^52 half-periods from s.  Yields (lo, hi, share, cond) as
-    :func:`_dyadic` does."""
-    turns = _turns(span, c, k)
-    if not turns < 2.0**52:
-        return
-    first = math.floor(turns) + 1
+    points x_n = s +- (|c| / (n pi))^(1/k), n >= ``first``
+    (:func:`_first_zero`), where that phase is a multiple of pi.  The
+    stretch from the far end to x_first is the first shell, and every
+    half-period after it is one, until one is :func:`_too_narrow`.  Yields
+    (lo, hi, share, cond) as :func:`_dyadic` does."""
     outer = s + span
     for n in count(first):
         x = s + math.copysign((abs(c) / (n * math.pi)) ** (1.0 / k), span)
@@ -673,26 +674,49 @@ def _half_periods(s, span, c, k):
         outer = x
 
 
-def _shrinks(masses):
-    """Whether the integral of |f| over a phase side's last half-period is
-    at most half the largest over one before it; ``masses[0]``, the
-    stretch before the first half-period, does not count.  Half, not any
-    decrease: GK15's integrals of |cos| over the half-periods of
-    ``x^-3 cos(x^-2)``, all exactly 1, drift by up to 1.3%."""
-    return len(masses) > 2 and masses[-1] <= 0.5 * max(masses[1:-1])
+def _shrinks(masses, first):
+    """Whether the integrals of |f| over a phase side's half-periods fall
+    toward 0 rather than toward a floor.  ``masses[0]`` is over the stretch
+    before x_first, and ``masses[j]``, j >= 1, over half-period n = first +
+    j - 1, from x_n to x_(n+1), where the phase runs from n pi to (n+1) pi.
+
+    The integral swings inside a half-period by about its mass, so it has
+    a limit only if the masses tend to 0.  Masses L + A n^-p (p > 0), as
+    those of u^-p sin u over [n pi, (n+1) pi], fall from half-period q to
+    2q by d and from 2q to 4q by r d, r = 2^-p, and their later falls sum
+    to the geometric tail r^2 d / (1 - r) = m - L, m being the mass of
+    half-period 4q.  So with 4q the last multiple of 4 taken, and q >=
+    ``first``, the masses must fall (0 < r <= 0.9, p >= 0.15) and that
+    projected tail must be at least 3/4 of m: their floor L, the swing left
+    as x nears s, is at most m/4.
+
+    Comparing m with the largest mass before it told a floor from a fall
+    only where every term is flat: with ``x^-3 cos(x^-2) + 10 x^-1
+    cos(x^-2)`` the masses, about 1 + 10 / (n pi), fell below half the
+    first near n = 6, and the side returned a value for an integral that
+    does not exist.  A floor under a fall more than three times its size
+    at n = 4q is still missed; the side then ends with the epsilon
+    algorithm's (Abel-like) sum of its swings."""
+    q = (first + len(masses) - 2) // 4  # the last half-period taken is first + len - 2
+    if q < first:
+        return False
+    m1, m2, m4 = (masses[n - first + 1] for n in (q, 2 * q, 4 * q))
+    d, rd = m1 - m2, m2 - m4
+    return 0.0 < rd <= 0.9 * d and rd * rd >= 0.75 * m4 * (d - rd)
 
 
-def _side(s, shells, tol_q, cauchy_tol, evals, swings=False):
+def _side(s, shells, tol_q, cauchy_tol, evals, first=0):
     """One singular side's shells toward its singular point ``s``, as the
     iterator ``shells`` cuts them (:func:`_dyadic`, :func:`_half_periods`),
-    from the side's far end inward.
+    from the side's far end inward; ``first`` is the index of the first
+    half-period of a side cut into them, 0 for dyadic shells.
 
     A generator: each step it yields the (lo, hi, tol) of the shells it
-    takes and is sent their (value, error) pairs, with ``swings`` their
+    takes and is sent their (value, error) pairs, with half-periods their
     (value, error, integral of |f|) triples.  A side with k small shells in
     a row takes run - k more (fewer at ``MAX_SHELLS``), as the Cauchy rule
     needs at least that many to end it; the first step of a side cut into
-    half-periods (``swings``) takes only the stretch before the first one,
+    half-periods takes only the stretch before the first one,
     so that every half-period's tol has a floor (below).  After each step
     it stops on the first of two rules:
 
@@ -708,16 +732,17 @@ def _side(s, shells, tol_q, cauchy_tol, evals, swings=False):
     So an extrapolated limit must hold over a step of further shells, as a
     small shell must be followed by more before the Cauchy rule ends a side.
 
-    The half-periods of an oscillatory side (``swings``) are sampled only
-    where its phase is a multiple of pi, which can be fooled: the partial
-    sums of ``x^-3 cos(x^-2)`` there are all -sin(1)/2, though its integral
-    swings by 1/2 inside every half-period and has no limit.  So such a
-    side ends by either rule only once the integral of |f| over its last
-    half-period has shrunk to half the largest before it
-    (:func:`_shrinks`), and a run of small shells that does not end it is
-    forgotten.  Where that integral does not shrink, as for ``x^-2
-    sin(1/x)`` (2 per half-period) or ``x^-2.5 sin(1/x)``, the side goes on
-    to ``MAX_SHELLS`` and raises.
+    The half-periods of an oscillatory side are sampled only where its
+    phase is a multiple of pi, which can be fooled: the partial sums of
+    ``x^-3 cos(x^-2)`` there are all -sin(1)/2, though its integral swings
+    by 1/2 inside every half-period and has no limit, and the epsilon
+    algorithm takes the sums of ``x^-2 sin(1/x)``, whose half-periods
+    alternate between 2 and -2, to their midpoint.  So such a side ends by
+    either rule only while the integrals of |f| over its half-periods fall
+    toward 0 (:func:`_shrinks`), and a run of small shells that does not
+    end it is forgotten.  Where they do not, as for those two, ``x^-2.5
+    sin(1/x)`` or ``(1 + 10 x) x^-2 sin(1/x)``, the side goes on until
+    ``MAX_SHELLS`` or its half-periods grow too narrow, and raises.
 
     A divergent integral's shells grow geometrically and extrapolate to the
     anti-limit of their series.  So at each step end where the epsilon
@@ -738,7 +763,7 @@ def _side(s, shells, tol_q, cauchy_tol, evals, swings=False):
 
     A shell's tol is its width share of ``tol_q``, but never below
     ``_SHELL_FLOOR`` times the side's last shell integral of the step
-    before (of |f|, with ``swings``), times max(1, |s| / width), so deep
+    before (of |f|, for half-periods), times max(1, |s| / width), so deep
     shells of a tight tol stop at their rounding floor.
 
     A side that has not ended raises :class:`ToleranceNotMet` naming s,
@@ -756,7 +781,7 @@ def _side(s, shells, tol_q, cauchy_tol, evals, swings=False):
     """
     run = 3  # consecutive small shells that settle a side
     wynn = _Wynn()
-    values, errors, masses = [], [], []  # masses: the shells' integrals of |f|, with swings
+    values, errors, masses = [], [], []  # masses: the half-periods' integrals of |f|
     small = 0  # the run of small shells
     moduli = 0.0  # the sum of |shell integral|
     before, held = 0.0, False  # the last step end's limit, its abserr within cauchy_tol
@@ -770,7 +795,7 @@ def _side(s, shells, tol_q, cauchy_tol, evals, swings=False):
 
     while True:
         floor = _SHELL_FLOOR * (masses[-1] if masses else abs(values[-1]) if values else 0.0)
-        take = 1 if swings and not values else min(run - small, MAX_SHELLS - len(values))
+        take = 1 if first and not values else min(run - small, MAX_SHELLS - len(values))
         asked = [
             (a, b, max(tol_q * share, floor * max(cond, 1.0)))
             for a, b, share, cond in islice(shells, take)
@@ -786,12 +811,12 @@ def _side(s, shells, tol_q, cauchy_tol, evals, swings=False):
         for v, e, *mass in got:
             values.append(v)
             errors.append(e)
-            if swings:
+            if first:  # a dyadic side's shells have masses when another side's do
                 masses += mass
             small = small + 1 if abs(v) < cauchy_tol else 0
             moduli += abs(v)
             limit, abserr = wynn.add(v)
-        ends = not swings or _shrinks(masses)
+        ends = not first or _shrinks(masses, first)
         if small >= run:
             if ends:
                 return kernels.neumaier_sum(values), kernels.neumaier_sum(errors) + cauchy_tol
@@ -809,7 +834,7 @@ def _side(s, shells, tol_q, cauchy_tol, evals, swings=False):
             return limit, kernels.neumaier_sum(errors) + tail
         before, held = limit, abserr <= cauchy_tol
         if len(values) >= MAX_SHELLS:
-            why = "" if ends else ", as |f| over its half-periods did not shrink by half"
+            why = "" if ends else ", as |f| over its half-periods did not shrink toward 0"
             raise unsettled(f"within {MAX_SHELLS} shells{why}")
 
 
@@ -843,12 +868,15 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol, phase=None):
             count = fn.evals[r : r + 1]  # a view: the interval's evaluations so far
             # half-periods if there is a first one wide enough to split, as
             # on a side not a few ulps wide; else dyadic shells
-            shells = _half_periods(s, far - s, *phase[1:]) if phase and s == phase[0] else iter(())
+            first = _first_zero(far - s, *phase[1:]) if phase and s == phase[0] else 0
+            shells = _half_periods(s, far - s, *phase[1:], first) if first else iter(())
             head = list(islice(shells, 2))
-            swings = len(head) == 2
-            shells = chain(head, shells) if swings else _dyadic(s, far - s)
-            side = _side(s, shells, tol_q, t / (4.0 * len(pairs)), count, swings)
-            absolute |= swings
+            if len(head) == 2:
+                shells = chain(head, shells)
+            else:
+                first, shells = 0, _dyadic(s, far - s)
+            side = _side(s, shells, tol_q, t / (4.0 * len(pairs)), count, first)
+            absolute |= first > 0
             live.append((i, side, next(side)))
     ended = []  # (interval, value, error) of every side that ended
     while live:
@@ -879,7 +907,7 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol, phase=None):
             except StopIteration as end:
                 ended.append((i, *end.value))
         live = still
-    return _group_sums(*map(np.array, zip(*ended)), n=lo.size)
+    return _group_sums(*map(np.array, zip(*ended)), lo.size)
 
 
 def _segments(lo: float, hi: float, sings):
@@ -913,6 +941,18 @@ def _points(name, points):
     if not np.isfinite(points).all():
         raise ValueError(f"{name} must be finite, got {points.tolist()}")
     return points
+
+
+def _phase(phase):
+    """An integrand's ``phase`` as a tuple (s, c, k) of floats, or None;
+    raises ValueError unless it is None or three finite numbers with
+    c != 0 and k > 0, as :func:`_half_periods` needs."""
+    if phase is None:
+        return None
+    p = _points("phase", phase)
+    if p.size != 3 or p[1] == 0.0 or not p[2] > 0.0:
+        raise ValueError(f"phase must be None or (s, c, k) with c != 0 and k > 0, got {phase!r}")
+    return tuple(p.tolist())
 
 
 def _pieces(lo, hi, tol, points):
@@ -958,6 +998,7 @@ def _hk_many(f, lo, hi, tol, singular_points, max_evals):
     tol = np.broadcast_to(tol, lo.shape)
     sings = _points("singular points", singular_points)
     points = _points("breakpoints", getattr(f, "breakpoints", ()))
+    phase = _phase(getattr(f, "phase", None))
     n = lo.size
     fn = _VecFn(f, max_evals, n)
     root, lo, hi, tol = _pieces(lo, hi, tol, points)
@@ -970,10 +1011,10 @@ def _hk_many(f, lo, hi, tol, singular_points, max_evals):
     held = np.flatnonzero(shelled)
     if held.size:
         values[held], errors[held] = _shell_integrate(
-            fn, root[held], lo[held], hi[held], sings.tolist(), tol[held], getattr(f, "phase", None)
+            fn, root[held], lo[held], hi[held], sings.tolist(), tol[held], phase
         )
     if root.size > n:  # some interval was cut
-        values, errors = _group_sums(root, values, errors, n=n)
+        values, errors = _group_sums(root, values, errors, n)
     return values, errors, fn.evals
 
 
@@ -1028,10 +1069,10 @@ def hk_integrate_many(
     zero is one shell, integrated alone at the side's first step, and every
     half-period after it is one, each to its width share of the side's
     tol.  Their partial sums go through the stop rules above, and the side
-    may end only once the integral of |f| over its last half-period has
-    shrunk to half the largest before it: sums sampled at the zeros of
+    may end only while the integrals of |f| over its half-periods fall
+    toward 0 (:func:`_shrinks`): sums sampled at the zeros of
     ``x^-3 cos(x^-2)`` converge though its integral does not.  At tol 1e-10
-    the derivative of x^2 sin(x^-2) on [0, 1] takes 120 evaluations, where
+    the derivative of x^2 sin(x^-2) on [0, 1] takes 165 evaluations, where
     dyadic shells exhausted the budget.  :func:`kspaces.expr.compile_expression`
     sets the attribute, and a library callable may set it too, but only
     where it holds: the half-period sums of a term that does not oscillate,
@@ -1048,7 +1089,8 @@ def hk_integrate_many(
     and :class:`ValueError`, as :class:`Interval` does, for an interval with
     a non-finite end or lo > hi, as well as for ``lo`` and ``hi`` that are
     not 1-D arrays of one shape, a tol that does not broadcast to them or is
-    not positive, or a non-finite singular point or breakpoint.
+    not positive, a non-finite singular point or breakpoint, or a ``phase``
+    that is not None or (s, c, k) with c != 0 and k > 0.
     """
     values, errors, evals = _hk_many(f, lo, hi, tol, singular_points, max_evals)
     tol = np.broadcast_to(tol, values.shape)

@@ -135,11 +135,20 @@ def test_oscillatory_singularities_meet_their_error_bound(capsys, name, tol):
     assert row["evaluations"] <= 1000
 
 
-@pytest.mark.parametrize("expr", ["x1^-2*sin(1/x1)", "x1^-2.5*sin(1/x1)", "x1^-3*cos(1/x1^2)"])
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "x1^-2*sin(1/x1)",
+        "x1^-2.5*sin(1/x1)",
+        "x1^-3*cos(1/x1^2)",
+        "x1^-3*cos(1/x1^2) + 10*x1^-1*cos(1/x1^2)",
+        "(1+10*x1)*x1^-2*sin(1/x1)",
+    ],
+)
 def test_oscillatory_integrals_without_a_limit_exit_1(capsys, expr):
     # their sums at the zeros of the phase converge (those of
     # x^-3 cos(x^-2) are all -sin(1)/2), but |f| over a half-period does
-    # not shrink, so the integral swings without end
+    # not shrink toward 0, so the integral swings without end
     code, _, err = run(
         capsys, "integrate", "--expr", expr, "--interval", "0,1", "--singular", "0",
         "--tol", "1e-6",

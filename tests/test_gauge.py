@@ -514,9 +514,10 @@ def _x2sin_derivative(x):
 
 def test_half_periods_are_cut_at_the_zeros_of_the_phase():
     # the left side of 0.3 for cos(3 / (x - 0.3)): cuts at 0.3 - 3 / (n pi)
-    shells = gauge._half_periods(0.3, -0.3, 3.0, 1.0)
-    cuts = [next(shells) for _ in range(4)]
     n0 = math.floor(10.0 / math.pi) + 1  # the first zero inside [0, 0.3]
+    assert gauge._first_zero(-0.3, 3.0, 1.0) == n0
+    shells = gauge._half_periods(0.3, -0.3, 3.0, 1.0, n0)
+    cuts = [next(shells) for _ in range(4)]
     assert cuts[0][0] == 0.0  # the stretch from the far end
     for j, (lo, hi, share, cond) in enumerate(cuts):
         assert hi == pytest.approx(0.3 - 3.0 / ((n0 + j) * math.pi), rel=1e-15)
@@ -531,7 +532,7 @@ def test_a_callable_may_declare_its_own_phase():
     f.phase = (0.0, 1.0, 2.0)
     r = hk_integrate(f, Interval(0, 1), 1e-10, [0.0])
     assert abs(r.value - math.sin(1.0)) <= r.error_estimate <= 1e-10
-    assert r.evaluations * 1000 < plain.evaluations  # 120 against 234,960
+    assert r.evaluations * 1000 < plain.evaluations  # 165 against 234,960
 
 
 def test_both_sides_of_an_interior_phase_point():
@@ -553,10 +554,55 @@ def test_every_half_period_has_a_tol_floor():
     assert r.evaluations <= 1000
 
 
-@pytest.mark.parametrize("text", ["x1^-2*sin(1/x1)", "x1^-2.5*sin(1/x1)", "x1^-3*cos(1/x1^2)"])
+def test_shrinks_tells_a_fall_toward_0_from_one_toward_a_floor():
+    # masses[0] is the stretch before the first half-period, here n = 1
+    n = np.arange(1.0, 17.0)
+    assert gauge._shrinks([5.0, *(2.0 / n)], 1)
+    assert gauge._shrinks([5.0, *(2.0 / np.sqrt(n))], 1)
+    # 1 + 10 / (n pi) fell below half its largest near n = 6, which the
+    # shrink rule first used took for a fall toward 0
+    assert not gauge._shrinks([5.0, *(1.0 + 10.0 / (math.pi * n))], 1)
+    assert not gauge._shrinks([5.0, *np.full(16, 2.0)], 1)
+    assert not gauge._shrinks([5.0, *np.sqrt(n)], 1)
+    assert not gauge._shrinks([5.0, *(2.0 / n[:3])], 1)  # too few to tell
+    assert not gauge._shrinks([5.0, *(2.0 / n[4:])], 5)  # first 5: needs n = 20
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1^-2*sin(1/x1)",
+        "x1^-2.5*sin(1/x1)",
+        "x1^-3*cos(1/x1^2)",
+        # a converging term on the same phase: |f| over a half-period falls,
+        # but toward 1 and 2, not 0
+        "x1^-3*cos(1/x1^2) + 10*x1^-1*cos(1/x1^2)",
+        "(1+10*x1)*x1^-2*sin(1/x1)",
+    ],
+)
 def test_a_phase_side_whose_swings_do_not_shrink_raises(text):
-    with pytest.raises(ToleranceNotMet, match="did not shrink by half"):
+    with pytest.raises(ToleranceNotMet, match="did not shrink toward 0"):
         hk_integrate(_compiled(text), Interval(0, 1), 1e-6, [0.0])
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [
+        (0.0, 1.0, -1.0),
+        (0.0, 1.0, 0.0),
+        (0.0, 0.0, 1.0),
+        (0.0, 1.0),
+        (0.0, 1.0, 2.0, 3.0),
+        (math.nan, 1.0, 1.0),
+    ],
+)
+def test_a_phase_that_cannot_cut_half_periods_is_refused(phase):
+    # k < 0 put the cuts past the far end, k = 0 divided by zero, and a
+    # tuple of two raised TypeError
+    f = lambda x: np.sin(1.0 / x)  # noqa: E731
+    f.phase = phase
+    with pytest.raises(ValueError, match="phase"):
+        hk_integrate(f, Interval(0, 1), 1e-6, [0.0])
 
 
 # ------------------------------------------------ improper integrals, exactly
