@@ -544,6 +544,23 @@ def test_both_sides_of_an_interior_phase_point():
     assert r.evaluations <= 1000
 
 
+@pytest.mark.parametrize(
+    "text, exact",
+    [
+        # x - 0.3 keeps only the bits of x below those of 0.3, and the phase
+        # magnifies the nodes' rounding: these were 1.1e-13 and 1.1e-13 from
+        # exact with error_bounds of 2.5e-14 and 6.2e-14 (incomplete gamma,
+        # mpmath, 25 digits)
+        ("abs(x1-0.3)^-1.5*cos((x1-0.3)^-2)", 0.004751239046788967),
+        ("abs(x1-0.3)^-1.5*cos(3*(x1-0.3)^-2)", 0.00016565738890994146),
+        ("abs(x1-0.3)^-1*cos(0.2*(x1-0.3)^-0.5)", -0.5443865964985966),
+    ],
+)
+def test_the_error_bound_holds_the_rounding_of_nodes_near_an_interior_point(text, exact):
+    r = hk_integrate(_compiled(text), Interval(0.3, 0.35), 1e-10, [0.3])
+    assert abs(r.value - exact) <= r.error_estimate <= 1e-10
+
+
 def test_every_half_period_has_a_tol_floor():
     # the stretch before the first zero is taken alone, so every half-period's
     # tol is floored at 64 eps of |f| over the shell before it; at tol 1e-13
