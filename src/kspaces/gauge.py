@@ -344,7 +344,7 @@ def _ends(lo, hi, ndim):
     return lo, hi
 
 
-def _gk15_round(fn, lo, hi, *args, **ask):
+def _gk15_round(fn, lo, hi, *args, absolute=False):
     """One GK15 round over the panels [lo[j], hi[j]], ``fn(*args, xs)``
     giving the integrand at their nodes xs (m, 15), each of ``args``
     having one entry per panel.  A round of more than ``_MAX_IN_FLIGHT``
@@ -353,16 +353,21 @@ def _gk15_round(fn, lo, hi, *args, **ask):
     errors, unresolved), the last being ``gk15_batch``'s flag of the panels
     whose Gauss and Kronrod results still disagree at full scale, concatenated
     over the blocks: the panels a shell's round quarters
-    (:func:`_adaptive_many`).  ``ask`` goes to ``gk15_batch``: with
-    ``absolute=True``, each panel's integral of |f| follows."""
+    (:func:`_adaptive_many`).  With ``absolute``, each panel's integral of
+    |f| follows (``gk15_batch``)."""
     if lo.size > _MAX_IN_FLIGHT:
         blocks = [slice(g, g + _MAX_IN_FLIGHT) for g in range(0, lo.size, _MAX_IN_FLIGHT)]
-        parts = [_gk15_round(fn, lo[b], hi[b], *(a[b] for a in args), **ask)[1:] for b in blocks]
+        parts = [
+            _gk15_round(fn, lo[b], hi[b], *(a[b] for a in args), absolute=absolute)[1:]
+            for b in blocks
+        ]
         return (0.5 * (lo + hi), *(np.concatenate(c) for c in zip(*parts)))
     centers = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
     xs = centers[:, None] + halfw[:, None] * kernels.GK15_NODES
-    return (centers, *kernels.gk15_batch(fn(*args, xs), halfw, **ask))
+    if absolute:
+        return (centers, *kernels.gk15_batch(fn(*args, xs), halfw, absolute=True))
+    return (centers, *kernels.gk15_batch(fn(*args, xs), halfw))
 
 
 def _settled(lo, hi, errs, tol, total_w):
@@ -460,7 +465,6 @@ def _lockstep(fn, offset, lo, hi, tol, quarter, absolute):
     """One group of :func:`_adaptive_many`; ``fn`` sees ``seg + offset``.
     A split panel is halved, or with ``quarter`` quartered where GK15 left
     it unresolved (:func:`_bisect`)."""
-    ask = {"absolute": True} if absolute else {}
     n = lo.size
     total_w = hi - lo
     # Active panels stay grouped by interval, each interval's in ascending order.
@@ -470,12 +474,16 @@ def _lockstep(fn, offset, lo, hi, tol, quarter, absolute):
     accepted = []
 
     while seg.size:
-        centers, vals, errs, unresolved, *mass = _gk15_round(
-            fn, active_lo, active_hi, seg + offset, **ask
-        )
+        if absolute:
+            centers, vals, errs, unresolved, mass = _gk15_round(
+                fn, active_lo, active_hi, seg + offset, absolute=True
+            )
+        else:
+            centers, vals, errs, unresolved = _gk15_round(fn, active_lo, active_hi, seg + offset)
         stop = acc_err_sum + _error_sums(errs, seg, n) <= tol
         done = stop[seg] | _settled(active_lo, active_hi, errs, tol[seg], total_w[seg])
-        accepted.append((seg[done], vals[done], errs[done], *(m[done] for m in mass)))
+        kept = (seg[done], vals[done], errs[done])
+        accepted.append(kept + (mass[done],) if absolute else kept)
         split = ~done
         left = seg[split]
         if not left.size:  # the last round: skip the bookkeeping for a next one
