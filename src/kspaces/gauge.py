@@ -694,9 +694,12 @@ def _shrinks(masses, first):
     2q by d and from 2q to 4q by r d, r = 2^-p, and their later falls sum
     to the geometric tail r^2 d / (1 - r) = m - L, m being the mass of
     half-period 4q.  So with 4q the last multiple of 4 taken, and q >=
-    ``first``, the masses must fall (0 < r <= 0.9, p >= 0.15) and that
+    ``first``, the masses must fall (0 < r <= 0.95, p >= 0.074) and that
     projected tail must be at least 3/4 of m: their floor L, the swing left
-    as x nears s, is at most m/4.
+    as x nears s, is at most m/4.  The bound on r keeps noise in the masses
+    from projecting a tail: GK15's masses of the flat half-periods of
+    ``x^-3 cos(x^-2)`` drift by up to 1.3%, and r / (1 - r) <= 19 times
+    that stays under 3/4.  ``x^-1.9 sin(1/x)``, r = 0.93, still ends.
 
     Comparing m with the largest mass before it told a floor from a fall
     only where every term is flat: with ``x^-3 cos(x^-2) + 10 x^-1
@@ -710,7 +713,7 @@ def _shrinks(masses, first):
         return False
     m1, m2, m4 = (masses[n - first + 1] for n in (q, 2 * q, 4 * q))
     d, rd = m1 - m2, m2 - m4
-    return 0.0 < rd <= 0.9 * d and rd * rd >= 0.75 * m4 * (d - rd)
+    return 0.0 < rd <= 0.95 * d and rd * rd >= 0.75 * m4 * (d - rd)
 
 
 def _node_rounding(lo, hi, mass):

@@ -561,6 +561,14 @@ def test_the_error_bound_holds_the_rounding_of_nodes_near_an_interior_point(text
     assert abs(r.value - exact) <= r.error_estimate <= 1e-10
 
 
+def test_a_slow_fall_of_the_half_periods_still_ends():
+    # |f| over half-period n falls like n^-0.1, a rate r = 2^-0.1 = 0.93
+    # from q to 2q, under the 0.95 the shrink rule allows; the integral of
+    # u^-0.1 sin u over [1, inf) (mpmath)
+    r = hk_integrate(_compiled("x1^-1.9*sin(1/x1)"), Interval(0, 1), 1e-8, [0.0])
+    assert abs(r.value - 0.5705037726597924) <= r.error_estimate <= 1e-8
+
+
 def test_every_half_period_has_a_tol_floor():
     # the stretch before the first zero is taken alone, so every half-period's
     # tol is floored at 64 eps of |f| over the shell before it; at tol 1e-13
@@ -576,6 +584,7 @@ def test_shrinks_tells_a_fall_toward_0_from_one_toward_a_floor():
     n = np.arange(1.0, 17.0)
     assert gauge._shrinks([5.0, *(2.0 / n)], 1)
     assert gauge._shrinks([5.0, *(2.0 / np.sqrt(n))], 1)
+    assert gauge._shrinks([5.0, *(2.0 / n**0.1)], 1)
     # 1 + 10 / (n pi) fell below half its largest near n = 6, which the
     # shrink rule first used took for a fall toward 0
     assert not gauge._shrinks([5.0, *(1.0 + 10.0 / (math.pi * n))], 1)
