@@ -50,7 +50,6 @@ from .gauge import (
 )
 from .infinite import (
     ConvergenceReport,
-    TailMeasureConfig,
     integrate_limit,
     integrate_tame,
 )

@@ -23,8 +23,25 @@ CANONICAL_J = Interval(-0.5, 0.5)
 
 
 class TailFamily(Enum):
+    """The tail intervals of a box set, which also scale the integral of a
+    tame function: its order-n integral times :meth:`tail_product`."""
+
     CANONICAL_J = "canonical-j"
     SCALED_J = "scaled-j"
+
+    def tail_product(self, order: int) -> float:
+        """Product of the first ``order`` tail factors, computed in log space.
+
+        Canonical-J factors are all one; scaled-J factor i is 1/log(i + 1).
+
+        The scaled factors cross one (the first exceeds it, later ones decay)
+        and their product vanishes super-exponentially, so the plain product
+        would underflow long before the log-sum does.
+        """
+        if self is TailFamily.CANONICAL_J:
+            return 1.0
+        log_sum = -math.fsum(math.log(math.log(i + 1)) for i in range(1, order + 1))
+        return math.exp(log_sum)
 
 
 def j_interval(k: int) -> Interval:

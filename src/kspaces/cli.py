@@ -31,7 +31,6 @@ from .errors import KSError
 from .expr import compile_expression, parse_expression
 from .fourier import FrequencyPoint, fourier_tame_result
 from .gauge import Interval, hk_integrate, integrate_nd_result
-from .infinite import TailMeasureConfig
 from .kp import (
     DualityFamily,
     KpConfig,
@@ -138,7 +137,6 @@ SETTINGS = {
     "tol": (1e-10, _positive, None),
     "weights": ({"name": "geometric", "ratio": 0.5}, _weights, _parse_weights),
     "tail_family": ("canonical-j", _one_of(TAIL_FAMILIES), None),
-    "normalized": (True, _boolean, None),
     "singular_points": ([], _points, _parse_floats),
     "format": ("csv", _one_of(FORMATS), None),
     "seed": (0, _rule("an integer", _integer, int), None),
@@ -199,10 +197,6 @@ def _kp_config(cfg) -> KpConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _tail_config(cfg) -> TailMeasureConfig:
-    return TailMeasureConfig(TailFamily(cfg.tail_family), normalized=cfg.normalized)
-
-
 def _box(text: str) -> list:
     """A ``--box`` domain, checked as a window is."""
     return [Interval(a, b) for a, b in _checked("--box", _window, text, _parse_box)]
@@ -250,8 +244,8 @@ def _cmd_integrate(args, cfg):
     if args.interval and args.box:
         raise UsageError("give either --interval (1-d HK) or --box (tame), not both")
     if args.interval:
-        if args.tail_family is not None or args.normalized is not None:
-            raise UsageError("--tail-family and --normalized apply only to --box")
+        if args.tail_family is not None:
+            raise UsageError("--tail-family applies only to --box")
         lo, hi = _checked("--interval", _interval, args.interval, _parse_floats)
         if not all(lo <= s <= hi for s in cfg.singular_points):
             raise UsageError(f"singular points must lie in the interval [{lo!r}, {hi!r}]")
@@ -266,7 +260,7 @@ def _cmd_integrate(args, cfg):
         box = _box(args.box)
         f = _compiled(args.expr, len(box))
         res = integrate_nd_result(f, box, tol=cfg.tol)
-        factor = _tail_config(cfg).tail_product(len(box))
+        factor = TailFamily(cfg.tail_family).tail_product(len(box))
         err = res.error_estimate * factor
         return [("tame_integral", res.value * factor, err, 0.0, res.evaluations, timer.ms())]
     raise UsageError("integrate needs --interval or --box")
@@ -389,9 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--singular", dest="singular_points",
                        help="comma-separated singular points inside --interval")
     p_int.add_argument("--tail-family", choices=TAIL_FAMILIES, default=None)
-    normalized = p_int.add_mutually_exclusive_group()
-    normalized.add_argument("--normalized", dest="normalized", action="store_true", default=None)
-    normalized.add_argument("--no-normalized", dest="normalized", action="store_false")
     common(p_int)
 
     p_norm = sub.add_parser("norm", help="K^p norm of an expression")

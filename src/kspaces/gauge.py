@@ -344,29 +344,23 @@ def _ends(lo, hi, ndim):
     return lo, hi
 
 
-def _gk15_round(fn, lo, hi, *args, absolute=False):
+def _gk15_round(fn, lo, hi, *args):
     """One GK15 round over the panels [lo[j], hi[j]], ``fn(*args, xs)``
     giving the integrand at their nodes xs (m, 15), each of ``args``
     having one entry per panel.  A round of more than ``_MAX_IN_FLIGHT``
     panels runs in consecutive blocks of that many, each with its own
     nodes, ``fn`` call and ``gk15_batch`` call.  Returns (centers, values,
-    errors, unresolved), the last being ``gk15_batch``'s flag of the panels
-    whose Gauss and Kronrod results still disagree at full scale, concatenated
-    over the blocks: the panels a shell's round quarters
-    (:func:`_adaptive_many`).  With ``absolute``, each panel's integral of
-    |f| follows (``gk15_batch``)."""
+    errors, unresolved, masses), concatenated over the blocks: the last two
+    are ``gk15_batch``'s flag of the panels whose Gauss and Kronrod results
+    still disagree at full scale, which a shell round quarters
+    (:func:`_adaptive_many`), and each panel's integral of |f|."""
     if lo.size > _MAX_IN_FLIGHT:
         blocks = [slice(g, g + _MAX_IN_FLIGHT) for g in range(0, lo.size, _MAX_IN_FLIGHT)]
-        parts = [
-            _gk15_round(fn, lo[b], hi[b], *(a[b] for a in args), absolute=absolute)[1:]
-            for b in blocks
-        ]
+        parts = [_gk15_round(fn, lo[b], hi[b], *(a[b] for a in args))[1:] for b in blocks]
         return (0.5 * (lo + hi), *(np.concatenate(c) for c in zip(*parts)))
     centers = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
     xs = centers[:, None] + halfw[:, None] * kernels.GK15_NODES
-    if absolute:
-        return (centers, *kernels.gk15_batch(fn(*args, xs), halfw, absolute=True))
     return (centers, *kernels.gk15_batch(fn(*args, xs), halfw))
 
 
@@ -425,7 +419,7 @@ def _group_sums(seg, vals, errs, n):
     return values, errors
 
 
-def _adaptive_many(fn, lo, hi, tol, quarter=False, absolute=False):
+def _adaptive_many(fn, lo, hi, tol, shells=False):
     """Breadth-first GK15 refinement of many intervals, in lock step.
 
     Interval i is [lo[i], hi[i]] with tolerance tol[i].  Each round makes
@@ -436,35 +430,34 @@ def _adaptive_many(fn, lo, hi, tol, quarter=False, absolute=False):
     force-accepted (:func:`_settled`); an interval stops once its error
     total is within tol.  At most ``_MAX_IN_FLIGHT`` intervals are in
     flight; larger batches run as consecutive groups.  Returns (values,
-    errors) arrays, and with ``absolute`` a third, each interval's integral
-    of |f| summed in plain floating point over its accepted panels
-    (``gk15_batch``'s resabs).
+    errors) arrays.
 
-    Split panels are halved.  With ``quarter``, those GK15 left unresolved
-    are cut into their four quarters in one round instead, since nearly
-    every child of such a panel is split again: the shells of an
-    oscillatory singularity take about a fifth fewer evaluations.  Only
-    :func:`_shell_integrate` asks for it.  Elsewhere it can cost far more
-    than it saves: an outer box axis whose inner integrals miss a jump
-    never stops being unresolved, and quartering took ``x1 + x2 <= 1`` on
-    [0, 1]^2 from 165,915 evaluations to 21,532,485.
+    Split panels are halved.  ``shells`` marks the intervals as the shells
+    of :func:`_shell_integrate`, and changes two things.  The split panels
+    GK15 left unresolved are cut into their four quarters in one round,
+    since nearly every child of such a panel is split again: the shells of
+    an oscillatory singularity take about a fifth fewer evaluations.
+    Elsewhere that can cost far more than it saves: an outer box axis whose
+    inner integrals miss a jump never stops being unresolved, and
+    quartering took ``x1 + x2 <= 1`` on [0, 1]^2 from 165,915 evaluations
+    to 21,532,485.  And a third array follows: each interval's integral of
+    |f|, summed in plain floating point over its accepted panels
+    (``gk15_batch``'s masses), which no value or error depends on.
     """
     values, errors = np.zeros(lo.size), np.zeros(lo.size)
-    masses = np.zeros(lo.size) if absolute else None
+    masses = np.zeros(lo.size) if shells else None
     for g in range(0, lo.size, _MAX_IN_FLIGHT):
         grp = slice(g, g + _MAX_IN_FLIGHT)
-        values[grp], errors[grp], *mass = _lockstep(
-            fn, g, lo[grp], hi[grp], tol[grp], quarter, absolute
-        )
-        if absolute:
+        values[grp], errors[grp], *mass = _lockstep(fn, g, lo[grp], hi[grp], tol[grp], shells)
+        if shells:
             masses[grp] = mass[0]
-    return (values, errors, masses) if absolute else (values, errors)
+    return (values, errors, masses) if shells else (values, errors)
 
 
-def _lockstep(fn, offset, lo, hi, tol, quarter, absolute):
+def _lockstep(fn, offset, lo, hi, tol, shells):
     """One group of :func:`_adaptive_many`; ``fn`` sees ``seg + offset``.
-    A split panel is halved, or with ``quarter`` quartered where GK15 left
-    it unresolved (:func:`_bisect`)."""
+    A split panel is halved, or in a ``shells`` round quartered where GK15
+    left it unresolved (:func:`_bisect`)."""
     n = lo.size
     total_w = hi - lo
     # Active panels stay grouped by interval, each interval's in ascending order.
@@ -474,28 +467,23 @@ def _lockstep(fn, offset, lo, hi, tol, quarter, absolute):
     accepted = []
 
     while seg.size:
-        if absolute:
-            centers, vals, errs, unresolved, mass = _gk15_round(
-                fn, active_lo, active_hi, seg + offset, absolute=True
-            )
-        else:
-            centers, vals, errs, unresolved = _gk15_round(fn, active_lo, active_hi, seg + offset)
+        centers, vals, errs, unresolved, mass = _gk15_round(fn, active_lo, active_hi, seg + offset)
         stop = acc_err_sum + _error_sums(errs, seg, n) <= tol
         done = stop[seg] | _settled(active_lo, active_hi, errs, tol[seg], total_w[seg])
         kept = (seg[done], vals[done], errs[done])
-        accepted.append(kept + (mass[done],) if absolute else kept)
+        accepted.append(kept + (mass[done],) if shells else kept)
         split = ~done
         left = seg[split]
         if not left.size:  # the last round: skip the bookkeeping for a next one
             break
         acc_err_sum += _error_sums(errs[done], seg[done], n)
-        four = unresolved[split] if quarter and unresolved.any() else None
+        four = unresolved[split] if shells and unresolved.any() else None
         active_lo, active_hi = _bisect(active_lo, active_hi, centers, split, four)
         seg = left.repeat(2 if four is None else 2 + 2 * four)
 
     if not accepted:
-        return (np.zeros(n),) * (3 if absolute else 2)
-    if not absolute:
+        return (np.zeros(n),) * (3 if shells else 2)
+    if not shells:
         return _group_sums(*(np.concatenate(c) for c in zip(*accepted)), n)
     seg, vals, errs, mass = (np.concatenate(c) for c in zip(*accepted))
     return (*_group_sums(seg, vals, errs, n), np.bincount(seg, weights=mass, minlength=n))
@@ -639,7 +627,7 @@ def _dyadic(s, span):
     ``SHELL_RATIO``.  Yields each shell's (lo, hi, share, cond), share being
     its width over the side's and cond |s| over its width."""
     # |s| over the width of the shell at frac 1; a zero span has empty shells
-    near = abs(s) / (0.5 * abs(span)) if span else 0.0
+    near = abs(s) / ((1.0 - SHELL_RATIO) * abs(span)) if span else 0.0
     frac = 1.0
     while True:
         a, b = s + span * frac, s + span * (frac * SHELL_RATIO)
@@ -737,11 +725,11 @@ def _side(s, shells, tol_q, cauchy_tol, evals, first=0):
     half-period of a side cut into them, 0 for dyadic shells.
 
     A generator: each step it yields the (lo, hi, tol) of the shells it
-    takes and is sent their (value, error) pairs, with half-periods their
-    (value, error, integral of |f|) triples.  A side with k small shells in
-    a row takes run - k more (fewer at ``MAX_SHELLS``), as the Cauchy rule
-    needs at least that many to end it; the first step of a side cut into
-    half-periods takes only the stretch before the first one,
+    takes and is sent their (value, error, integral of |f|) triples, the
+    last read only on a side cut into half-periods.  A side with k small
+    shells in a row takes run - k more (fewer at ``MAX_SHELLS``), as the
+    Cauchy rule needs at least that many to end it; the first step of a
+    side cut into half-periods takes only the stretch before the first one,
     so that every half-period's tol has a floor (below).  After each step
     it stops on the first of two rules:
 
@@ -841,11 +829,11 @@ def _side(s, shells, tol_q, cauchy_tol, evals, first=0):
             if not values:
                 raise
             raise unsettled(f"before the integrand became non-finite at x={exc.point[-1]!r}") from exc
-        for (lo, hi, _), (v, e, *mass) in zip(asked, got):
+        for (lo, hi, _), (v, e, mass) in zip(asked, got):
             values.append(v)
-            if first:  # a dyadic side's shells have masses when another side's do
-                masses += mass
-                slips += _node_rounding(lo, hi, mass[0]) ** 2
+            if first:
+                masses.append(mass)
+                slips += _node_rounding(lo, hi, mass) ** 2
             errors.append(e)
             small = small + 1 if abs(v) < cauchy_tol else 0
             moduli += abs(v)
@@ -887,15 +875,15 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol, phase=None):
     into half-periods (:func:`_half_periods`), every other side into
     dyadic shells (:func:`_dyadic`).
 
-    That call quarters the panels GK15 leaves unresolved rather than halving
-    them.  On a shell of an oscillatory singularity such panels are where
-    the Gauss and Kronrod results disagree at full scale, and nearly every
-    half of one is split again, so the half's round is wasted.  A shell of
-    a log or power singularity is smooth at its own scale and seldom has
-    such panels.
+    That call is a shell round: it gives every shell's integral of |f|
+    beside its (value, error), and quarters the panels GK15 leaves
+    unresolved rather than halving them.  On a shell of an oscillatory
+    singularity such panels are where the Gauss and Kronrod results
+    disagree at full scale, and nearly every half of one is split again, so
+    the half's round is wasted.  A shell of a log or power singularity is
+    smooth at its own scale and seldom has such panels.
     """
     live = []  # (interval, side, the shells it asks for)
-    absolute = False  # whether some side is cut into half-periods
     for i, (r, a, b, t) in enumerate(zip(roots.tolist(), lo.tolist(), hi.tolist(), tol.tolist())):
         pairs = _segments(a, b, sings)
         for s, far in pairs:
@@ -911,7 +899,6 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol, phase=None):
             else:
                 first, shells = 0, _dyadic(s, far - s)
             side = _side(s, shells, tol_q, t / (4.0 * len(pairs)), count, first)
-            absolute |= first > 0
             live.append((i, side, next(side)))
     ended = []  # (interval, value, error) of every side that ended
     while live:
@@ -923,8 +910,7 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol, phase=None):
             out = _adaptive_many(
                 lambda seg, xs: fn(xs, None, root[seg]),
                 *np.array([shell for _, shell in asked]).T,
-                quarter=True,
-                absolute=absolute,
+                shells=True,
             )
         except EvaluationError as exc:
             for _, side, shells in live:  # the side whose shells hold the point ends
@@ -1249,7 +1235,10 @@ def integrate_nd_result(
 
 
 def uniform_partition(iv: Interval, n: int, tags: str = "midpoint") -> TaggedPartition:
-    """Uniform n-cell partition with midpoint or left tags (test helper)."""
+    """Uniform n-cell partition with ``tags`` "midpoint" or "left" (test
+    helper); raises ValueError for any other ``tags``."""
+    if tags not in ("midpoint", "left"):
+        raise ValueError(f'tags must be "midpoint" or "left", got {tags!r}')
     edges = np.linspace(iv.lo, iv.hi, n + 1)
     cells = []
     for a, b in zip(edges[:-1], edges[1:]):

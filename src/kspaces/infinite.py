@@ -8,7 +8,6 @@ a Cauchy stopping rule on the partial integrals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -19,35 +18,6 @@ from .tame import TameFunction
 
 
 @dataclass(frozen=True)
-class TailMeasureConfig:
-    """Which tail family scales the finite-dimensional approximants.
-
-    ``normalized=True`` multiplies the order-n integral by the product of
-    the first n tail-interval measures (the simple-function definition);
-    ``normalized=False`` takes the bare limit of the finite-dimensional
-    integrals.  The two coincide for the canonical-J family, whose factors
-    are all one.
-    """
-
-    family: TailFamily = TailFamily.CANONICAL_J
-    normalized: bool = True
-
-    def tail_product(self, order: int) -> float:
-        """Product of the first ``order`` tail factors, computed in log space.
-
-        Canonical-J factors are all one; scaled-J factor i is 1/log(i + 1).
-
-        The scaled factors cross one (the first exceeds it, later ones decay)
-        and their product vanishes super-exponentially, so the plain product
-        would underflow long before the log-sum does.
-        """
-        if not self.normalized or self.family is TailFamily.CANONICAL_J:
-            return 1.0
-        log_sum = -math.fsum(math.log(math.log(i + 1)) for i in range(1, order + 1))
-        return math.exp(log_sum)
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     value: float
     terms: tuple
@@ -55,15 +25,16 @@ class ConvergenceReport:
     criterion: str
 
 
-def integrate_tame(f: TameFunction, cfg: TailMeasureConfig, tol: float = 1e-10) -> float:
-    """Integral of a tame function: core quadrature times tail factors."""
+def integrate_tame(f: TameFunction, family: TailFamily, tol: float = 1e-10) -> float:
+    """Integral of a tame function: core quadrature times the tail factors
+    of ``family`` (:meth:`TailFamily.tail_product`)."""
     result = integrate_nd_result(f.core, f.box, tol)
-    return result.value * cfg.tail_product(f.order)
+    return result.value * family.tail_product(f.order)
 
 
 def integrate_limit(
     seq: Iterable[TameFunction],
-    cfg: TailMeasureConfig,
+    family: TailFamily,
     tol: float = 1e-6,
     max_n: int = 256,
     quad_tol: float = 1e-10,
@@ -92,7 +63,7 @@ def integrate_limit(
         if f.order < last_order:
             raise ValueError("sequence terms must have non-decreasing order")
         last_order = f.order
-        v = integrate_tame(f, cfg, quad_tol)
+        v = integrate_tame(f, family, quad_tol)
         values.append(v)
         terms.append((i, v))
         if len(values) >= 3:

@@ -78,12 +78,12 @@ def neumaier_sum(values):
     return math.fsum(np.asarray(values, dtype=np.float64).tolist())
 
 
-def gk15_batch(fvals, halfwidths, absolute=False):
+def gk15_batch(fvals, halfwidths):
     """Apply the Gauss-Kronrod 7/15 pair to a batch of panels.
 
     ``fvals`` has shape (m, 15): integrand values at ``GK15_NODES`` for each
     panel.  ``halfwidths`` has shape (m,).  Returns ``(values, errors,
-    unresolved)`` where ``values[i]`` approximates the panel integral,
+    unresolved, masses)`` where ``values[i]`` approximates the panel integral,
     ``errors[i]`` is the QUADPACK-style error estimate
     sasc * min(1, (200 |K - G| / sasc)^1.5), never below 50 eps resabs, and
     ``unresolved[i]`` is true where that scale factor is 1, judged before
@@ -93,10 +93,9 @@ def gk15_batch(fvals, halfwidths, absolute=False):
     panels; every other driver bisects them, since an outer box axis over
     inner integrals that miss a jump stays unresolved at any width.
     Scaling ``fvals`` by a power of two scales both sides of that test
-    exactly and leaves the flag unchanged.  With ``absolute``, a fourth
-    array follows: each panel's Kronrod integral of |f|, QUADPACK's resabs
-    times the halfwidth, which the half-period shells of an oscillatory
-    singularity watch.
+    exactly and leaves the flag unchanged.  ``masses[i]`` is the panel's
+    Kronrod integral of |f|, QUADPACK's resabs times the halfwidth, which
+    the half-period shells of an oscillatory singularity watch.
     """
     fvals = np.asarray(fvals, dtype=np.float64)
     halfwidths = np.asarray(halfwidths, dtype=np.float64)
@@ -120,6 +119,4 @@ def gk15_batch(fvals, halfwidths, absolute=False):
     errors[mask] = scaled
     floor = 50.0 * _EPS * resabs * ah
     np.maximum(errors, floor, out=errors)
-    if absolute:
-        return values, errors, unresolved, resabs * ah
-    return values, errors, unresolved
+    return values, errors, unresolved, resabs * ah

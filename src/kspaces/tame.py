@@ -2,8 +2,9 @@
 
 A tame function of order n is a finite-dimensional core on the first n
 coordinates tensored with the indicator that every remaining coordinate
-lies in its tail interval.  Which tail family scales its integral is set
-by :class:`kspaces.infinite.TailMeasureConfig`, not by the function.
+lies in its tail interval.  Which tail family scales its integral is a
+:class:`kspaces.boxes.TailFamily` given to the integration, not a part of
+the function.
 """
 
 from __future__ import annotations

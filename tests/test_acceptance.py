@@ -16,7 +16,6 @@ from kspaces import (
     KpConfig,
     NotCauchy,
     TailFamily,
-    TailMeasureConfig,
     TameFunction,
     compute_functionals,
     hk_integrate,
@@ -216,7 +215,7 @@ def test_criterion_8_measure_properties():
 def test_criterion_9_infinite_integration():
     one = lambda x: np.ones_like(x)
     scaled = TameFunction(1, one, (UNIT,))
-    got = integrate_tame(scaled, TailMeasureConfig(TailFamily.SCALED_J))
+    got = integrate_tame(scaled, TailFamily.SCALED_J)
     ok_scaled = abs(got - 1.0 / math.log(2.0)) <= 1e-12
 
     core = lambda x: np.sin(3.0 * x) + x**2
@@ -224,8 +223,8 @@ def test_criterion_9_infinite_integration():
     f2 = TameFunction(
         2, lambda x, y: core(x) * np.ones_like(y), (UNIT, Interval(-0.5, 0.5))
     )
-    cfg = TailMeasureConfig()
-    promo_gap = abs(integrate_tame(f2, cfg) - integrate_tame(f1, cfg))
+    family = TailFamily.CANONICAL_J
+    promo_gap = abs(integrate_tame(f2, family) - integrate_tame(f1, family))
     ok_promo = promo_gap <= 1e-8
 
     def growing():
@@ -233,7 +232,7 @@ def test_criterion_9_infinite_integration():
             hi = 1.0 - 1.0 / n if n > 1 else 0.0
             yield TameFunction(1, one, (Interval(0.0, hi),))
 
-    rep = integrate_limit(growing(), cfg, tol=1e-3, max_n=399)
+    rep = integrate_limit(growing(), family, tol=1e-3, max_n=399)
     ok_limit = rep.converged
 
     def alternating():
@@ -242,7 +241,7 @@ def test_criterion_9_infinite_integration():
             yield TameFunction(1, lambda x, s=s: s * np.ones_like(x), (UNIT,))
 
     try:
-        integrate_limit(alternating(), cfg, tol=1e-6, max_n=30)
+        integrate_limit(alternating(), family, tol=1e-6, max_n=30)
         ok_alt = False
     except NotCauchy:
         ok_alt = True

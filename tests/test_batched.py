@@ -66,7 +66,7 @@ def adaptive(fn, lo, hi, tol, quarter=False):
     acc_err_sum = 0.0
 
     while active_lo.size:
-        centers, vals, errs, unresolved = gauge._gk15_round(fn, active_lo, active_hi)
+        centers, vals, errs, unresolved, _ = gauge._gk15_round(fn, active_lo, active_hi)
         seg = np.zeros(errs.size, dtype=np.intp)  # every panel is in the interval
         if acc_err_sum + gauge._error_sums(errs, seg, 1)[0] <= tol:
             acc_val.append(vals)
@@ -279,6 +279,22 @@ def row_by_row_gk15(monkeypatch):
         return tuple(np.concatenate(part) for part in zip(*out))
 
     monkeypatch.setattr(gauge.kernels, "gk15_batch", rows)
+
+
+def test_shell_masses_touch_no_value(row_by_row_gk15):
+    # In one call the sides toward 0 are cut into half-periods, whose
+    # masses (integrals of |f|) the shell rounds sum, and the sides toward
+    # 2.5 into dyadic shells, one of which quarters the panels around a
+    # step.  With a batch-independent GK15, [2, 3] gets the bits it gets
+    # alone, where no side reads a mass.
+    def f(x):
+        return np.where(x < 1.5, _x2sin_derivative(x), (x > 2.5123) * 1.0)
+
+    f.phase = (0.0, 1.0, 2.0)
+    both = hk_integrate_many(f, [0.0, 2.0], [1.0, 3.0], 1e-8, [0.0, 2.5])
+    alone = hk_integrate_many(f, [2.0], [3.0], 1e-8, [2.5])
+    assert abs(both[0][0] - math.sin(1.0)) <= both[1][0]
+    assert [a[1] for a in both] == [a[0] for a in alone]
 
 
 def test_adaptive_many_matches_adaptive_on_long_runs(row_by_row_gk15):

@@ -399,7 +399,6 @@ INVALID_CONFIGS = {
     "tol-type": {"tol": "1e-8"},
     "weights-type": {"weights": "geometric:0.5"},
     "tail-family-type": {"tail_family": 1},
-    "normalized-type": {"normalized": "yes"},
     "singular-points-type": {"singular_points": 0.5},
     "format-type": {"format": 1},
     "seed-type": {"seed": "1"},
@@ -589,14 +588,13 @@ def test_singular_points_on_the_domain_edge_are_accepted(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--tail-family", "scaled-j"], ["--normalized"], ["--no-normalized"],
-    ["--tail-family", "canonical-j", "--no-normalized"],
+    ["--tail-family", "scaled-j"], ["--tail-family", "canonical-j"],
 ])
 def test_tail_flags_on_interval_are_usage_errors(capsys, flags):
-    # the tail family and normalization scale only --box results
+    # the tail family scales only --box results
     code, out, err = run(capsys, "integrate", "--expr", "x1", "--interval", "0,1", *flags)
     assert (code, out) == (2, "")
-    assert err.startswith("usage error: --tail-family and --normalized apply only to --box")
+    assert err.startswith("usage error: --tail-family applies only to --box")
     code, _, _ = run(capsys, "integrate", "--expr", "x1", "--box", "0,1", *flags)
     assert code == 0
 
@@ -604,7 +602,7 @@ def test_tail_flags_on_interval_are_usage_errors(capsys, flags):
 def test_tail_settings_in_a_config_file_are_accepted_with_interval(capsys, tmp_path):
     # one config file may serve several subcommands
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"tail_family": "scaled-j", "normalized": False}))
+    path.write_text(json.dumps({"tail_family": "scaled-j"}))
     argv = ["integrate", "--expr", "x1", "--interval", "0,1", "--deterministic"]
     code, with_file, _ = run(capsys, *argv, "--config", str(path))
     assert code == 0

@@ -97,6 +97,12 @@ class TestRiemannSum:
             p = uniform_partition(Interval(0, 1), n, "midpoint")
             assert riemann_sum(lambda x: x, p) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("tags", ["right", "mid"])
+    def test_unknown_tags_are_refused(self, tags):
+        # any tags but "midpoint" used to give left tags: cells at 0.0 and 0.5
+        with pytest.raises(ValueError, match='"midpoint" or "left"'):
+            uniform_partition(Interval(0, 1), 2, tags)
+
     def test_single_cell_left_tag(self):
         p = TaggedPartition(((0.0, Interval(0, 1)),))
         assert riemann_sum(lambda x: x, p) == 0.0
@@ -793,6 +799,19 @@ def test_a_side_that_reaches_its_singular_point_names_it(f, s, x):
     with pytest.raises(ToleranceNotMet, match=message) as info:
         hk_integrate(f, Interval(0, 1), 1e-10, [s])
     assert info.value.evaluations > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: every dyadic shell integrates to 0, so the Cauchy rule ends the side",
+)
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-10])
+def test_a_swing_that_every_dyadic_shell_cancels_raises(tol):
+    # the integral over [eps, 1] is -ln 2 sin(pi log2 eps) / pi, which swings
+    # by +-0.2206 as eps -> 0 and has no limit; the side returned about 1e-16
+    # with an error_estimate near tol / 4
+    with pytest.raises(ToleranceNotMet):
+        hk_integrate(lambda x: np.cos(np.pi * np.log2(x)) / x, Interval(0, 1), tol, [0.0])
 
 
 def test_a_non_finite_value_at_a_side_s_first_step_is_an_evaluation_error():

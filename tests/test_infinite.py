@@ -7,7 +7,6 @@ from kspaces import (
     Interval,
     NotCauchy,
     TailFamily,
-    TailMeasureConfig,
     TameFunction,
     integrate_limit,
     integrate_tame,
@@ -23,21 +22,15 @@ def const_one(x):
 class TestIntegrateTame:
     def test_canonical_indicator(self):
         f = TameFunction(1, const_one, UNIT)
-        assert integrate_tame(f, TailMeasureConfig()) == pytest.approx(1.0, abs=1e-12)
+        assert integrate_tame(f, TailFamily.CANONICAL_J) == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_tail_factor(self):
         f = TameFunction(1, const_one, UNIT)
-        cfg = TailMeasureConfig(TailFamily.SCALED_J)
-        assert integrate_tame(f, cfg) == pytest.approx(1.0 / math.log(2.0), abs=1e-12)
+        assert integrate_tame(f, TailFamily.SCALED_J) == pytest.approx(1.0 / math.log(2.0), abs=1e-12)
 
     def test_order_two_product_indicator(self):
         f = TameFunction(2, lambda x, y: np.ones_like(x * y), UNIT + UNIT)
-        assert integrate_tame(f, TailMeasureConfig()) == pytest.approx(1.0, abs=1e-10)
-
-    def test_unnormalized_scaled_drops_factor(self):
-        f = TameFunction(1, const_one, UNIT)
-        cfg = TailMeasureConfig(TailFamily.SCALED_J, normalized=False)
-        assert integrate_tame(f, cfg) == pytest.approx(1.0, abs=1e-12)
+        assert integrate_tame(f, TailFamily.CANONICAL_J) == pytest.approx(1.0, abs=1e-10)
 
     def test_order_promotion_invariance_canonical(self):
         # re-expressing order n as order n+1 with a full-J coordinate leaves
@@ -47,15 +40,14 @@ class TestIntegrateTame:
         f2 = TameFunction(
             2, lambda x, y: core(x) * np.ones_like(y), UNIT + (Interval(-0.5, 0.5),)
         )
-        cfg = TailMeasureConfig()
-        assert integrate_tame(f2, cfg) == pytest.approx(
-            integrate_tame(f1, cfg), abs=1e-8
+        family = TailFamily.CANONICAL_J
+        assert integrate_tame(f2, family) == pytest.approx(
+            integrate_tame(f1, family), abs=1e-8
         )
 
     def test_log_space_tail_product_no_underflow(self):
-        cfg = TailMeasureConfig(TailFamily.SCALED_J)
         # naive product of 400 factors underflows; log-space must not
-        p = cfg.tail_product(400)
+        p = TailFamily.SCALED_J.tail_product(400)
         assert p > 0.0
         expected_log = -math.fsum(
             math.log(math.log(i + 1)) for i in range(1, 401)
@@ -66,7 +58,7 @@ class TestIntegrateTame:
 class TestIntegrateLimit:
     def test_constant_sequence_settles_at_three_terms(self):
         seq = (TameFunction(1, const_one, UNIT) for _ in range(10))
-        rep = integrate_limit(seq, TailMeasureConfig(), tol=1e-8)
+        rep = integrate_limit(seq, TailFamily.CANONICAL_J, tol=1e-8)
         assert rep.converged
         assert len(rep.terms) == 3
         assert rep.value == pytest.approx(1.0, abs=1e-10)
@@ -78,7 +70,7 @@ class TestIntegrateLimit:
                 yield TameFunction(1, const_one, box)
 
         tol = 1e-3
-        rep = integrate_limit(seq(), TailMeasureConfig(), tol=tol, max_n=399)
+        rep = integrate_limit(seq(), TailFamily.CANONICAL_J, tol=tol, max_n=399)
         assert rep.converged
         # the Cauchy rule stops once differences ~1/n^2 < tol, leaving a
         # ~sqrt(tol) gap to the limit
@@ -91,16 +83,16 @@ class TestIntegrateLimit:
                 yield TameFunction(1, lambda x, s=sign: s * np.ones_like(x), UNIT)
 
         with pytest.raises(NotCauchy) as err:
-            integrate_limit(seq(), TailMeasureConfig(), tol=1e-6, max_n=20)
+            integrate_limit(seq(), TailFamily.CANONICAL_J, tol=1e-6, max_n=20)
         assert err.value.report is not None
         assert not err.value.report.converged
         assert len(err.value.report.terms) == 20
 
     def test_consistency_with_integrate_tame(self):
         f = TameFunction(1, lambda x: x**2, UNIT)
-        cfg = TailMeasureConfig()
-        rep = integrate_limit((f for _ in range(5)), cfg, tol=1e-10)
-        assert rep.value == integrate_tame(f, cfg)
+        family = TailFamily.CANONICAL_J
+        rep = integrate_limit((f for _ in range(5)), family, tol=1e-10)
+        assert rep.value == integrate_tame(f, family)
 
     def test_monotone_sequences_have_monotone_partials(self):
         def seq():
@@ -110,7 +102,7 @@ class TestIntegrateLimit:
                 )  # pointwise increasing on [0,1]
 
         try:
-            rep = integrate_limit(seq(), TailMeasureConfig(), tol=1e-9, max_n=11)
+            rep = integrate_limit(seq(), TailFamily.CANONICAL_J, tol=1e-9, max_n=11)
             values = [v for _, v in rep.terms]
         except NotCauchy as err:
             values = [v for _, v in err.report.terms]
@@ -122,7 +114,7 @@ class TestIntegrateLimit:
             yield TameFunction(1, const_one, UNIT)
 
         with pytest.raises(ValueError):
-            integrate_limit(seq(), TailMeasureConfig(), tol=1e-6)
+            integrate_limit(seq(), TailFamily.CANONICAL_J, tol=1e-6)
 
     @pytest.mark.parametrize(
         "kw, match",
@@ -141,4 +133,4 @@ class TestIntegrateLimit:
             yield
 
         with pytest.raises(ValueError, match=match):
-            integrate_limit(seq(), TailMeasureConfig(), **kw)
+            integrate_limit(seq(), TailFamily.CANONICAL_J, **kw)

@@ -39,7 +39,7 @@ def test_gk15_exact_on_polynomials():
     # Kronrod-15 integrates degree <= 22 exactly; check x^8 on [0, 1]
     nodes = 0.5 + 0.5 * kernels.GK15_NODES
     fv = (nodes**8)[None, :]
-    val, err, _ = kernels.gk15_batch(fv, np.array([0.5]))
+    val, err, _, _ = kernels.gk15_batch(fv, np.array([0.5]))
     assert abs(val[0] - 1.0 / 9.0) < 1e-15
     assert err[0] < 1e-14
 
@@ -48,7 +48,7 @@ def test_gk15_error_estimate_flags_rough_panels():
     # a jump inside the panel must produce a large error estimate
     xs = 0.5 + 0.5 * kernels.GK15_NODES
     fv = np.where(xs > 0.31, 1.0, 0.0)[None, :]
-    _, err, _ = kernels.gk15_batch(fv, np.array([0.5]))
+    _, err, _, _ = kernels.gk15_batch(fv, np.array([0.5]))
     assert err[0] > 1e-3
 
 
@@ -57,9 +57,7 @@ def test_gk15_integral_of_the_modulus_on_request():
     # halfwidth: for sin on [0, 2 pi], near 4 where the integral is 0
     xs = np.pi + np.pi * kernels.GK15_NODES
     fv = np.sin(xs)[None, :]
-    val, err, unresolved, mass = kernels.gk15_batch(fv, np.array([np.pi]), absolute=True)
-    plain = kernels.gk15_batch(fv, np.array([np.pi]))
-    assert all(np.array_equal(a, b) for a, b in zip((val, err, unresolved), plain))
+    mass = kernels.gk15_batch(fv, np.array([np.pi]))[3]
     assert mass[0] == kernels.gk15_batch(np.abs(fv), np.array([np.pi]))[0][0]
     assert abs(mass[0] - 4.0) < 0.1  # one panel across the kink of |sin| at pi
 
