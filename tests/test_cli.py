@@ -588,7 +588,8 @@ def test_singular_points_on_the_domain_edge_are_accepted(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--tail-family", "scaled-j"], ["--tail-family", "canonical-j"],
+    ["--tail-family", "scaled-j"], ["--tail-family", "canonical-j"], ["--tail-family=scaled-j"],
+    ["--tail-family", "scaled-j", "--tail-family", "canonical-j"],
 ])
 def test_tail_flags_on_interval_are_usage_errors(capsys, flags):
     # the tail family scales only --box results
