@@ -390,7 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--expr", required=True)
     kp_settings(p_norm)
     p_norm.add_argument("--abs-bound", dest="abs_bound", type=float, default=None,
-                        help="bound on the integral of |f| (tightens the tail bound)")
+                        help="bound on the integral of |f|, which makes the tail bound safe "
+                        "for a conditionally integrable f; the tail bound uses the larger of "
+                        "it and the largest computed |a_k|, so it is never tightened")
     p_norm.add_argument("--conditionally-integrable", action="store_true", default=False)
     common(p_norm)
 

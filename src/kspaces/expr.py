@@ -26,6 +26,7 @@ variables and broadcast.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -35,7 +36,6 @@ from .errors import ParseError
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "abs", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e}
-_CMP_OPS = ("<=", ">=", "==", "<", ">")
 
 
 @dataclass(frozen=True)
@@ -133,32 +133,25 @@ class _Parser:
 
     def expression(self):
         node = self.sum_()
-        kind, value, pos = self.peek()
-        if kind == "op" and value in _CMP_OPS:
+        kind, value, _ = self.peek()
+        if kind == "op" and value in _COMPARE_FN:
             self.advance()
-            rhs = self.sum_()
-            return Compare(value, node, rhs)
+            return Compare(value, node, self.sum_())
         return node
 
     def sum_(self):
-        node = self.product()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                node = Binary(value, node, self.product())
-            else:
-                return node
+        return self.joined(("+", "-"), lambda: self.joined(("*", "/"), self.unary))
 
-    def product(self):
-        node = self.unary()
+    def joined(self, ops, operand):
+        """Operands parsed by ``operand`` joined by the operators ``ops``,
+        grouped from the left."""
+        node = operand()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                node = Binary(value, node, self.unary())
-            else:
+            if kind != "op" or value not in ops:
                 return node
+            self.advance()
+            node = Binary(value, node, operand())
 
     def unary(self):
         kind, value, _ = self.peek()
@@ -235,6 +228,22 @@ _UNARY_FN = {
     "abs": np.abs,
     "sqrt": np.sqrt,
 }
+# operator's functions, not ufuncs, for + - * /: a constant 1/0 then raises
+# ZeroDivisionError on Python floats, which _affine catches
+_BINARY_FN = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
+}
+_COMPARE_FN = {
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+    "==": np.equal,
+}
 
 
 def _build(node):
@@ -249,28 +258,10 @@ def _build(node):
         arg = _build(node.arg)
         return lambda env: fn(arg(env))
     if isinstance(node, Binary):
-        lhs, rhs = _build(node.lhs), _build(node.rhs)
-        op = node.op
-        if op == "+":
-            return lambda env: lhs(env) + rhs(env)
-        if op == "-":
-            return lambda env: lhs(env) - rhs(env)
-        if op == "*":
-            return lambda env: lhs(env) * rhs(env)
-        if op == "/":
-            return lambda env: lhs(env) / rhs(env)
-        return lambda env: np.power(lhs(env), rhs(env))
+        fn, lhs, rhs = _BINARY_FN[node.op], _build(node.lhs), _build(node.rhs)
+        return lambda env: fn(lhs(env), rhs(env))
     if isinstance(node, Compare):
-        lhs, rhs = _build(node.lhs), _build(node.rhs)
-        op = node.op
-        cmps = {
-            "<": np.less,
-            "<=": np.less_equal,
-            ">": np.greater,
-            ">=": np.greater_equal,
-            "==": np.equal,
-        }
-        fn = cmps[op]
+        fn, lhs, rhs = _COMPARE_FN[node.op], _build(node.lhs), _build(node.rhs)
         return lambda env: fn(lhs(env), rhs(env)).astype(np.float64)
     raise TypeError(f"not an AST node: {node!r}")
 
@@ -295,10 +286,9 @@ def _affine(node):
     if lhs is None or rhs is None:
         return None
     (a, c), (b, d) = lhs, rhs
-    if node.op == "+":
-        return a + b, c + d
-    if node.op == "-":
-        return a - b, c - d
+    if node.op in "+-":
+        fn = _BINARY_FN[node.op]
+        return fn(a, b), fn(c, d)
     if node.op == "*" and not (a and b):
         return a * d + b * c, c * d
     if node.op == "/" and not b and d:
@@ -411,7 +401,8 @@ def compile_expression(node, dim: int):
     comparison, at any depth (``sin(3*(x1 <= 0.3) + x1)`` too), whose two
     sides differ by a x1 + c with a != 0, such as ``x1 <= c``, ``c > x1``
     or ``2*x1 - 1 >= 0.002``.  :func:`kspaces.gauge.hk_integrate_many`
-    splits its intervals there.  Other jumps are not found: a comparison of
+    splits its intervals there, and :func:`kspaces.gauge.integrate_boxes`
+    its boxes of one axis.  Other jumps are not found: a comparison of
     a non-affine side (``x1^2 <= 0.5``), and every jump of an expression of
     two or more variables (a guard such as ``x1 + x2 <= 1``), whose
     ``breakpoints`` are empty.

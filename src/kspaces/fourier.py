@@ -92,6 +92,7 @@ def fourier_tame_result(f: TameFunction, ys, tol: float = 1e-10) -> list:
         np.negative(wave, out=wave, where=im)
         return np.asarray(f.core(*xs)) * wave
 
+    integrand.breakpoints = getattr(f.core, "breakpoints", ())
     ends = np.array([(iv.lo, iv.hi) for iv in f.box]).T
     lo, hi = np.tile(ends[0], (2 * m, 1)), np.tile(ends[1], (2 * m, 1))
     params = np.column_stack((np.tile(freqs, (2, 1)), np.repeat([0.0, 1.0], m)))
@@ -125,6 +126,7 @@ def fourier_bound_check(f: TameFunction, grid, tol: float = 1e-10) -> BoundRepor
     def abs_core(*xs):
         return np.abs(np.asarray(f.core(*xs), dtype=np.float64))
 
+    abs_core.breakpoints = getattr(f.core, "breakpoints", ())
     l1 = integrate_nd_result(abs_core, f.box, tol).value
     grid = list(grid)
     mods = [abs(fv) for fv, _, _ in fourier_tame_result(f, grid, tol)]

@@ -1079,8 +1079,8 @@ def hk_integrate_many(
     bisection finds it: one between a panel's last GK15 node and its edge
     (0.43% of its width) is not seen, and the panel is accepted with an
     estimate near 1e-14.  The box quadrature (:func:`integrate_boxes`)
-    reads no breakpoints, so a 2-D guard such as ``x1 + x2 <= 1`` is still
-    blind.
+    reads breakpoints on boxes of one axis only, so a 2-D guard such as
+    ``x1 + x2 <= 1`` is still blind.
 
     Phase: if ``f`` has a ``phase`` attribute (s, c, k), with c != 0 and
     k > 0, saying that f is a sum of terms, each a sin or cos of
@@ -1183,10 +1183,15 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=N
     arguments, so box i integrates ``f(*params[i], x_1, ..., x_d)``.  Every
     box is integrated as :func:`integrate_nd_result` would integrate it
     alone, with its own ``max_evals`` budget; boxes with a zero-width axis
-    are 0.  An axis with a non-finite end or lo > hi, ``lo`` and ``hi``
-    not of one (m, d) shape, or ``params`` not of m rows raise
-    :class:`ValueError`.  Returns (values, errors, evaluations) arrays of
-    length m.
+    are 0.  Boxes of one axis (d = 1) are first cut at the points of
+    ``f.breakpoints`` strictly inside them, as :func:`hk_integrate_many`
+    cuts its intervals: each piece gets its width share of the box's tol,
+    its evaluations count toward the box's budget, and the pieces' values
+    and errors are summed per box.  Boxes of two or more axes read no
+    breakpoints.  An axis with a non-finite end or lo > hi, ``lo`` and
+    ``hi`` not of one (m, d) shape, ``params`` not of m rows, or a
+    non-finite breakpoint raise :class:`ValueError`.  Returns (values,
+    errors, evaluations) arrays of length m.
     """
     lo, hi = _ends(lo, hi, 2)
     if lo.shape[1] > DEFAULT_DIM_CAP:
@@ -1202,13 +1207,21 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=N
             f"params must be a 2-D array of one row per box, got {params.shape} "
             f"for {lo.shape[0]} boxes"
         )
-    fn = _VecFn(f, max_evals, lo.shape[0], params.shape[1])
-    values, errors = np.zeros(lo.shape[0]), np.zeros(lo.shape[0])
+    n = lo.shape[0]
+    fn = _VecFn(f, max_evals, n, params.shape[1])
+    root = np.arange(n)
+    if lo.shape[1] == 1:
+        points = _points("breakpoints", getattr(f, "breakpoints", ()))
+        root, lo, hi, tol = _pieces(lo[:, 0], hi[:, 0], tol, points)
+        lo, hi, params = lo[:, None], hi[:, None], params[root]
+    values, errors = np.zeros(root.size), np.zeros(root.size)
     live = np.flatnonzero((hi > lo).all(axis=1))
     if live.size:
         values[live], errors[live] = _integrate_boxes(
-            fn, live, params[live], lo[live], hi[live], tol[live]
+            fn, root[live], params[live], lo[live], hi[live], tol[live]
         )
+    if root.size > n:  # some box was cut
+        values, errors = _group_sums(root, values, errors, n)
     return values, errors, fn.evals
 
 

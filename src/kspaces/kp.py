@@ -87,17 +87,16 @@ class DualityFamily:
     def cell(self, k: int) -> tuple:
         """The k-th dyadic cell as a tuple of per-axis intervals."""
         level, offset = self.level_of(k)
-        splits = 2**level
-        idx = []
-        for _ in range(self.dim):
-            idx.append(offset % splits)
-            offset //= splits
-        idx.reverse()  # row-major: last axis fastest
-        out = []
-        for iv, i in zip(self.window, idx):
-            step = iv.width / splits
-            out.append(Interval(iv.lo + i * step, iv.lo + (i + 1) * step))
-        return tuple(out)
+        idx = np.unravel_index(offset, (2**level,) * self.dim)  # last axis fastest
+        return tuple(map(Interval, *self._bounds(level, np.array(idx))))
+
+    def _bounds(self, level: int, idx, size=1):
+        """(lo, hi) of the level-``level`` cells whose multi-indices, one
+        index per window axis, run along the last axis of ``idx``; each cell
+        is ``size`` level-``level`` cells wide along every axis."""
+        lo = np.array([iv.lo for iv in self.window])
+        step = np.array([iv.width for iv in self.window]) / 2**level
+        return lo + idx * step, lo + (idx + size) * step
 
     def cell_bounds(self, K: int):
         """(lo, hi) arrays of shape (K, d): cells 1..K in enumeration order,
@@ -238,9 +237,7 @@ def _leaf_plan(family: DualityFamily, K: int):
     idx = np.concatenate((np.nonzero(own), 2 * np.array(np.nonzero(parents))), axis=1).T
     m = np.count_nonzero(own)
     size = np.repeat([1.0, 2.0], (m, idx.shape[0] - m))
-    lo0 = np.array([iv.lo for iv in family.window])
-    step = np.array([iv.width for iv in family.window]) / n
-    lo, hi = lo0 + idx * step, lo0 + (idx + size[:, None]) * step
+    lo, hi = family._bounds(L, idx, size[:, None])
     share = (size / n) ** d
     return lo, hi, share, own, parents, last
 
@@ -346,11 +343,12 @@ def kp_norm(
     For finite p the value is (sum over k <= K of t_k |a_k|^p)^(1/p),
     summed with exactly rounded summation (``math.fsum``); p = inf takes the
     max of |a_k|.  The tail bound is (sum over k > K of t_k)^(1/p) * M,
-    where M bounds the unseen |a_k|: the integral of |f| when supplied as
-    ``abs_bound`` (None or >= 0; inf is allowed), otherwise the largest
-    computed |a_k| (a heuristic that is only safe for absolutely integrable
-    f, hence ``conditionally_integrable`` inputs must supply ``abs_bound``
-    explicitly).
+    where M bounds the unseen |a_k|: the largest computed |a_k|, a
+    heuristic that is only safe for absolutely integrable f.  A bound on
+    the integral of |f| supplied as ``abs_bound`` (None or >= 0; inf is
+    allowed) makes M the larger of the two, safe for a conditionally
+    integrable f, hence ``conditionally_integrable`` inputs must supply it;
+    it never makes M smaller.
     """
     if not (p == math.inf or p >= 1.0):
         raise ValueError("p must be >= 1 or inf")
@@ -431,6 +429,7 @@ def lq_norm(f, q: float, window: Sequence[Interval], quad_tol: float = 1e-10) ->
     def absq(*xs):
         return np.asarray(np.abs(f(*xs)), dtype=np.float64) ** q
 
+    absq.breakpoints = getattr(f, "breakpoints", ())
     v = integrate_nd_result(absq, window, quad_tol).value
     return max(v, 0.0) ** (1.0 / q)
 

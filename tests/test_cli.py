@@ -157,6 +157,52 @@ def test_oscillatory_integrals_without_a_limit_exit_1(capsys, expr):
     assert "did not settle" in err and "did not shrink" in err
 
 
+def test_an_integral_whose_half_periods_grow_too_narrow_exits_1(capsys):
+    # (1/c) times the integral of cos u over [c, inf) with c = 1e-6, which
+    # does not exist; at the default tol the budget runs out first
+    code, out, err = run(
+        capsys, "integrate", "--expr", "x1^-2*cos(1e-6/x1)", "--interval", "0,1",
+        "--singular", "0", "--tol", "1e-6",
+    )
+    assert (code, out) == (1, "")
+    assert "did not settle before its half-periods grew too narrow to split" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--expr", "(x1 <= 0.999)", "--box", "0,1"],
+    ["fourier", "--expr", "(x1 <= 0.999)", "--box", "0,1", "--at", "0"],
+], ids=["integrate", "fourier"])
+def test_one_axis_boxes_are_cut_at_their_breakpoints(capsys, argv):
+    # both printed 1.0: the box quadrature read no breakpoints, where
+    # --interval 0,1 gave 0.999
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    row = json.loads(out)[0]
+    assert abs(row["value"] - 0.999) <= row["error_bound"] <= 1e-10
+
+
+USAGE_ERRORS = {
+    "interval-and-box": (
+        ["integrate", "--expr", "x1", "--interval", "0,1", "--box", "0,1"],
+        "give either --interval (1-d HK) or --box (tame), not both",
+    ),
+    "p-not-a-number": (["norm", "-p", "abc", "--expr", "x1"], "bad p 'abc'"),
+    "missing-config": (
+        ["norm", "-p", "2", "--expr", "x1", "--config", "no-such-config.json"],
+        "cannot read config file",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_usage_errors_name_their_cause(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    argv, message = USAGE_ERRORS[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: " + message)
+
+
 class TestNorm:
     def test_reference_value(self, capsys):
         code, out, _ = run(

@@ -94,6 +94,8 @@ BREAKPOINTS = {
     "sin(3*(x1 <= 0.3) + x1)": (0.3,),
     "(x1 <= 0.7) + 2*(x1 > 0.2)*x1 + (0.2 == x1)": (0.2, 0.7),
     "x1 <= ln(2)/pi": (math.log(2) / math.pi,),
+    "x1 + 0.25 <= 1": (0.75,),
+    "-x1 >= -0.5": (0.5,),
     # not affine in x1, no root, or a root that is not finite
     "x1^2 <= 0.5": (),
     "exp(x1) < 2": (),
@@ -121,6 +123,7 @@ PHASES = {
     "x1^-2*sin(x1^-1)": (0.0, 1.0, 1.0),
     "sin(1/x1)/x1 - (x1 <= 0.5)*cos(x1^-1)": (0.0, 1.0, 1.0),
     "sin((2*x1 - 0.6)^-2)": (0.3, 0.25, 2.0),
+    "sin(-x1^-2)": (0.0, -1.0, 2.0),
     # one shared phase missing, or a term that does not oscillate
     "sin(x1)": None,
     "sin(1/x1) + sin(2/x1)": None,

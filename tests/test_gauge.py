@@ -511,6 +511,41 @@ def test_a_breakpoint_at_a_singular_point():
     assert abs(r.value - exact) <= r.error_estimate <= 1e-10
 
 
+@pytest.mark.parametrize("text, exact", STEPS.values(), ids=STEPS)
+def test_one_axis_boxes_are_cut_at_their_breakpoints(text, exact):
+    # the box quadrature read no breakpoints: (x1 <= 0.999) gave 1.0 after
+    # 15 evaluations
+    r = integrate_nd_result(_compiled(text), [Interval(0, 1)], 1e-10)
+    assert abs(r.value - exact) <= r.error_estimate <= 1e-10
+    assert r.evaluations == 30
+
+
+def test_pieces_of_a_box_keep_its_params_tol_and_budget():
+    def f(a, x):
+        return a * (x <= 0.5)
+
+    f.breakpoints = (0.5,)
+    lo, hi = [[0.0], [0.0], [2.0]], [[1.0], [1.0], [3.0]]
+    values, errors, evals = integrate_boxes(f, lo, hi, [1e-10, 1e-6, 1e-8], params=[[1], [3], [2]])
+    assert values.tolist() == [0.5, 1.5, 0.0]
+    assert (errors <= [1e-10, 1e-6, 1e-8]).all()
+    assert evals.tolist() == [30, 30, 15]
+    # both pieces of a box draw on its one budget: 30 evaluations exceed 20,
+    # where the box without its breakpoint would take 15
+    with pytest.raises(ToleranceNotMet, match="budget"):
+        integrate_boxes(f, lo[:1], hi[:1], 1e-10, max_evals=20, params=[[1]])
+
+
+def test_adaptive_many_over_zero_width_intervals_is_zero():
+    def fn(seg, xs):
+        raise AssertionError("no panel to evaluate")
+
+    lo = hi = np.array([0.0, 0.5, 0.5])
+    tol = np.full(3, 1e-8)
+    assert [a.tolist() for a in gauge._adaptive_many(fn, lo, hi, tol)] == [[0, 0, 0]] * 2
+    assert [a.tolist() for a in gauge._adaptive_many(fn, lo, hi, tol, True)] == [[0, 0, 0]] * 3
+
+
 # --------------------------------------- half-period shells of a phase
 
 
