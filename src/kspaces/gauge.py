@@ -53,7 +53,20 @@ panels, so no integrand or GK15 call sees more than that many rows.
 Integrands are callables of one array argument (for :func:`integrate_boxes`,
 a box's k parameters and then its n coordinates) that return real values.
 NumPy-vectorized callables are evaluated in batches; plain scalar functions
-are detected automatically and looped over (slower).
+are detected automatically and looped over (slower).  Their floating-point
+warnings are silenced once per engine entry, by one ``np.errstate`` around
+the integration in :func:`hk_integrate_many` (through its core, which
+:mod:`kspaces.kp` calls too) and in :func:`integrate_boxes`, not once per
+integrand call; a non-finite value still raises :class:`EvaluationError`.
+``kernels.gk15_batch`` keeps its own, for its direct callers.
+
+A GK15 round has a fixed cost beside its panels' work: about 15 NumPy calls
+of bookkeeping, one integrand call and ``gk15_batch``'s 20 or so.  A
+one-round :func:`_adaptive_many` over one panel takes about 34 us, 18 us of
+it in ``gk15_batch``, and a one-panel :func:`hk_integrate` about 60 us
+(2-vCPU host, Python 3.11.7, NumPy 2.4.6), so a small integral costs about
+its rounds whatever its panels.  A group settled in its first round returns
+its panels' values and errors as they are, skipping the summing.
 """
 
 from __future__ import annotations
@@ -274,7 +287,8 @@ class _VecFn:
 
     def _elementwise(self, xs, lead):
         out = np.empty(xs.shape)
-        for j, row in enumerate(lead.tolist()):
+        rows = lead.tolist() if lead is not None else [[]] * xs.shape[0]
+        for j, row in enumerate(rows):
             for q, x in enumerate(xs[j].tolist()):
                 try:
                     out[j, q] = float(_real(self.f(*row, x)))
@@ -286,41 +300,46 @@ class _VecFn:
         return out
 
     def _vectorized(self, xs, lead):
-        cols = [lead[:, c : c + 1] for c in range(lead.shape[1])]
-        r = _real(self.f(*cols, xs))
+        cols = [] if lead is None else [lead[:, c : c + 1] for c in range(lead.shape[1])]
+        r = self.f(*cols, xs)
+        if type(r) is not np.ndarray or r.dtype != np.float64:
+            r = _real(r)
         if r.shape != xs.shape:
             # constant, or a function of the leading coordinates only
             r = np.broadcast_to(r, xs.shape)
         return r
 
     def __call__(self, xs, lead, roots):
-        self.evals += xs.shape[1] * np.bincount(roots, minlength=self.evals.size)
-        spent = int(self.evals.max())
+        evals = self.evals
+        if evals.size == 1:  # every panel is charged to the one root
+            evals += xs.size
+            spent = int(evals[0])
+        else:
+            evals += xs.shape[1] * np.bincount(roots, minlength=evals.size)
+            spent = int(evals.max())
         if spent > self.max_evals:
             raise ToleranceNotMet(
                 "evaluation budget exhausted before convergence", evaluations=spent
             )
-        if lead is None:
-            lead = np.empty((xs.shape[0], 0))
-        with np.errstate(all="ignore"):
-            if self.vectorized is None:
-                try:
-                    r = self._vectorized(xs, lead)
-                    self.vectorized = True
-                except EvaluationError:
-                    raise
-                except Exception:
-                    self.vectorized = False
-                    r = self._elementwise(xs, lead)
-            elif self.vectorized:
+        if self.vectorized is None:
+            try:
                 r = self._vectorized(xs, lead)
-            else:
+                self.vectorized = True
+            except EvaluationError:
+                raise
+            except Exception:
+                self.vectorized = False
                 r = self._elementwise(xs, lead)
+        elif self.vectorized:
+            r = self._vectorized(xs, lead)
+        else:
+            r = self._elementwise(xs, lead)
         if not np.isfinite(r).all():
             j, q = np.argwhere(~np.isfinite(r))[0]
-            point = (*lead[j, self.n_params :].tolist(), float(xs[j, q]))
+            coords = [] if lead is None else lead[j, self.n_params :].tolist()
+            point = (*coords, float(xs[j, q]))
             where = f"at {point}" if len(point) > 1 else f"near x={point[0]!r}"
-            if not lead.shape[1]:  # a 1-D interval, which may declare the point
+            if lead is None or not lead.shape[1]:  # a 1-D interval, which may declare the point
                 where += "; declare the point as singular if this is an improper integral"
             raise EvaluationError(f"integrand non-finite {where}", point)
         return r
@@ -412,10 +431,13 @@ def _group_sums(seg, vals, errs, n):
     values, errors = np.zeros(n), np.zeros(n)
     ids = counts.nonzero()[0]
     values[ids], errors[ids] = vals[starts[ids]], errs[starts[ids]]
-    for i in (counts > 1).nonzero()[0]:
-        part = slice(starts[i], starts[i] + counts[i])
-        values[i] = kernels.neumaier_sum(vals[part])
-        errors[i] = kernels.neumaier_sum(errs[part])
+    many = (counts > 1).nonzero()[0]
+    if many.size:  # each group's terms as a slice of one list
+        vals, errs = vals.tolist(), errs.tolist()
+        ends = starts + counts
+        for i, a, b in zip(many.tolist(), starts[many].tolist(), ends[many].tolist()):
+            values[i] = kernels.neumaier_sum(vals[a:b])
+            errors[i] = kernels.neumaier_sum(errs[a:b])
     return values, errors
 
 
@@ -444,6 +466,8 @@ def _adaptive_many(fn, lo, hi, tol, shells=False):
     |f|, summed in plain floating point over its accepted panels
     (``gk15_batch``'s masses), which no value or error depends on.
     """
+    if lo.size <= _MAX_IN_FLIGHT:  # one group
+        return _lockstep(fn, 0, lo, hi, tol, shells)
     values, errors = np.zeros(lo.size), np.zeros(lo.size)
     masses = np.zeros(lo.size) if shells else None
     for g in range(0, lo.size, _MAX_IN_FLIGHT):
@@ -469,20 +493,29 @@ def _lockstep(fn, offset, lo, hi, tol, shells):
     while seg.size:
         centers, vals, errs, unresolved, mass = _gk15_round(fn, active_lo, active_hi, seg + offset)
         stop = acc_err_sum + _error_sums(errs, seg, n) <= tol
-        done = stop[seg] | _settled(active_lo, active_hi, errs, tol[seg], total_w[seg])
+        done = stop[seg]
+        if not done.all():
+            done |= _settled(active_lo, active_hi, errs, tol[seg], total_w[seg])
+        elif not accepted:  # the first round settled all: each sum is one panel's
+            sums = (vals, errs, mass) if shells else (vals, errs)
+            if seg.size == n:
+                return sums
+            padded = np.zeros((len(sums), n))  # zero-width intervals are 0
+            padded[:, seg] = sums
+            return tuple(padded)
         kept = (seg[done], vals[done], errs[done])
         accepted.append(kept + (mass[done],) if shells else kept)
         split = ~done
         left = seg[split]
         if not left.size:  # the last round: skip the bookkeeping for a next one
             break
-        acc_err_sum += _error_sums(errs[done], seg[done], n)
+        acc_err_sum += _error_sums(kept[2], kept[0], n)
         four = unresolved[split] if shells and unresolved.any() else None
         active_lo, active_hi = _bisect(active_lo, active_hi, centers, split, four)
         seg = left.repeat(2 if four is None else 2 + 2 * four)
 
     if not accepted:
-        return (np.zeros(n),) * (3 if shells else 2)
+        return tuple(np.zeros((3 if shells else 2, n)))
     if not shells:
         return _group_sums(*(np.concatenate(c) for c in zip(*accepted)), n)
     seg, vals, errs, mass = (np.concatenate(c) for c in zip(*accepted))
@@ -547,10 +580,12 @@ class _Wynn:
         for i in range(1, newelm + 1):
             res = e[k1 + 1]
             e0, e1, e2 = e[k1 - 3], e[k1 - 2], res
+            a0, a1, a2 = abs(e0), abs(e1), abs(e2)
             delta2, delta3 = e2 - e1, e1 - e0
             err2, err3 = abs(delta2), abs(delta3)
-            tol2 = max(abs(e2), abs(e1)) * _EPS
-            tol3 = max(abs(e1), abs(e0)) * _EPS
+            # max(|e2|, |e1|) and max(|e1|, |e0|), as max picks them
+            tol2 = (a1 if a1 > a2 else a2) * _EPS
+            tol3 = (a0 if a0 > a1 else a1) * _EPS
             if err2 <= tol2 and err3 <= tol3:
                 # e0, e1 and e2 equal to machine accuracy: qelg returns res
                 # here with abserr err2 + err3, about 0 however few sums led
@@ -561,9 +596,9 @@ class _Wynn:
             e3 = e[k1 - 1]
             e[k1 - 1] = e1
             delta1 = e1 - e3
-            err1 = abs(delta1)
-            tol1 = max(abs(e1), abs(e3)) * _EPS
-            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+            a3 = abs(e3)
+            tol1 = (a3 if a3 > a1 else a1) * _EPS  # max(|e1|, |e3|)
+            if abs(delta1) <= tol1 or err2 <= tol2 or err3 <= tol3:
                 n = 2 * i - 1  # two close elements: keep the newest n sums
                 break
             ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
@@ -576,10 +611,8 @@ class _Wynn:
             error = err2 + abs(res - e2) + err3
             if not error > abserr:
                 abserr, result = error, res
-        ib = 1 if num % 2 else 2  # shift the table
-        for _ in range(newelm + 1):
-            e[ib - 1] = e[ib + 1]
-            ib += 2
+        ib = 1 if num % 2 else 2  # shift the table: e[ib - 1] = e[ib + 1], ib += 2
+        e[ib - 1 : ib + 2 * newelm : 2] = e[ib + 1 : ib + 2 * newelm + 2 : 2]
         if num != n:
             e[:n] = e[num - n : num]
         self.n = n
@@ -928,7 +961,12 @@ def _shell_integrate(fn: _VecFn, roots, lo, hi, sings, tol, phase=None):
             except StopIteration as end:
                 ended.append((i, *end.value))
         live = still
-    return _group_sums(*map(np.array, zip(*ended)), lo.size)
+    i, v, e = map(np.array, zip(*ended))
+    if i.size > lo.size:  # some interval has two sides or more
+        return _group_sums(i, v, e, lo.size)
+    values, errors = np.empty(lo.size), np.empty(lo.size)
+    values[i], errors[i] = v, e
+    return values, errors
 
 
 def _segments(lo: float, hi: float, sings):
@@ -950,6 +988,8 @@ def _segments(lo: float, hi: float, sings):
 def _holding(lo, hi, sings):
     """Which intervals [lo[i], hi[i]] of positive width hold one of the
     points ``sings`` (an array): those integrated in shells."""
+    if not sings.size:
+        return np.zeros(lo.shape, dtype=bool)
     return (hi > lo) & ((lo[:, None] <= sings) & (sings <= hi[:, None])).any(axis=1)
 
 
@@ -959,7 +999,7 @@ def _points(name, points):
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 1:
         raise ValueError(f"{name} must be a 1-D sequence, got shape {points.shape}")
-    if not np.isfinite(points).all():
+    if points.size and not np.isfinite(points).all():
         raise ValueError(f"{name} must be finite, got {points.tolist()}")
     return points
 
@@ -1016,7 +1056,7 @@ def _hk_many(f, lo, hi, tol, singular_points, max_evals):
     if not (tol > 0.0).all():
         raise ValueError("tol must be positive")
     lo, hi = _ends(lo, hi, 1)
-    tol = np.broadcast_to(tol, lo.shape)
+    tol = np.full(lo.shape, tol) if tol.ndim == 0 else np.broadcast_to(tol, lo.shape)
     sings = _points("singular points", singular_points)
     points = _points("breakpoints", getattr(f, "breakpoints", ()))
     phase = _phase(getattr(f, "phase", None))
@@ -1024,16 +1064,19 @@ def _hk_many(f, lo, hi, tol, singular_points, max_evals):
     fn = _VecFn(f, max_evals, n)
     root, lo, hi, tol = _pieces(lo, hi, tol, points)
     shelled = _holding(lo, hi, sings)
-    plain = np.flatnonzero(~shelled & (hi > lo))
+    plain = (~shelled & (hi > lo)).nonzero()[0]
+    held = shelled.nonzero()[0]
     values, errors = np.zeros(lo.size), np.zeros(lo.size)
-    values[plain], errors[plain] = _integrate_boxes(
-        fn, root[plain], np.empty((plain.size, 0)), lo[plain, None], hi[plain, None], 0.5 * tol[plain]
-    )
-    held = np.flatnonzero(shelled)
-    if held.size:
-        values[held], errors[held] = _shell_integrate(
-            fn, root[held], lo[held], hi[held], sings.tolist(), tol[held], phase
-        )
+    with np.errstate(all="ignore"):  # the integrand's; a non-finite value raises
+        if plain.size:
+            values[plain], errors[plain] = _integrate_boxes(
+                fn, root[plain], np.empty((plain.size, 0)), lo[plain, None], hi[plain, None],
+                0.5 * tol[plain],
+            )
+        if held.size:
+            values[held], errors[held] = _shell_integrate(
+                fn, root[held], lo[held], hi[held], sings.tolist(), tol[held], phase
+            )
     if root.size > n:  # some interval was cut
         values, errors = _group_sums(root, values, errors, n)
     return values, errors, fn.evals
@@ -1114,10 +1157,10 @@ def hk_integrate_many(
     that is not None or (s, c, k) with c != 0 and k > 0.
     """
     values, errors, evals = _hk_many(f, lo, hi, tol, singular_points, max_evals)
-    tol = np.broadcast_to(tol, values.shape)
-    over = np.flatnonzero(errors > tol)
+    over = (errors > tol).nonzero()[0]
     if over.size:
         i = over[0]
+        tol = np.broadcast_to(tol, values.shape)
         raise ToleranceNotMet(
             f"final error estimate {errors[i]:.3g} exceeds tol {tol[i]:.3g} "
             f"on [{float(lo[i])!r}, {float(hi[i])!r}]",
@@ -1217,9 +1260,10 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=N
     values, errors = np.zeros(root.size), np.zeros(root.size)
     live = np.flatnonzero((hi > lo).all(axis=1))
     if live.size:
-        values[live], errors[live] = _integrate_boxes(
-            fn, root[live], params[live], lo[live], hi[live], tol[live]
-        )
+        with np.errstate(all="ignore"):  # the integrand's; a non-finite value raises
+            values[live], errors[live] = _integrate_boxes(
+                fn, root[live], params[live], lo[live], hi[live], tol[live]
+            )
     if root.size > n:  # some box was cut
         values, errors = _group_sums(root, values, errors, n)
     return values, errors, fn.evals

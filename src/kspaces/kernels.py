@@ -70,12 +70,15 @@ _WG7 = np.array(
 
 
 def neumaier_sum(values):
-    """Exactly rounded sum of a 1-d float array, by :func:`math.fsum`.
+    """Exactly rounded sum of a 1-d float array, or of a list of floats,
+    by :func:`math.fsum`.
 
     The result does not depend on the order of the terms.  The name stays
     because callers and ``perfbench/tracer.py`` look the function up by it.
     """
-    return math.fsum(np.asarray(values, dtype=np.float64).tolist())
+    if not isinstance(values, list):
+        values = np.asarray(values, dtype=np.float64).tolist()
+    return math.fsum(values)
 
 
 def gk15_batch(fvals, halfwidths):
@@ -110,13 +113,13 @@ def gk15_batch(fvals, halfwidths):
     errors = np.abs(resk - resg) * ah
     sasc = resasc * ah
 
+    # Scaled where sasc and errors are both non-zero; elsewhere the error
+    # stays, and the ratio (inf or NaN where sasc is 0) is not used.
     mask = (sasc != 0.0) & (errors != 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = 200.0 * errors[mask] / sasc[mask]
-        scaled = sasc[mask] * np.minimum(1.0, ratio**1.5)
-    unresolved = np.zeros(errors.shape, dtype=bool)
-    unresolved[mask] = ratio >= 1.0
-    errors[mask] = scaled
+    with np.errstate(all="ignore"):
+        ratio = 200.0 * errors / sasc
+        errors = np.where(mask, sasc * np.minimum(1.0, ratio**1.5), errors)
+        unresolved = mask & (ratio >= 1.0)
     floor = 50.0 * _EPS * resabs * ah
     np.maximum(errors, floor, out=errors)
     return values, errors, unresolved, resabs * ah

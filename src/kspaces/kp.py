@@ -342,13 +342,15 @@ def kp_norm(
 
     For finite p the value is (sum over k <= K of t_k |a_k|^p)^(1/p),
     summed with exactly rounded summation (``math.fsum``); p = inf takes the
-    max of |a_k|.  The tail bound is (sum over k > K of t_k)^(1/p) * M,
-    where M bounds the unseen |a_k|: the largest computed |a_k|, a
-    heuristic that is only safe for absolutely integrable f.  A bound on
-    the integral of |f| supplied as ``abs_bound`` (None or >= 0; inf is
-    allowed) makes M the larger of the two, safe for a conditionally
-    integrable f, hence ``conditionally_integrable`` inputs must supply it;
-    it never makes M smaller.
+    max of |a_k|.  Where that sum overflows or underflows to inf or 0 while
+    some a_k is not 0, it is taken as M' (sum of t_k (|a_k| / M')^p)^(1/p),
+    M' being the largest |a_k|.  The tail bound is
+    (sum over k > K of t_k)^(1/p) * M, where M bounds the unseen |a_k|: the
+    largest computed |a_k|, a heuristic that is only safe for absolutely
+    integrable f.  A bound on the integral of |f| supplied as ``abs_bound``
+    (None or >= 0; inf is allowed) makes M the larger of the two, safe for
+    a conditionally integrable f, hence ``conditionally_integrable`` inputs
+    must supply it; it never makes M smaller.
     """
     if not (p == math.inf or p >= 1.0):
         raise ValueError("p must be >= 1 or inf")
@@ -370,7 +372,13 @@ def kp_norm(
         tail_bound = M
     else:
         t = cfg.weights.term(np.arange(1, K + 1))
-        value = kernels.neumaier_sum(t * abs_a**p) ** (1.0 / p)
+        with np.errstate(all="ignore"):
+            total = kernels.neumaier_sum(t * abs_a**p)
+            if not 0.0 < total < math.inf and big > 0.0:
+                # |a_k|^p overflowed or underflowed: scale by the largest |a_k|
+                value = big * kernels.neumaier_sum(t * (abs_a / big) ** p) ** (1.0 / p)
+            else:
+                value = total ** (1.0 / p)
         tail_bound = cfg.weights.tail(K) ** (1.0 / p) * M
     return NormResult(float(value), float(tail_bound))
 

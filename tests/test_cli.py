@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -213,6 +214,25 @@ class TestNorm:
         assert rows[0]["quantity"] == "kp_norm[p=2]"
         assert float(rows[0]["value"]) == pytest.approx(0.77537, abs=1e-4)
         assert float(rows[0]["tail_bound"]) == pytest.approx(2.0**-32, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "p, expr, exact",
+        [
+            # 10^400 overflows: 10 (1/2 + 3/8 2^-400 + 1/16 4^-400)^(1/400)
+            ("400", "10", 10.0 * (0.5 + 0.375 * 2.0**-400 + 0.0625 * 4.0**-400) ** 0.0025),
+            # 1e-340 underflows to 0: 1e-170 (1/2 + 3/32 + 1/256)^(1/2)
+            ("2", "1e-170", 1e-170 * math.sqrt(0.5 + 3 / 32 + 1 / 256)),
+        ],
+    )
+    def test_powers_out_of_float_range_still_give_the_norm(self, capsys, p, expr, exact):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(
+                capsys, "norm", "-p", p, "--expr", expr, "-K", "4", "--format", "json"
+            )
+        assert code == 0
+        value = json.loads(out)[0]["value"]
+        assert abs(value - exact) <= 1e-12 * exact
 
     def test_p_infinity(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1037,3 +1038,46 @@ def test_epsilon_algorithm_matches_the_full_epsilon_table(shells):
         spread = sum(abs(result - r) for r in want[max(m - 6, 0) : m - 3]) if m >= 6 else gauge._BIG
         spread = max(spread, 5.0 * gauge._EPS * abs(result))
         assert abserr == pytest.approx(spread, rel=1e-9, abs=1e-11 * abs(result))
+
+
+# Exact evaluation counts, which no change to the engine's bookkeeping may
+# move: each is fixed by the adaptive decisions alone.
+COUNTS = {
+    "step-high": ("(x1 <= 0.999)", 1e-10, [], 30),
+    "step-low": ("(x1 >= 0.003)", 1e-10, [], 30),
+    "x2sin-derivative": ("2*x1*sin(1/x1^2) - (2/x1)*cos(1/x1^2)", 3e-4, [0.0], 105),
+    "power-0.9": ("x1^(-0.9)", 1e-3, [0.0], 135),
+    "inv-sqrt": ("1/sqrt(x1)", 1e-8, [0.0], 135),
+    "log": ("ln(x1)", 1e-10, [0.0], 180),
+    "sin-inv-over-x": ("sin(1/x1)/x1", 1e-4, [0.0], 225),
+    "sin-inv": ("sin(1/x1)", 1e-6, [0.0], 270),
+    "log-interior": ("ln(abs(x1-0.3))", 1e-10, [0.3], 360),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_evaluation_counts_are_pinned(name):
+    text, tol, sings, want = COUNTS[name]
+    f = compile_expression(parse_expression(text), 1)
+    assert hk_integrate(f, Interval(0, 1), tol, sings).evaluations == want
+
+
+def _flat_past_0(*xs):
+    """exp(1e4 x) capped at 1: it overflows at the nodes past x = 0.071 and
+    underflows to 0 at those below -0.075.  Its integral over [-1, 1] is
+    1 + 1e-4, and the engine may miss the 1e-4, which lies within 1e-3 of
+    0; only warnings are tested."""
+    return np.minimum(np.exp(1e4 * xs[-1]), 1.0)
+
+
+def test_no_runtime_warning_escapes_the_engine():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = hk_integrate(_flat_past_0, Interval(-1, 1), 1e-6).value
+        assert value == pytest.approx(1.0, abs=2e-4)
+        values, _, _ = hk_integrate_many(_flat_past_0, [-1.0, 0.0], [1.0, 1.0], 1e-6, [0.0])
+        assert values == pytest.approx([1.0, 1.0], abs=2e-4)
+        values, _, _ = integrate_boxes(_flat_past_0, [[0.0, -1.0]], [[1.0, 1.0]], 1e-6)
+        assert values == pytest.approx([1.0], abs=2e-4)
+        for rows in (np.zeros((3, 15)), np.ones((3, 15))):
+            gauge.kernels.gk15_batch(rows, np.full(3, 0.5))

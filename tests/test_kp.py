@@ -444,3 +444,16 @@ def test_parallelogram_identity(cfg):
         ns = norm(f + g, 2.0, cfg).value
         nd = norm(f - g, 2.0, cfg).value
         assert abs(ns**2 + nd**2 - 2 * nf**2 - 2 * ng**2) < 1e-9
+
+
+def test_functionals_evaluation_counts_are_pinned():
+    # exact counts, fixed by the adaptive decisions alone: all 513 leaves of
+    # the 1-D K = 1024 tree settle in their first GK15 panel
+    one = compile_expression(parse_expression("exp(-1.238*x1)"), 1)
+    cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=1024)
+    assert compute_functionals(one, cfg).evaluations == 513 * 15
+    two = compile_expression(
+        parse_expression("(-0.665 + -1.677*x1 + -0.27*x1^2 + 0.187*x1^3)*(sin(5.738*x2))"), 2
+    )
+    cfg = KpConfig(DualityFamily((UNIT_WINDOW, UNIT_WINDOW)), truncation=256, quad_tol=1e-8)
+    assert compute_functionals(two, cfg).evaluations == 43_875
