@@ -5,8 +5,12 @@ transform of the core (kernel exp(-2*pi*i*<x, y>), so the transform of the
 unit interval's indicator is the normalized sinc) times the sinc tail: the
 transform of the infinite product of unit intervals.  Since sinc(0) = 1 the
 tail is evaluated exactly over the finitely many nonzero frequency
-coordinates.  The heads at all requested points, real and imaginary parts
-alike, are integrated in one batched pass.
+coordinates.  The heads at all requested points are integrated in one
+batched pass, one box per point, whose integrand returns the real part
+core * cos and the imaginary part -core * sin as two components on shared
+GK15 nodes (:func:`kspaces.gauge.integrate_boxes`), so the core is
+evaluated once per node.  A panel is settled only when both parts are
+within their share of the tol.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EvaluationError
 from .gauge import integrate_boxes, integrate_nd_result
 from .tame import TameFunction
 
@@ -63,8 +68,11 @@ def sinc_tail(y: FrequencyPoint, n: int) -> float:
     """Product of sin(pi y_k)/(pi y_k) over explicit coordinates k > n.
 
     Implicit zero coordinates contribute exactly one (sinc(0) = 1), so the
-    infinite product reduces to the explicit ones.
+    infinite product reduces to the explicit ones, and to 1.0 where there
+    are none past n.
     """
+    if len(y.coords) <= n:
+        return 1.0
     return float(np.prod(np.sinc(np.asarray(y.coords[n:]))))
 
 
@@ -72,36 +80,47 @@ def fourier_tame_result(f: TameFunction, ys, tol: float = 1e-10) -> list:
     """Transform of a tame function at each frequency point of ``ys``, as
     one (FourierValue, error bound on the modulus, evaluations) per point.
 
-    The real and imaginary parts of the head at every point are copies of
-    the working box in one :func:`integrate_boxes` pass, with the point's
-    frequencies and the part (0 real, 1 imaginary) as box parameters.
+    Each point is one copy of the working box in one :func:`integrate_boxes`
+    pass, with the point's frequencies as box parameters.  Its integrand
+    returns core * cos(2 pi <x, y>) and -core * sin(2 pi <x, y>) as two
+    components, so each node evaluates the core once, and each part is
+    held to ``tol``.  A point whose phase bound 2 pi sum_k |y_k|
+    max(|lo_k|, |hi_k|) overflows raises :class:`EvaluationError` naming
+    it, before anything is integrated: the phase would be inf at some node.
     """
     ys = list(ys)
     n, m = f.order, len(ys)
     freqs = np.array([[y.get(k) for k in range(1, n + 1)] for y in ys]).reshape(m, n)
+    reach = [max(abs(iv.lo), abs(iv.hi)) for iv in f.box]
+    for y, row in zip(ys, freqs.tolist()):
+        if not math.isfinite(2.0 * math.pi * sum(abs(a) * b for a, b in zip(row, reach))):
+            raise EvaluationError(
+                f"the phase 2*pi*<x, y> overflows on the box at y={y.coords}", y.coords
+            )
 
-    def integrand(*args):
-        y, part, xs = args[:n], args[n], args[n + 1 :]
+    def head(*args):
+        y, xs = args[:n], args[n:]
         acc = xs[0] * y[0]
         for c, yk in zip(xs[1:], y[1:]):
             acc = acc + c * yk
-        wave = np.asarray(2.0 * math.pi * acc)  # the phase, a new array or a float
-        im = np.broadcast_to(part != 0.0, wave.shape)  # imaginary-part rows
-        np.cos(wave, out=wave, where=~im)
-        np.sin(wave, out=wave, where=im)
-        np.negative(wave, out=wave, where=im)
-        return np.asarray(f.core(*xs)) * wave
+        wave = 2.0 * math.pi * acc
+        core = np.asarray(f.core(*xs))
+        parts = np.empty(np.shape(wave) + (2,))
+        parts[..., 0] = core * np.cos(wave)
+        parts[..., 1] = core * -np.sin(wave)
+        return parts
 
-    integrand.breakpoints = getattr(f.core, "breakpoints", ())
+    head.breakpoints = getattr(f.core, "breakpoints", ())
     ends = np.array([(iv.lo, iv.hi) for iv in f.box]).T
-    lo, hi = np.tile(ends[0], (2 * m, 1)), np.tile(ends[1], (2 * m, 1))
-    params = np.column_stack((np.tile(freqs, (2, 1)), np.repeat([0.0, 1.0], m)))
-    values, errors, evals = integrate_boxes(integrand, lo, hi, tol, params=params)
+    lo, hi = np.tile(ends[0], (m, 1)), np.tile(ends[1], (m, 1))
+    values, errors, evals = integrate_boxes(head, lo, hi, tol, params=freqs)
+    if values.ndim == 1:  # no box has width, so the integrand was never called
+        values = errors = np.zeros((m, 2))
     out = []
-    for i, tail in enumerate(sinc_tail(y, n) for y in ys):
-        value = FourierValue(complex(values[i], values[m + i]) * tail, tail, n)
-        error = math.hypot(errors[i], errors[m + i]) * abs(tail)
-        out.append((value, error, int(evals[i] + evals[m + i])))
+    for (re, im), (e_re, e_im), count, y in zip(values.tolist(), errors.tolist(), evals.tolist(), ys):
+        tail = sinc_tail(y, n)
+        value = FourierValue(complex(re, im) * tail, tail, n)
+        out.append((value, math.hypot(e_re, e_im) * abs(tail), count))
     return out
 
 

@@ -60,6 +60,27 @@ the integration in :func:`hk_integrate_many` (through its core, which
 integrand call; a non-finite value still raises :class:`EvaluationError`.
 ``kernels.gk15_batch`` keeps its own, for its direct callers.
 
+An integrand of :func:`integrate_boxes` may return c real components on a
+trailing axis, (m, 15, c) where a scalar one returns (m, 15).  They share
+the nodes, each node counted as one evaluation, and ``kernels.gk15_batch``
+takes them as one (m c, 15) matrix product.  A panel is settled when every
+component's error is within its width share, and an interval stops when
+every component's error total is within tol: the max norm over the
+components, as ``scipy.integrate.quad_vec`` judges a vector, over QUADPACK's
+GK15 pair.  The lock step, the group sums, the breakpoint pieces and the
+recursion over box axes carry (m, c) arrays; a scalar integrand keeps its
+(m,) arrays, and a trailing axis of one gives its values bit for bit.
+:mod:`kspaces.fourier` integrates a transform's real and imaginary parts as
+the two components of one pass.  :func:`integrate_boxes` is the one entry
+that takes a vector integrand: :func:`hk_integrate`, :func:`hk_integrate_many`
+and :func:`integrate_nd_result` raise ValueError on one.  Two callers keep
+two scalar passes.  The real and imaginary parts of complex K^p functionals
+(:func:`kspaces.kp.compute_functionals`) may hold singular points, and a
+singular side's stop rules (:func:`_side`) judge one sequence of shell
+integrals, not several.  And ``ks inner`` evaluates both of its expressions
+at every node either way, while one pass over both would cut every leaf at
+the breakpoints of both.
+
 A GK15 round has a fixed cost beside its panels' work: about 15 NumPy calls
 of bookkeeping, one integrand call and ``gk15_batch``'s 20 or so.  A
 one-round :func:`_adaptive_many` over one panel takes about 34 us, 18 us of
@@ -276,22 +297,31 @@ class _VecFn:
     columns before ``xs``.  Evaluations
     are counted per root problem, ``roots[j]`` being the one panel j is
     charged to, and each root has its own ``max_evals`` budget.
+
+    f may return c real components on a trailing axis, (m, 15, c) where a
+    scalar f returns (m, 15) (a (c,) array per point from f detected as not
+    vectorized), counted as one evaluation per node; unless ``components``
+    is true, that raises ValueError.
     """
 
-    def __init__(self, f, max_evals: int, n_roots: int = 1, n_params: int = 0):
+    def __init__(self, f, max_evals: int, n_roots: int = 1, n_params: int = 0, components=False):
         self.f = f
         self.n_params = n_params
+        self.components = components
         self.vectorized = None
         self.evals = np.zeros(n_roots, dtype=np.int64)
         self.max_evals = max_evals
 
     def _elementwise(self, xs, lead):
-        out = np.empty(xs.shape)
+        out = None  # shaped by the first value: a float, or c components
         rows = lead.tolist() if lead is not None else [[]] * xs.shape[0]
         for j, row in enumerate(rows):
             for q, x in enumerate(xs[j].tolist()):
                 try:
-                    out[j, q] = float(_real(self.f(*row, x)))
+                    r = _real(self.f(*row, x))
+                    if out is None:
+                        out = np.empty(xs.shape + (r.shape if r.ndim == 1 else ()))
+                    out[j, q] = r
                 except EvaluationError:
                     raise
                 except Exception as exc:
@@ -304,9 +334,10 @@ class _VecFn:
         r = self.f(*cols, xs)
         if type(r) is not np.ndarray or r.dtype != np.float64:
             r = _real(r)
-        if r.shape != xs.shape:
-            # constant, or a function of the leading coordinates only
-            r = np.broadcast_to(r, xs.shape)
+        if r.shape != xs.shape and r.shape[:-1] != xs.shape:
+            # constant, a function of the leading coordinates only, or (3-D)
+            # components on a trailing axis
+            r = np.broadcast_to(r, xs.shape + r.shape[2:] if r.ndim == 3 else xs.shape)
         return r
 
     def __call__(self, xs, lead, roots):
@@ -334,8 +365,13 @@ class _VecFn:
             r = self._vectorized(xs, lead)
         else:
             r = self._elementwise(xs, lead)
+        if r.ndim == 3 and not self.components:
+            raise ValueError(
+                f"the integrand returned {r.shape[2]} components on a trailing axis; "
+                "only integrate_boxes takes a vector integrand"
+            )
         if not np.isfinite(r).all():
-            j, q = np.argwhere(~np.isfinite(r))[0]
+            j, q = np.argwhere(~np.isfinite(r))[0][:2]
             coords = [] if lead is None else lead[j, self.n_params :].tolist()
             point = (*coords, float(xs[j, q]))
             where = f"at {point}" if len(point) > 1 else f"near x={point[0]!r}"
@@ -372,7 +408,8 @@ def _gk15_round(fn, lo, hi, *args):
     errors, unresolved, masses), concatenated over the blocks: the last two
     are ``gk15_batch``'s flag of the panels whose Gauss and Kronrod results
     still disagree at full scale, which a shell round quarters
-    (:func:`_adaptive_many`), and each panel's integral of |f|."""
+    (:func:`_adaptive_many`), and each panel's integral of |f|; the last
+    four are (m, c) for an integrand of c components."""
     if lo.size > _MAX_IN_FLIGHT:
         blocks = [slice(g, g + _MAX_IN_FLIGHT) for g in range(0, lo.size, _MAX_IN_FLIGHT)]
         parts = [_gk15_round(fn, lo[b], hi[b], *(a[b] for a in args))[1:] for b in blocks]
@@ -414,16 +451,31 @@ def _bisect(lo, hi, centers, split, four=None):
     return edges[:, :-1][keep[:, :-1]], edges[:, 1:][keep[:, 1:]]
 
 
+def _by_component(seg, c):
+    """Group j c + k for component k of term j, which belongs to group
+    ``seg[j]``: the terms of an (m, c) array, raveled, as c groups each."""
+    return (seg[:, None] * c + np.arange(c)).ravel()
+
+
 def _error_sums(errs, seg, n):
     """Error total of each of ``n`` intervals, panel j belonging to interval
     ``seg[j]``: summed left to right in panel order, the one order the stop
-    test uses (``ndarray.sum`` regroups runs of 8 or more)."""
-    return np.bincount(seg, weights=errs, minlength=n)
+    test uses (``ndarray.sum`` regroups runs of 8 or more).  (m, c) errors
+    give (n, c) totals, one column per component."""
+    if errs.ndim == 1:
+        return np.bincount(seg, weights=errs, minlength=n)
+    c = errs.shape[1]
+    return np.bincount(_by_component(seg, c), weights=errs.ravel(), minlength=n * c).reshape(n, c)
 
 
 def _group_sums(seg, vals, errs, n):
     """Exactly rounded sums of ``vals`` and of ``errs`` for each of ``n``
-    groups, term j belonging to group ``seg[j]``; empty groups are 0."""
+    groups, term j belonging to group ``seg[j]``; empty groups are 0.
+    (k, c) terms give (n, c) sums, one column per component."""
+    if vals.ndim == 2:
+        c = vals.shape[1]
+        sums = _group_sums(_by_component(seg, c), vals.ravel(), errs.ravel(), n * c)
+        return tuple(a.reshape(n, c) for a in sums)
     order = np.argsort(seg, kind="stable")
     seg, vals, errs = seg[order], vals[order], errs[order]
     counts = np.bincount(seg, minlength=n)
@@ -441,6 +493,16 @@ def _group_sums(seg, vals, errs, n):
     return values, errors
 
 
+def _scattered(rows, n, arrays):
+    """Each of ``arrays`` placed at ``rows`` of an array of ``n`` zero rows."""
+    out = []
+    for a in arrays:
+        full = np.zeros((n,) + a.shape[1:])
+        full[rows] = a
+        out.append(full)
+    return tuple(out)
+
+
 def _adaptive_many(fn, lo, hi, tol, shells=False):
     """Breadth-first GK15 refinement of many intervals, in lock step.
 
@@ -453,6 +515,13 @@ def _adaptive_many(fn, lo, hi, tol, shells=False):
     total is within tol.  At most ``_MAX_IN_FLIGHT`` intervals are in
     flight; larger batches run as consecutive groups.  Returns (values,
     errors) arrays.
+
+    An ``fn`` giving (m, 15, c) values, c real components on shared nodes,
+    gives (n, c) values and errors.  A panel is settled when every
+    component's error is within its share, and an interval stops when every
+    component's error total is within tol: the max norm over components.
+    An interval of zero width is never evaluated, so a batch of only those
+    gives zeros of shape (n,) whatever ``fn`` would return.
 
     Split panels are halved.  ``shells`` marks the intervals as the shells
     of :func:`_shell_integrate`, and changes two things.  The split panels
@@ -468,14 +537,9 @@ def _adaptive_many(fn, lo, hi, tol, shells=False):
     """
     if lo.size <= _MAX_IN_FLIGHT:  # one group
         return _lockstep(fn, 0, lo, hi, tol, shells)
-    values, errors = np.zeros(lo.size), np.zeros(lo.size)
-    masses = np.zeros(lo.size) if shells else None
-    for g in range(0, lo.size, _MAX_IN_FLIGHT):
-        grp = slice(g, g + _MAX_IN_FLIGHT)
-        values[grp], errors[grp], *mass = _lockstep(fn, g, lo[grp], hi[grp], tol[grp], shells)
-        if shells:
-            masses[grp] = mass[0]
-    return (values, errors, masses) if shells else (values, errors)
+    groups = [slice(g, g + _MAX_IN_FLIGHT) for g in range(0, lo.size, _MAX_IN_FLIGHT)]
+    parts = [_lockstep(fn, g.start, lo[g], hi[g], tol[g], shells) for g in groups]
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _lockstep(fn, offset, lo, hi, tol, shells):
@@ -487,22 +551,20 @@ def _lockstep(fn, offset, lo, hi, tol, shells):
     # Active panels stay grouped by interval, each interval's in ascending order.
     seg = (total_w > 0.0).nonzero()[0]
     active_lo, active_hi = lo[seg], hi[seg]
-    acc_err_sum = np.zeros(n)
+    acc_err_sum = 0.0  # then (n,) or (n, c) error totals of the accepted panels
     accepted = []
 
     while seg.size:
         centers, vals, errs, unresolved, mass = _gk15_round(fn, active_lo, active_hi, seg + offset)
-        stop = acc_err_sum + _error_sums(errs, seg, n) <= tol
-        done = stop[seg]
+        totals, worst = acc_err_sum + _error_sums(errs, seg, n), errs
+        if errs.ndim == 2:  # c components, each within tol: the max norm
+            totals, worst = totals.max(axis=1), errs.max(axis=1)
+        done = (totals <= tol)[seg]
         if not done.all():
-            done |= _settled(active_lo, active_hi, errs, tol[seg], total_w[seg])
+            done |= _settled(active_lo, active_hi, worst, tol[seg], total_w[seg])
         elif not accepted:  # the first round settled all: each sum is one panel's
             sums = (vals, errs, mass) if shells else (vals, errs)
-            if seg.size == n:
-                return sums
-            padded = np.zeros((len(sums), n))  # zero-width intervals are 0
-            padded[:, seg] = sums
-            return tuple(padded)
+            return sums if seg.size == n else _scattered(seg, n, sums)  # zero widths are 0
         kept = (seg[done], vals[done], errs[done])
         accepted.append(kept + (mass[done],) if shells else kept)
         split = ~done
@@ -1193,6 +1255,9 @@ def _integrate_boxes(fn: _VecFn, roots, lead, lo, hi, tol):
     solves the inner problems of all its nodes in one recursive call.  Inner
     integrals get tol/(2w) and the outer one tol/2, so w * inner_tol is
     added to the outer error as if every inner integral met its share.
+    Values and errors are (m, c) for an integrand of c components, the
+    inner integrals of each component giving that component's outer
+    integrand.
     """
     if lo.shape[1] == 1:
         return _adaptive_many(
@@ -1211,10 +1276,11 @@ def _integrate_boxes(fn: _VecFn, roots, lead, lo, hi, tol):
             hi[i, 1:],
             inner_tol[i],
         )
-        return v.reshape(xs.shape)
+        return v.reshape(xs.shape + v.shape[1:])
 
     v, e = _adaptive_many(outer, lo[:, 0], hi[:, 0], 0.5 * tol)
-    return v, e + w * inner_tol
+    inner = w * inner_tol
+    return v, e + (inner if e.ndim == 1 else inner[:, None])
 
 
 def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=None):
@@ -1235,7 +1301,29 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=N
     ``hi`` not of one (m, d) shape, ``params`` not of m rows, or a
     non-finite breakpoint raise :class:`ValueError`.  Returns (values,
     errors, evaluations) arrays of length m.
+
+    f may return c real components on a trailing axis: an (m, 15, c)
+    array where a scalar f returns (m, 15), or a (c,) array per point
+    where f takes scalars only.  They are integrated
+    on shared nodes, each node counted as one evaluation, and values and
+    errors come back as (m, c) arrays, column k holding component k's
+    integral and its error bound, each held to the box's tol as a scalar
+    f would be.  A panel is settled, and an interval stops, only when
+    every component is within its share (the max norm of
+    ``scipy.integrate.quad_vec`` over QUADPACK's GK15 pair), so the
+    components share one refinement, the union of the ones each would take
+    alone.  c is read from f's output; where f is never called (every box
+    has a zero-width axis) the zeros have shape (m,).  This is the one
+    entry that takes a vector integrand: :func:`hk_integrate`,
+    :func:`hk_integrate_many` and :func:`integrate_nd_result` raise
+    ValueError on one.
     """
+    return _boxes(f, lo, hi, tol, max_evals, params, components=True)
+
+
+def _boxes(f, lo, hi, tol, max_evals, params, components):
+    """:func:`integrate_boxes`, taking a vector integrand only if
+    ``components`` is true."""
     lo, hi = _ends(lo, hi, 2)
     if lo.shape[1] > DEFAULT_DIM_CAP:
         raise DimensionCapExceeded(
@@ -1251,19 +1339,18 @@ def integrate_boxes(f, lo, hi, tol, max_evals: int = DEFAULT_MAX_EVALS, params=N
             f"for {lo.shape[0]} boxes"
         )
     n = lo.shape[0]
-    fn = _VecFn(f, max_evals, n, params.shape[1])
+    fn = _VecFn(f, max_evals, n, params.shape[1], components)
     root = np.arange(n)
     if lo.shape[1] == 1:
         points = _points("breakpoints", getattr(f, "breakpoints", ()))
         root, lo, hi, tol = _pieces(lo[:, 0], hi[:, 0], tol, points)
         lo, hi, params = lo[:, None], hi[:, None], params[root]
-    values, errors = np.zeros(root.size), np.zeros(root.size)
     live = np.flatnonzero((hi > lo).all(axis=1))
+    sums = np.zeros(0), np.zeros(0)
     if live.size:
         with np.errstate(all="ignore"):  # the integrand's; a non-finite value raises
-            values[live], errors[live] = _integrate_boxes(
-                fn, root[live], params[live], lo[live], hi[live], tol[live]
-            )
+            sums = _integrate_boxes(fn, root[live], params[live], lo[live], hi[live], tol[live])
+    values, errors = sums if live.size == root.size else _scattered(live, root.size, sums)
     if root.size > n:  # some box was cut
         values, errors = _group_sums(root, values, errors, n)
     return values, errors, fn.evals
@@ -1280,13 +1367,14 @@ def integrate_nd_result(
     The box is a sequence of per-axis intervals.  The tolerance is split
     between the outer axis and the inner integrals (scaled by the outer
     width) so the propagated error stays below ``tol``.  This is the
-    one-box case of :func:`integrate_boxes`.
+    one-box case of :func:`integrate_boxes`, for a scalar ``f`` only: a
+    vector integrand raises ValueError.
     """
     box = list(box)
     if not box:
         raise ValueError("box must have at least one axis")
-    values, errors, evals = integrate_boxes(
-        f, [[iv.lo for iv in box]], [[iv.hi for iv in box]], tol, max_evals
+    values, errors, evals = _boxes(
+        f, [[iv.lo for iv in box]], [[iv.hi for iv in box]], tol, max_evals, None, False
     )
     return IntegralResult(float(values[0]), float(errors[0]), int(evals[0]))
 

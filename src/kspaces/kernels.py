@@ -99,9 +99,19 @@ def gk15_batch(fvals, halfwidths):
     exactly and leaves the flag unchanged.  ``masses[i]`` is the panel's
     Kronrod integral of |f|, QUADPACK's resabs times the halfwidth, which
     the half-period shells of an oscillatory singularity watch.
+
+    ``fvals`` of shape (m, 15, c) holds an integrand of c real components.
+    Its (m c, 15) rows, panel i's component k at row i c + k, go through
+    the same matrix products, and each result has shape (m, c): one row
+    per panel and a column per component.  With c = 1 every value is the
+    scalar call's, bit for bit.
     """
     fvals = np.asarray(fvals, dtype=np.float64)
     halfwidths = np.asarray(halfwidths, dtype=np.float64)
+    shape = fvals.shape[::2] if fvals.ndim == 3 else None  # (m, c) for c components
+    if shape:
+        fvals = fvals.transpose(0, 2, 1).reshape(-1, fvals.shape[1])
+        halfwidths = np.repeat(halfwidths, shape[1])
 
     resk = fvals @ _WGK
     resg = fvals[:, 1::2] @ _WG7
@@ -122,4 +132,6 @@ def gk15_batch(fvals, halfwidths):
         unresolved = mask & (ratio >= 1.0)
     floor = 50.0 * _EPS * resabs * ah
     np.maximum(errors, floor, out=errors)
+    if shape:
+        return tuple(a.reshape(shape) for a in (values, errors, unresolved, resabs * ah))
     return values, errors, unresolved, resabs * ah

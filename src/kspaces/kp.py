@@ -242,6 +242,47 @@ def _leaf_plan(family: DualityFamily, K: int):
     return lo, hi, share, own, parents, last
 
 
+def _tree_sums(values, errors, own, parents, last):
+    """a_1 .. a_K and their errors, from the ``values`` and ``errors`` of
+    :func:`_leaf_plan`'s leaves, level-L leaves (the true cells of ``own``)
+    first.  Level l fills the 2^(l d) entries from
+    (2^(l d) - 1) / (2^d - 1) on, row-major, and level L only its cells up
+    to ``last``.  Each level is summed from the full grid of the level
+    above, the last axis first, straight into its entries; level L - 1 then
+    takes its own leaves (the true cells of ``parents``).
+
+    A value and its error are the real and imaginary parts of one complex
+    entry, so a level costs one complex sum per axis, not one per row:
+    complex addition adds the parts apart, each exactly as a float sum."""
+    d, m = own.ndim, np.count_nonzero(own)
+    n = own.shape[0]
+    start = (n**d - 1) // (2**d - 1)  # the first entry of level L
+    both = np.empty(values.size, dtype=complex)
+    both.real, both.imag = values, errors
+    grid = np.zeros(own.shape, dtype=complex)
+    grid[own] = both[:m]
+    out = np.empty(start + last + 1, dtype=complex)
+    out[start:] = grid.ravel()[: last + 1]
+    # the even and odd children along each axis, the last first
+    halves = [
+        ((..., slice(0, None, 2)) + rest, (..., slice(1, None, 2)) + rest)
+        for rest in ((slice(None),) * k for k in range(d))
+    ]
+    top = n // 2  # level L - 1, whose leaves are no sums
+    while n > 1:  # down to level 0, the window
+        n //= 2
+        start -= n**d
+        level = out[start : start + n**d].reshape((n,) * d)  # a view
+        for even, odd in halves[:-1]:
+            grid = grid[even] + grid[odd]
+        even, odd = halves[-1]
+        np.add(grid[even], grid[odd], out=level)
+        if n == top:
+            level[parents] = both[m:]
+        grid = level
+    return out.real.copy(), out.imag.copy()
+
+
 def _functionals_pass(f, cfg: KpConfig):
     """a_1 .. a_K, their errors and the total evaluation count, from one
     pass over the leaf cells of the truncated dyadic tree.
@@ -256,28 +297,18 @@ def _functionals_pass(f, cfg: KpConfig):
     quad_tol * |leaf| / |window|, so the tols of the leaves of any cell add
     up to at most quad_tol.
     Every other a_k and its error are the sums of its children's, built
-    level by level.  Raises :class:`ToleranceNotMet` when the error of some
+    level by level (:func:`_tree_sums`).  Raises :class:`ToleranceNotMet` when the error of some
     a_k exceeds quad_tol, not when a leaf misses its share.
     """
     lo, hi, share, own, parents, last = _leaf_plan(cfg.family, cfg.truncation)
-    d, m = own.ndim, np.count_nonzero(own)
     tol = cfg.quad_tol * share
 
-    if d > 1:
+    if own.ndim > 1:
         v, e, evals = integrate_boxes(f, lo, hi, tol)
     else:
         lo, hi = lo[:, 0], hi[:, 0]
         v, e, evals = _hk_many(f, lo, hi, tol, cfg.singular_points, DEFAULT_MAX_EVALS)
-    ve = np.stack((v, e))
-    sums = np.zeros((2,) + own.shape)
-    sums[:, own] = ve[:, :m]
-    levels = [sums.reshape(2, -1)[:, : last + 1]]
-    while sums.shape[1] > 1:  # up to level 0, the window
-        sums = _parent_sums(sums, d)
-        if len(levels) == 1:  # level L - 1, whose leaves are no sums
-            sums[:, parents] = ve[:, m:]
-        levels.append(sums.reshape(2, -1))
-    values, errors = np.concatenate(levels[::-1], axis=1)
+    values, errors = _tree_sums(v, e, own, parents, last)
 
     over = np.flatnonzero(errors > cfg.quad_tol)
     if over.size:

@@ -367,6 +367,31 @@ class TestFourier:
         assert code == 1
         assert err == "error: integrand non-finite near x=0.0\n"
 
+    def test_a_phase_that_overflows_names_the_frequency(self, capsys):
+        # 2 pi x y overflows for x > 0.286: this blamed the constant core,
+        # "integrand non-finite near x=0.2970774243113014"
+        code, out, err = run(capsys, "fourier", "--expr", "1", "--box", "0,1", "--at", "0.5;1e308")
+        assert (code, out) == (1, "")
+        assert err == "error: the phase 2*pi*<x, y> overflows on the box at y=(1e+308,)\n"
+
+    def test_parts_share_their_nodes(self, capsys):
+        # the real and imaginary parts are two components of one pass, so
+        # each row reports the core's 15 evaluations, not 30
+        argv = ["fourier", "--expr", "1", "--box", "0,1", "--at", "0.5", "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        re, im = json.loads(out)
+        assert abs(re["value"]) <= re["error_bound"]
+        assert abs(im["value"] + 2.0 / math.pi) <= im["error_bound"]
+        assert re["evaluations"] == im["evaluations"] == 15
+
+    def test_a_zero_width_box_is_zero_without_evaluations(self, capsys):
+        argv = ["fourier", "--expr", "1", "--box", "0,0", "--at", "0.5", "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        rows = json.loads(out)
+        assert [(r["value"], r["error_bound"], r["evaluations"]) for r in rows] == [(0.0, 0.0, 0)] * 2
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):

@@ -132,6 +132,35 @@ class TestManyPoints:
             assert (fv.tail_factor, fv.head_dim) == (one.tail_factor, one.head_dim)
             assert fv.tail_factor == sinc_tail(y, f.order)
 
+    @pytest.mark.parametrize(
+        "f, y, evals",
+        [
+            (rect(), (0.5,), 15),
+            (TameFunction(2, lambda x, y: x * y, (Interval(0, 1),) * 2), (0.5, 0.25), 225),
+            (TameFunction(3, lambda x, y, z: x * y * z, (Interval(0, 1),) * 3), (0.5, 0.25, 0.5), 3375),
+        ],
+        ids=["1-D", "2-D", "3-D"],
+    )
+    def test_each_node_evaluates_the_core_once(self, f, y, evals):
+        # the real and imaginary parts share their nodes: one GK15 panel per
+        # axis, where the two parts as two boxes took 30, 450 and 6,750
+        calls = []
+
+        def core(*xs):
+            calls.append(np.broadcast(*xs).size)
+            return f.core(*xs)
+
+        [(_, _, got)] = fourier_tame_result(TameFunction(f.order, core, f.box), [FrequencyPoint(y)])
+        assert got == sum(calls) == evals
+
+    def test_a_zero_width_box_is_zero_without_calling_the_core(self):
+        def core(x):
+            raise AssertionError("the core is not evaluated")
+
+        f = TameFunction(1, core, (Interval(0.25, 0.25),))
+        got = fourier_tame_result(f, [FrequencyPoint((0.5,)), FrequencyPoint((1.0, 0.5))])
+        assert [(fv.value, err, evals) for fv, err, evals in got] == [(0j, 0.0, 0)] * 2
+
     def test_empty_grid(self):
         assert fourier_tame_result(rect(), []) == []
         rep = fourier_bound_check(rect(), [])
@@ -155,10 +184,29 @@ class TestManyPoints:
         ids=["non-finite", "scalar-only-raises"],
     )
     def test_bad_core_names_only_the_coordinates(self, core, message):
-        # the point's frequencies and part are box parameters, not coordinates
+        # the point's frequencies are box parameters, not coordinates
         f = TameFunction(2, core, (Interval(-1, 1), Interval(-1, 1)))
         with pytest.raises(EvaluationError, match=message):
             fourier_tame_result(f, [FrequencyPoint((0.5, 2.0))])
+
+    @pytest.mark.parametrize(
+        "box, y",
+        [
+            ((Interval(0, 1),), (1e308,)),
+            ((Interval(-1, 1), Interval(0, 1e300)), (0.5, 1e10)),
+            # each coordinate's phase is finite, their sum is not
+            ((Interval(0, 1), Interval(0, 1)), (2e307, 2e307)),
+        ],
+        ids=["one-axis", "wide-box", "summed"],
+    )
+    def test_a_phase_that_overflows_is_refused_naming_the_point(self, box, y):
+        def core(*xs):
+            raise AssertionError("the core is not evaluated")
+
+        f = TameFunction(len(box), core, box)
+        with pytest.raises(EvaluationError, match="phase") as info:
+            fourier_tame_result(f, [FrequencyPoint((0.5,) * len(box)), FrequencyPoint(y)])
+        assert info.value.point == y and str(y) in str(info.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_frequency_is_refused(self, bad):

@@ -547,6 +547,103 @@ def test_adaptive_many_over_zero_width_intervals_is_zero():
     assert [a.tolist() for a in gauge._adaptive_many(fn, lo, hi, tol, True)] == [[0, 0, 0]] * 3
 
 
+# --------------------------------------- vector integrands
+
+
+def _stacked(parts, breakpoints=()):
+    """An integrand returning the callables ``parts`` as c components on a
+    trailing axis, with the given breakpoints."""
+
+    def f(*xs):
+        return np.stack(np.broadcast_arrays(*(p(*xs) for p in parts)), axis=-1)
+
+    f.breakpoints = breakpoints
+    return f
+
+
+def _with(f, breakpoints):
+    def g(*xs):
+        return f(*xs)
+
+    g.breakpoints = breakpoints
+    return g
+
+
+_CUBE_SIN = (((cmath.exp(1j) - 1.0) / 1j) ** 3).imag  # of sin(x + y + z) on [0, 1]^3
+VECTOR_CASES = {
+    # (components, breakpoints, lo, hi, params, exact values (m, c))
+    "1-D-cut": (
+        [lambda x: (x <= 0.3) * np.exp(x), lambda x: np.cos(5.0 * x)],
+        (0.3,), [[0.0], [0.5]], [[1.0], [2.0]], None,
+        [[math.expm1(0.3), math.sin(5.0) / 5.0], [0.0, (math.sin(10.0) - math.sin(2.5)) / 5.0]],
+    ),
+    "1-D-scalar-only": (
+        [lambda x: math.cos(x), lambda x: math.sin(x)],
+        (), [[0.0]], [[1.0]], None, [[math.sin(1.0), 1.0 - math.cos(1.0)]],
+    ),
+    "2-D-params": (
+        [lambda a, x, y: np.exp(a * x) * np.cos(y), lambda a, x, y: x * y**2],
+        (), [[0.0, 0.0]] * 2, [[1.0, 2.0]] * 2, [[1.0], [2.0]],
+        [[math.expm1(a) / a * math.sin(2.0), 4.0 / 3.0] for a in (1.0, 2.0)],
+    ),
+    "3-D": (
+        [lambda x, y, z: x * y * z, lambda x, y, z: np.sin(x + y + z)],
+        (), [[0.0] * 3], [[1.0] * 3], None, [[0.125, _CUBE_SIN]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VECTOR_CASES)
+def test_vector_integrands_share_nodes_and_match_their_scalar_calls(name):
+    parts, points, lo, hi, params, exact = VECTOR_CASES[name]
+    values, errors, evals = integrate_boxes(_stacked(parts, points), lo, hi, 1e-10, params=params)
+    assert values.shape == errors.shape == np.shape(exact)
+    scalar = [integrate_boxes(_with(p, points), lo, hi, 1e-10, params=params) for p in parts]
+    for k, (v, e, n) in enumerate(scalar):
+        assert (np.abs(values[:, k] - v) <= errors[:, k] + e).all()
+        assert (np.abs(values[:, k] - np.array(exact)[:, k]) <= errors[:, k]).all()
+        assert (errors[:, k] <= 1e-10).all()
+    # one node evaluates every component: the count of one scalar call
+    assert evals.tolist() == np.max([n for _, _, n in scalar], axis=0).tolist()
+
+
+@pytest.mark.parametrize("name", VECTOR_CASES)
+def test_a_trailing_axis_of_one_gives_the_scalar_call_bit_for_bit(name):
+    parts, points, lo, hi, params, _ = VECTOR_CASES[name]
+    one = integrate_boxes(_stacked(parts[:1], points), lo, hi, 1e-10, params=params)
+    scalar = integrate_boxes(_with(parts[0], points), lo, hi, 1e-10, params=params)
+    assert one[0].shape == one[1].shape == (len(lo), 1)
+    assert one[0][:, 0].tobytes() == scalar[0].tobytes()
+    assert one[1][:, 0].tobytes() == scalar[1].tobytes()
+    assert one[2].tolist() == scalar[2].tolist()
+
+
+def _pair(x):
+    return np.stack((np.sin(x), np.cos(x)), axis=-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hk_integrate(_pair, Interval(0, 1)),
+        lambda: hk_integrate(_pair, Interval(0, 1), 1e-8, [0.0]),
+        lambda: hk_integrate_many(_pair, [0.0, 1.0], [1.0, 2.0], 1e-8),
+        lambda: integrate_nd_result(_pair, [Interval(0, 1)]),
+        lambda: integrate_nd_result(lambda x, y: _pair(x * y), [Interval(0, 1)] * 2),
+    ],
+    ids=["hk_integrate", "hk_integrate-shells", "hk_integrate_many", "nd-1d", "nd-2d"],
+)
+def test_only_integrate_boxes_takes_a_vector_integrand(call):
+    # these raised EvaluationError from the elementwise fallback, naming a node
+    with pytest.raises(ValueError, match="2 components.*only integrate_boxes"):
+        call()
+
+
+def test_a_vector_integrand_never_called_gives_scalar_zeros():
+    values, errors, evals = integrate_boxes(_pair, [[0.5], [1.0]], [[0.5], [1.0]], 1e-8)
+    assert values.tolist() == errors.tolist() == evals.tolist() == [0, 0]
+
+
 # --------------------------------------- half-period shells of a phase
 
 

@@ -62,6 +62,19 @@ def test_gk15_integral_of_the_modulus_on_request():
     assert abs(mass[0] - 4.0) < 0.1  # one panel across the kink of |sin| at pi
 
 
+@pytest.mark.parametrize("m, c", [(1, 1), (5, 2), (40, 3)])
+def test_gk15_components_are_rows_of_one_matrix(m, c):
+    # panel i's component k is row i c + k of the scalar call, bit for bit
+    rng = np.random.default_rng(m * c)
+    fv = rng.standard_normal((m, 15, c)) * np.where(rng.random((m, 1, c)) < 0.3, 0.0, 1.0)
+    halfwidths = rng.uniform(0.0, 2.0, m)
+    got = kernels.gk15_batch(fv, halfwidths)
+    rows = kernels.gk15_batch(fv.transpose(0, 2, 1).reshape(m * c, 15), np.repeat(halfwidths, c))
+    for a, b in zip(got, rows):
+        assert a.shape == (m, c)
+        assert a.tobytes() == b.reshape(m, c).tobytes()
+
+
 def _unresolved(f, scale=1.0):
     xs = 0.5 + 0.5 * kernels.GK15_NODES  # one panel on [0, 1]
     return kernels.gk15_batch(scale * f(xs)[None, :], np.array([0.5]))[2][0]

@@ -457,3 +457,34 @@ def test_functionals_evaluation_counts_are_pinned():
     )
     cfg = KpConfig(DualityFamily((UNIT_WINDOW, UNIT_WINDOW)), truncation=256, quad_tol=1e-8)
     assert compute_functionals(two, cfg).evaluations == 43_875
+
+
+@pytest.mark.parametrize(
+    "d, K", [(1, 1), (1, 7), (1, 1024), (1, 1025), (2, 6), (2, 300), (3, 10), (3, 600)]
+)
+def test_tree_sums_add_children_level_by_level(d, K):
+    # every a_k and its error is the sum of its children's, pairs along the
+    # last axis first, down from level L's grid, bit for bit; the signed
+    # zeros of the leaves stay as they were
+    from kspaces.kp import _leaf_plan, _tree_sums
+
+    family = DualityFamily((UNIT_WINDOW,) * d)
+    lo, _, _, own, parents, last = _leaf_plan(family, K)
+    rng = np.random.default_rng(K)
+    leaves = rng.standard_normal((2, lo.shape[0])) * 10.0 ** rng.integers(-8, 8, (2, lo.shape[0]))
+    leaves[:, ::5], leaves[:, 1::7] = -0.0, 0.0
+    m = np.count_nonzero(own)
+    grid = np.zeros((2,) + own.shape)
+    grid[:, own] = leaves[:, :m]
+    levels = [grid.reshape(2, -1)[:, : last + 1]]
+    while grid.shape[1] > 1:
+        for axis in range(d, 0, -1):
+            n = grid.shape[axis]
+            grid = np.take(grid, range(0, n, 2), axis) + np.take(grid, range(1, n, 2), axis)
+        if len(levels) == 1:
+            grid[:, parents] = leaves[:, m:]
+        levels.append(grid.reshape(2, -1))
+    want = np.concatenate(levels[::-1], axis=1)
+    values, errors = _tree_sums(*leaves, own, parents, last)
+    assert values.shape == errors.shape == (K,)
+    assert values.tobytes() == want[0].tobytes() and errors.tobytes() == want[1].tobytes()
