@@ -31,7 +31,8 @@ class ToleranceNotMet(KSError):
 
 
 class PartitionBudgetExceeded(KSError):
-    """Greedy partition construction exceeded its cell-count cap."""
+    """Greedy partition construction, or the dyadic tree of a 1-D K^p
+    truncation, exceeded its cell-count cap."""
 
 
 class DimensionCapExceeded(KSError):

@@ -41,6 +41,18 @@ unsettled side in one call; after each step a side may also end by Wynn's
 epsilon extrapolation of its partial sums, once the extrapolated limit has
 held over a step.
 
+The lock step has one more mode, :mod:`kspaces.cells`, which reads the 1-D
+K^p functionals off dyadic panel interpolants, each round one integrand
+call through one :class:`_VecFn` that counts the evaluations and holds the
+budget.  Its intervals are panels of the window's dyadic grid.  A panel
+that holds two leaf cells or more is accepted when f at its eight
+Kronrod-only nodes lies within its share of the tol of the Gauss-7
+interpolant, and then keeps its 15 node values, off which each cell it
+holds is read; this estimate is as blind between the nodes as GK15's.  A
+panel within one cell is a GK15 panel.  The cells holding a singular point
+keep their shells, and those holding a breakpoint enter the pass cut
+there, as the intervals of :func:`hk_integrate_many` are.
+
 Boxes are integrated by a recursion over axes: the integrand of the first
 axis solves the inner problems of all its nodes in one recursive call, so f
 is called once per round of the innermost lock step, never once per node.
@@ -542,10 +554,18 @@ def _adaptive_many(fn, lo, hi, tol, shells=False):
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _lockstep(fn, offset, lo, hi, tol, shells):
+def _lockstep(fn, offset, lo, hi, tol, shells, cells=None):
     """One group of :func:`_adaptive_many`; ``fn`` sees ``seg + offset``.
     A split panel is halved, or in a ``shells`` round quartered where GK15
-    left it unresolved (:func:`_bisect`)."""
+    left it unresolved (:func:`_bisect`).
+
+    ``cells``, given, is the interpolant mode of :mod:`kspaces.cells`,
+    whose intervals are panels of one dyadic grid: :meth:`cells.start`
+    takes the intervals of positive width, then each round
+    :meth:`cells.round` evaluates, judges and keeps the active panels, and
+    :meth:`cells.cut` gives the parts of those that failed.  No interval
+    stops on its error total, and the accepted panels stay with ``cells``,
+    unsummed."""
     n = lo.size
     total_w = hi - lo
     # Active panels stay grouped by interval, each interval's in ascending order.
@@ -553,29 +573,40 @@ def _lockstep(fn, offset, lo, hi, tol, shells):
     active_lo, active_hi = lo[seg], hi[seg]
     acc_err_sum = 0.0  # then (n,) or (n, c) error totals of the accepted panels
     accepted = []
+    if cells:
+        cells.start(seg)
 
     while seg.size:
-        centers, vals, errs, unresolved, mass = _gk15_round(fn, active_lo, active_hi, seg + offset)
-        totals, worst = acc_err_sum + _error_sums(errs, seg, n), errs
-        if errs.ndim == 2:  # c components, each within tol: the max norm
-            totals, worst = totals.max(axis=1), errs.max(axis=1)
-        done = (totals <= tol)[seg]
-        if not done.all():
-            done |= _settled(active_lo, active_hi, worst, tol[seg], total_w[seg])
-        elif not accepted:  # the first round settled all: each sum is one panel's
-            sums = (vals, errs, mass) if shells else (vals, errs)
-            return sums if seg.size == n else _scattered(seg, n, sums)  # zero widths are 0
-        kept = (seg[done], vals[done], errs[done])
-        accepted.append(kept + (mass[done],) if shells else kept)
+        if cells:
+            done = cells.round(fn, active_lo, active_hi, seg + offset, tol[seg], total_w[seg])
+        else:
+            centers, vals, errs, unresolved, mass = _gk15_round(fn, active_lo, active_hi, seg + offset)
+            totals, worst = acc_err_sum + _error_sums(errs, seg, n), errs
+            if errs.ndim == 2:  # c components, each within tol: the max norm
+                totals, worst = totals.max(axis=1), errs.max(axis=1)
+            done = (totals <= tol)[seg]
+            if not done.all():
+                done |= _settled(active_lo, active_hi, worst, tol[seg], total_w[seg])
+            elif not accepted:  # the first round settled all: each sum is one panel's
+                sums = (vals, errs, mass) if shells else (vals, errs)
+                return sums if seg.size == n else _scattered(seg, n, sums)  # zero widths are 0
+            kept = (seg[done], vals[done], errs[done])
+            accepted.append(kept + (mass[done],) if shells else kept)
         split = ~done
         left = seg[split]
         if not left.size:  # the last round: skip the bookkeeping for a next one
             break
+        if cells:
+            active_lo, active_hi, parts = cells.cut(active_lo, active_hi, split, (total_w / tol)[left])
+            seg = left.repeat(parts)
+            continue
         acc_err_sum += _error_sums(kept[2], kept[0], n)
         four = unresolved[split] if shells and unresolved.any() else None
         active_lo, active_hi = _bisect(active_lo, active_hi, centers, split, four)
         seg = left.repeat(2 if four is None else 2 + 2 * four)
 
+    if cells:
+        return  # the accepted panels stay with cells
     if not accepted:
         return tuple(np.zeros((3 if shells else 2, n)))
     if not shells:

@@ -75,9 +75,14 @@ def neumaier_sum(values):
 
     The result does not depend on the order of the terms.  The name stays
     because callers and ``perfbench/tracer.py`` look the function up by it.
+    An array's zeros, which cannot change a sum with any other term, are
+    left out: the weighted terms of a K = 10^6 norm are zero past k = 1074,
+    and listing them all took 0.1 s.
     """
     if not isinstance(values, list):
-        values = np.asarray(values, dtype=np.float64).tolist()
+        values = np.asarray(values, dtype=np.float64)
+        terms = values[values != 0.0]
+        values = (terms if terms.size else values).tolist()
     return math.fsum(values)
 
 

@@ -17,17 +17,26 @@ bound computed from the analytic tail of the weight sequence.
 
 Below the deepest level of the truncation every cell is the union of its
 children, so only the leaf cells of the truncated tree, never more than K,
-are integrated: in one call of :func:`kspaces.gauge.hk_integrate_many`'s
-core in 1-D (singular points included) or of
-:func:`kspaces.gauge.integrate_boxes` in d >= 2, each leaf with its own
-evaluation budget.  Every other functional, and its error, is the sum of
-its children's, and each functional's error is checked against quad_tol.
+get their own integrals.  Every other functional, and its error, is the
+sum of its children's, and each functional's error is checked against
+quad_tol.  In d >= 2 every leaf is integrated in one call of
+:func:`kspaces.gauge.integrate_boxes`, each with its own evaluation
+budget.  In 1-D the leaves are read off panel interpolants, so a norm's
+evaluations follow f, not K: one adaptive pass bisects the window on its
+dyadic grid, and a panel holding two leaves or more is accepted when f at
+its eight Kronrod-only nodes lies within quad_tol / |window| of the Gauss-7
+interpolant.  Each leaf in it gets the integral of the panel's degree-14
+interpolant over the leaf, with error |leaf| times that estimate.  Like
+GK15's estimate, the rule sees nothing between the nodes.  Panels that
+come down to one leaf are judged and bisected as GK15 panels; leaves
+holding a singular point keep their shells, and leaves holding a
+breakpoint are cut there (:func:`_functionals_pass`).
 
-:func:`compute_functionals` returns that sequence as one
-:class:`Functionals` record, and everything computed from it takes the
-record: ``kp_norm(a, p, cfg)``, ``k2_inner(af, ag, cfg)`` and
-``verify_embedding(a, q, p, cfg, lq_value)``.  One record serves norms of
-any p.
+:func:`compute_functionals` returns that sequence, with the measured error
+of each functional, as one :class:`Functionals` record, and everything
+computed from it takes the record: ``kp_norm(a, p, cfg)``,
+``k2_inner(af, ag, cfg)`` and ``verify_embedding(a, q, p, cfg,
+lq_value)``.  One record serves norms of any p.
 """
 
 from __future__ import annotations
@@ -39,11 +48,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import DimensionCapExceeded, MissingAbsoluteBound, ToleranceNotMet
+from .errors import (
+    DimensionCapExceeded,
+    MissingAbsoluteBound,
+    PartitionBudgetExceeded,
+    ToleranceNotMet,
+)
 from .gauge import (
     DEFAULT_MAX_EVALS,
     Interval,
-    _hk_many,
     hk_integrate,  # unused here, but perfbench/tracer.py wraps kp.hk_integrate
     integrate_boxes,
     integrate_nd_result,
@@ -53,6 +66,9 @@ from .gauge import (
 _SUP_GRID = 4097
 # verify_embedding's allowance for quadrature error
 _QUAD_SLACK = 1e-8
+# The most leaves a 1-D truncation may have, so K < 2^23: the largest 1-D
+# tree that one GK15 panel per leaf kept within DEFAULT_MAX_EVALS.
+_MAX_LEAF_CELLS = 2**21
 
 
 @dataclass(frozen=True)
@@ -140,10 +156,20 @@ def geometric_weights(ratio: float = 0.5) -> WeightSequence:
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
-    return WeightSequence(
-        term=lambda k: (1.0 - ratio) * ratio ** (k - 1),
-        tail=lambda K: ratio**K,
-    )
+    # r^n is 0 past this n, far below half the smallest subnormal; pow is
+    # slow there (0.09 s for k up to 10^6 at r = 1/2)
+    last = math.ceil(-1075.0 * math.log(2.0) / math.log(ratio)) + 64
+
+    def term(k):
+        k = np.asarray(k)
+        live = k <= last + 1
+        if live.all():
+            return (1.0 - ratio) * ratio ** (k - 1)
+        t = np.zeros(k.shape)
+        t[live] = (1.0 - ratio) * ratio ** (k[live] - 1)
+        return t
+
+    return WeightSequence(term=term, tail=lambda K: ratio**K)
 
 
 @dataclass(frozen=True)
@@ -177,11 +203,13 @@ class KpConfig:
 class Functionals:
     """The functionals a_1 .. a_K of one integrand, as built by
     :func:`compute_functionals`: ``values`` is a float64 array, complex128
-    for a complex integrand, and ``evaluations`` the integrand evaluations
-    that computed it."""
+    for a complex integrand, ``evaluations`` the integrand evaluations
+    that computed it, and ``errors`` one estimate of |error| per a_k, from
+    the same pass (None in a record built by hand)."""
 
     values: np.ndarray
     evaluations: int
+    errors: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -204,25 +232,43 @@ def _parent_sums(x, d: int):
     return x
 
 
+def _tree_size(family: DualityFamily, K: int):
+    """(L, last): cell K is cell ``last`` of level L.  Raises before
+    anything is allocated when the tree truncated at K is too large: in
+    1-D, with :class:`PartitionBudgetExceeded`, when it has more than
+    ``_MAX_LEAF_CELLS`` leaves; in d >= 2, with :class:`ToleranceNotMet`,
+    when its leaves' least work, one GK15 panel each, exceeds
+    ``DEFAULT_MAX_EVALS``."""
+    d = family.dim
+    L, last = family.level_of(K)
+    leaves = 2 ** (max(L - 1, 0) * d)  # each level-(L-1) cell holds a leaf
+    if d == 1 and leaves > _MAX_LEAF_CELLS:
+        raise PartitionBudgetExceeded(
+            f"truncation {K} needs at least {leaves} leaf cells, over the cap "
+            f"of {_MAX_LEAF_CELLS}"
+        )
+    least = 15**d * leaves
+    if d > 1 and least > DEFAULT_MAX_EVALS:
+        raise ToleranceNotMet(
+            f"truncation {K} needs at least {least} evaluations, {15**d} for "
+            f"each of at least {leaves} leaf cells, over the budget of "
+            f"{DEFAULT_MAX_EVALS}"
+        )
+    return L, last
+
+
 def _leaf_plan(family: DualityFamily, K: int):
     """The leaves of ``family`` truncated at K, as :func:`_functionals_pass`
     describes them: (lo, hi, share, own, parents, last), where lo and hi
     (leaves, d) hold the leaf ends, level-L leaves first; share is each
     leaf's |leaf| / |window|; own and parents are boolean grids of levels
     L and L - 1, of shapes (2^L,) * d and (2^(L-1),) * d, true at leaves;
-    and last is the offset of cell K within level L.  Raises
-    :class:`ToleranceNotMet` before allocating anything when the leaves'
-    least work, one GK15 panel each, exceeds ``DEFAULT_MAX_EVALS``."""
+    and last is the offset of cell K within level L.  In 1-D, own is the
+    first n_own cells of level L, last + 1 rounded up to even (at L = 0,
+    the window), and parents the cells of level L - 1 from n_own / 2 on.
+    Raises as :func:`_tree_size` does, before allocating anything."""
     d = family.dim
-    L, last = family.level_of(K)
-    leaves = 2 ** (max(L - 1, 0) * d)  # each level-(L-1) cell holds a leaf
-    least = 15**d * leaves
-    if least > DEFAULT_MAX_EVALS:
-        raise ToleranceNotMet(
-            f"truncation {K} needs at least {least} evaluations, {15**d} for "
-            f"each of at least {leaves} leaf cells, over the budget of "
-            f"{DEFAULT_MAX_EVALS}"
-        )
+    L, last = _tree_size(family, K)
     n = 2**L  # cells per axis of level L
     own = (np.arange(n**d) <= last).reshape((n,) * d)
     parents = np.zeros((n // 2,) * d, dtype=bool)
@@ -245,22 +291,31 @@ def _leaf_plan(family: DualityFamily, K: int):
 def _tree_sums(values, errors, own, parents, last):
     """a_1 .. a_K and their errors, from the ``values`` and ``errors`` of
     :func:`_leaf_plan`'s leaves, level-L leaves (the true cells of ``own``)
-    first.  Level l fills the 2^(l d) entries from
-    (2^(l d) - 1) / (2^d - 1) on, row-major, and level L only its cells up
-    to ``last``.  Each level is summed from the full grid of the level
-    above, the last axis first, straight into its entries; level L - 1 then
-    takes its own leaves (the true cells of ``parents``).
-
-    A value and its error are the real and imaginary parts of one complex
-    entry, so a level costs one complex sum per axis, not one per row:
-    complex addition adds the parts apart, each exactly as a float sum."""
-    d, m = own.ndim, np.count_nonzero(own)
-    n = own.shape[0]
-    start = (n**d - 1) // (2**d - 1)  # the first entry of level L
+    first, through :func:`_level_sums`: the level-L leaves fill its grid,
+    and the others are level L - 1's own (the true cells of ``parents``)."""
+    m = np.count_nonzero(own)
     both = np.empty(values.size, dtype=complex)
     both.real, both.imag = values, errors
     grid = np.zeros(own.shape, dtype=complex)
     grid[own] = both[:m]
+    return _level_sums(grid, last, both[m:], parents)
+
+
+def _level_sums(grid, last, top=None, at=None):
+    """a_1 .. a_K and their errors, from ``grid``, the cells of level L:
+    each cell's value is the real part of its complex entry and its error
+    the imaginary part.  Level l fills the 2^(l d) entries from
+    (2^(l d) - 1) / (2^d - 1) on, row-major, and level L only its cells up
+    to ``last``.  Each level is summed from the full grid of the level
+    above, the last axis first, straight into its entries; level L - 1 then
+    takes the entries ``top``, if given, at ``at`` (a boolean grid), its
+    leaves.
+
+    A value and its error are the real and imaginary parts of one complex
+    entry, so a level costs one complex sum per axis, not one per row:
+    complex addition adds the parts apart, each exactly as a float sum."""
+    d, n = grid.ndim, grid.shape[0]
+    start = (n**d - 1) // (2**d - 1)  # the first entry of level L
     out = np.empty(start + last + 1, dtype=complex)
     out[start:] = grid.ravel()[: last + 1]
     # the even and odd children along each axis, the last first
@@ -268,7 +323,7 @@ def _tree_sums(values, errors, own, parents, last):
         ((..., slice(0, None, 2)) + rest, (..., slice(1, None, 2)) + rest)
         for rest in ((slice(None),) * k for k in range(d))
     ]
-    top = n // 2  # level L - 1, whose leaves are no sums
+    below = n // 2  # level L - 1, whose leaves are no sums
     while n > 1:  # down to level 0, the window
         n //= 2
         start -= n**d
@@ -277,10 +332,10 @@ def _tree_sums(values, errors, own, parents, last):
             grid = grid[even] + grid[odd]
         even, odd = halves[-1]
         np.add(grid[even], grid[odd], out=level)
-        if n == top:
-            level[parents] = both[m:]
+        if n == below and top is not None:
+            level[at] = top
         grid = level
-    return out.real.copy(), out.imag.copy()
+    return out.real, out.imag  # views: no copy of a K = 10^6 tree's 16 MB
 
 
 def _functionals_pass(f, cfg: KpConfig):
@@ -291,24 +346,42 @@ def _functionals_pass(f, cfg: KpConfig):
     its children.  The leaves are the level-L cells 1..K, and of each
     level-(L-1) cell with j of its 2^d children among them: the one missing
     child if j = 2^d - 1, else (j < 2^d - 1) the cell itself.  There are
-    never more leaves than cells.  All leaves are integrated in one call
-    (:func:`kspaces.gauge.hk_integrate_many`'s core, singular points
-    included, in 1-D; :func:`integrate_boxes` in d >= 2), each at the share
-    quad_tol * |leaf| / |window|, so the tols of the leaves of any cell add
-    up to at most quad_tol.
-    Every other a_k and its error are the sums of its children's, built
-    level by level (:func:`_tree_sums`).  Raises :class:`ToleranceNotMet` when the error of some
-    a_k exceeds quad_tol, not when a leaf misses its share.
-    """
-    lo, hi, share, own, parents, last = _leaf_plan(cfg.family, cfg.truncation)
-    tol = cfg.quad_tol * share
+    never more leaves than cells.  Every other a_k and its error are the
+    sums of its children's, built level by level (:func:`_level_sums`).
 
-    if own.ndim > 1:
-        v, e, evals = integrate_boxes(f, lo, hi, tol)
+    In d >= 2 all leaves are integrated in one :func:`integrate_boxes`
+    call, each at the share quad_tol * |leaf| / |window|, so the tols of
+    the leaves of any cell add up to at most quad_tol.
+
+    In 1-D the leaves are read off panel interpolants
+    (:func:`kspaces.cells.level_cells`), so the evaluations follow f, not
+    K.  One adaptive pass bisects the window on its dyadic grid, a mode of
+    the lock step with one integrand call per round.  A panel holding two
+    leaves or more is accepted when f at its eight Kronrod-only nodes lies
+    within quad_tol / |window| of the Gauss-7 interpolant; each leaf in it
+    then gets the integral of the panel's degree-14 interpolant over the
+    leaf, with error |leaf| times the panel's estimate: its width share of
+    quad_tol, as a leaf's own integration had.  Like GK15's estimate, the
+    rule sees nothing between the nodes.  A panel that comes down to one
+    leaf is a GK15 panel, bisected as the leaf's own integration would be.
+    A leaf holding a breakpoint of f enters the pass cut there, and one
+    holding a singular point keeps its shells; no panel holding either is
+    evaluated whole.
+
+    Raises :class:`ToleranceNotMet` when the error of some a_k exceeds
+    quad_tol, not when a leaf misses its share.
+    """
+    if cfg.family.dim > 1:
+        lo, hi, share, own, parents, last = _leaf_plan(cfg.family, cfg.truncation)
+        v, e, evals = integrate_boxes(f, lo, hi, cfg.quad_tol * share)
+        evals = int(evals.sum())
+        values, errors = _tree_sums(v, e, own, parents, last)
     else:
-        lo, hi = lo[:, 0], hi[:, 0]
-        v, e, evals = _hk_many(f, lo, hi, tol, cfg.singular_points, DEFAULT_MAX_EVALS)
-    values, errors = _tree_sums(v, e, own, parents, last)
+        from . import cells  # here, not at import: see kspaces.cells
+
+        L, last = _tree_size(cfg.family, cfg.truncation)
+        grid, evals = cells.level_cells(f, cfg, L, last)
+        values, errors = _level_sums(grid, last)
 
     over = np.flatnonzero(errors > cfg.quad_tol)
     if over.size:
@@ -318,22 +391,23 @@ def _functionals_pass(f, cfg: KpConfig):
             f"quad_tol {cfg.quad_tol:.3g}",
             value=float(values[k]),
             error_estimate=float(errors[k]),
-            evaluations=int(evals.sum()),
+            evaluations=evals,
         )
-    return values, errors, int(evals.sum())
+    return values, errors, evals
 
 
 def compute_functionals(f, cfg: KpConfig) -> Functionals:
-    """All functionals a_1 .. a_K of f, with their evaluation count.
+    """All functionals a_1 .. a_K of f, with their errors and evaluation
+    count.
 
     They come from one pass over the leaf cells of the dyadic tree, every
     other functional summed from its children (:func:`_functionals_pass`).
     That pass integrates the real part of f and notes whether f returned
     complex values; only then does a second pass integrate the imaginary
-    part, and the values are complex.  Both passes carry f's
-    ``breakpoints``, where a 1-D leaf is cut, and its ``phase``, where a
-    leaf's side toward a singular point is cut into half-periods
-    (:func:`kspaces.gauge.hk_integrate_many`).
+    part, and the values are complex, each error the hypotenuse of its
+    parts' errors.  Both passes carry f's ``breakpoints``, where a 1-D leaf
+    is cut, and its ``phase``, where a leaf's side toward a singular point
+    is cut into half-periods (:func:`kspaces.gauge.hk_integrate_many`).
     """
     complex_seen = False
 
@@ -348,13 +422,13 @@ def compute_functionals(f, cfg: KpConfig) -> Functionals:
 
     real.breakpoints = imag.breakpoints = getattr(f, "breakpoints", ())
     real.phase = imag.phase = getattr(f, "phase", None)
-    values, _, evals = _functionals_pass(real, cfg)
+    values, errors, evals = _functionals_pass(real, cfg)
     if not complex_seen:
-        return Functionals(values, evals)
-    im, _, evals_im = _functionals_pass(imag, cfg)
+        return Functionals(values, evals, errors)
+    im, errors_im, evals_im = _functionals_pass(imag, cfg)
     values = values.astype(complex)
     values.imag = im
-    return Functionals(values, evals + evals_im)
+    return Functionals(values, evals + evals_im, np.hypot(errors, errors_im))
 
 
 def _check_length(a: Functionals, cfg: KpConfig) -> None:

@@ -31,7 +31,7 @@ from kspaces import (
     hk_integrate_many,
     integrate_nd_result,
 )
-from kspaces import gauge, kp
+from kspaces import cells, gauge, kp
 from kspaces.errors import EvaluationError
 from kspaces.kp import _functionals_pass
 
@@ -781,7 +781,8 @@ def test_functionals_match_closed_forms(name):
         assert abs(values[k] - want) <= errors[k] + 1e-13 * max(1.0, abs(want)), k + 1
 
 
-# (d, K, leaves): one integration per leaf, and never more leaves than cells
+# (d, K, leaves): never more leaves than cells; in d >= 2 one integration
+# per leaf, and in 1-D none, all leaves read off the window's interpolant
 LEAVES = [
     (1, 1, 1),
     (1, 4, 3),
@@ -796,18 +797,23 @@ LEAVES = [
 
 @pytest.mark.parametrize("d, K, leaves", LEAVES)
 def test_functionals_integrate_no_more_leaves_than_cells(monkeypatch, d, K, leaves):
-    name = "_hk_many" if d == 1 else "integrate_boxes"
-    integrate, calls = getattr(kp, name), []
+    module, name = (cells, "_hk_many") if d == 1 else (kp, "integrate_boxes")
+    integrate, calls = getattr(module, name), []
 
     def counted(f, lo, hi, *args):
         calls.append(len(lo))
         return integrate(f, lo, hi, *args)
 
-    monkeypatch.setattr(kp, name, counted)
+    monkeypatch.setattr(module, name, counted)
     cfg = KpConfig(DualityFamily((Interval(0, 1),) * d), truncation=K)
+    assert len(kp._leaf_plan(cfg.family, K)[0]) == leaves <= K
     values, _, evals = _functionals_pass(lambda *xs: sum(xs), cfg)
-    assert calls == [leaves] and leaves <= K
-    assert evals == leaves * 15**d  # one GK15 panel per axis and leaf
+    if d == 1:
+        # x is its own interpolant: one panel, and no leaf integrated alone
+        assert calls == [] and evals == 15
+    else:
+        assert calls == [leaves]
+        assert evals == leaves * 15**d  # one GK15 panel per axis and leaf
     lo, hi = cfg.family.cell_bounds(K)
     want = np.prod(hi - lo, axis=1) * (0.5 * (lo + hi)).sum(axis=1)
     np.testing.assert_allclose(values, want, rtol=1e-14, atol=1e-16)

@@ -271,8 +271,11 @@ class TestNorm:
     @pytest.mark.parametrize(
         "flags, evals",
         [
-            # one GK15 panel per axis for each of the 513 and the 50 leaf cells
-            (["--expr", "exp(x1)", "-K", "1024"], 513 * 15),
+            # 1-D: the 513 leaf cells are read off the interpolants of five
+            # panels, the window and its four quarters (one GK15 panel per
+            # leaf took 513 * 15)
+            (["--expr", "exp(x1)", "-K", "1024"], 5 * 15),
+            # 2-D: one GK15 panel per axis for each of the 50 leaf cells
             (["--expr", "exp(x1)*cos(x2)", "--window", "0,1;0,1", "-K", "64"], 50 * 225),
         ],
     )
@@ -294,18 +297,20 @@ class TestNorm:
         assert int(rows[0]["evaluations"]) <= 10_000
 
     def test_truncation_past_the_budget_fails_before_allocating(self, capsys):
-        # at least 2^25 leaf cells of one GK15 panel each: 10x the budget
+        # at least 2^25 leaf cells: 16x the cap of 2^21 in 1-D
         t0 = time.perf_counter()
         code, out, err = run(capsys, "norm", "-p", "2", "--expr", "x1", "-K", "100000000")
         assert code == 1 and not out
-        assert "503316480 evaluations" in err
+        assert "33554432 leaf cells, over the cap of 2097152" in err
         assert time.perf_counter() - t0 < 1.0
 
     def test_large_truncation_within_the_budget_runs(self, capsys):
+        # 500,001 leaf cells, all read off the window's one panel: x1 is
+        # its own interpolant (one GK15 panel per leaf took 500_001 * 15)
         code, out, _ = run(capsys, "norm", "-p", "2", "--expr", "x1", "-K", "1000000")
         assert code == 0
         _, rows = parse_csv(out)
-        assert int(rows[0]["evaluations"]) == 500_001 * 15
+        assert int(rows[0]["evaluations"]) == 15
 
     def test_bad_p(self, capsys):
         code, _, err = run(capsys, "norm", "-p", "0.3", "--expr", "1")
@@ -602,6 +607,21 @@ class TestConfigFile:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "False"
+
+    def test_cli_import_loads_no_polynomial_scipy_or_mpmath(self):
+        # the start-up every `ks` call pays: the interpolant tables are plain
+        # NumPy, and kspaces.cells, which builds them on first use, is only
+        # imported by the first 1-D K^p pass
+        src = os.path.dirname(os.path.dirname(kspaces.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import kspaces.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath') "
+            "or m.startswith(('numpy.polynomial', 'kspaces.cells'))))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 def test_benchmark_tracer_installs():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kspaces import cells
 from kspaces import (
     DualityFamily,
     Interval,
@@ -130,3 +131,62 @@ def test_kernels_reached_through_module_attributes(name, monkeypatch):
     KERNEL_CALLERS[name]()
     assert calls["gk15_batch"] > 0
     assert calls["neumaier_sum"] > 0
+
+
+def test_neumaier_sum_leaves_zeros_out_unchanged():
+    # zeros cannot change a sum with other terms; an array of them only
+    # sums as math.fsum sums it, signed zero included
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=20_000) * 10.0 ** rng.integers(-10, 10, size=20_000)
+    xs[rng.random(20_000) < 0.9] = 0.0
+    xs[::7] = -0.0
+    assert kernels.neumaier_sum(xs) == math.fsum(xs.tolist())
+    zeros = np.array([-0.0, -0.0])
+    sign = math.copysign(1.0, math.fsum(zeros.tolist()))
+    assert math.copysign(1.0, kernels.neumaier_sum(zeros)) == sign
+    assert kernels.neumaier_sum(np.zeros(0)) == 0.0
+
+
+# --------------------------------------------------- panel interpolants
+
+def _legendre_reference(poly, m):
+    """Integrals of ``poly`` over the 2^m equal cells of [-1, 1], each by an
+    8-point Gauss-Legendre rule of its own, exact for degree 15."""
+    t, w = np.polynomial.legendre.leggauss(8)
+    h = 1.0 / 2**m
+    centers = -1.0 + h * (2.0 * np.arange(2**m) + 1.0)
+    return h * (poly(centers[:, None] + h * t) @ w)
+
+
+@pytest.mark.parametrize("m", [0, 1, 4, 5, 10, 11, 14, 20])
+def test_cell_integrals_are_exact_for_degree_14(m):
+    # each cell within a few ulps of its own width times the largest node
+    # value, at depths up to 2^20 cells, where differences of a primitive
+    # lose about 1e-15 of the panel's integral
+    rng = np.random.default_rng(m)
+    poly = np.polynomial.Polynomial(rng.standard_normal(15))
+    nodes = poly(kernels.GK15_NODES)[None, :]
+    got = cells.cell_integrals(nodes, 1.0, m)
+    assert got.shape == (1, 2**m)
+    scale = np.abs(nodes).max() * 2.0 / 2**m
+    np.testing.assert_array_less(np.abs(got[0] - _legendre_reference(poly, m)), 32 * np.finfo(float).eps * scale)
+
+
+def test_cell_integrals_scale_with_the_halfwidth_and_keep_panels_apart():
+    rng = np.random.default_rng(7)
+    polys = [np.polynomial.Polynomial(rng.standard_normal(9)) for _ in range(3)]
+    nodes = np.array([p(kernels.GK15_NODES) for p in polys])
+    got = cells.cell_integrals(nodes, 0.25, 12)
+    for row, p in zip(got, polys):
+        np.testing.assert_allclose(row, 0.25 * _legendre_reference(p, 12), rtol=0, atol=1e-17)
+
+
+def test_interp_errors_see_degree_seven_and_jumps_but_not_degree_six():
+    x = kernels.GK15_NODES
+    floor = 50 * np.finfo(float).eps
+    sextic = 1.0 + x**6
+    assert cells.interp_errors(sextic[None])[0] == pytest.approx(floor * 2.0, rel=1e-12)
+    assert cells.interp_errors((x**7)[None])[0] > 1e-3
+    assert cells.interp_errors((x > 0.1)[None] * 1.0)[0] > 0.1
+    # a jump between the last node and the edge is not seen, as by GK15
+    assert cells.interp_errors((x < 0.995)[None] * 1.0)[0] == pytest.approx(floor)

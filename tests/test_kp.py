@@ -412,6 +412,15 @@ def test_weights_sum_to_one_analytically():
     assert partial + w3.tail(79) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_geometric_weights_skip_only_what_underflows():
+    # bit for bit (1 - r) r^(k-1), and 0 where r^(k-1) underflows, without
+    # taking the slow powers there
+    for r in (0.5, 0.3, 0.9, 1.0 / 3.0):
+        k = np.arange(1, 200_001)
+        want = (1.0 - r) * r ** (k - 1)
+        assert geometric_weights(r).term(k).tobytes() == want.tobytes()
+
+
 def test_weights_are_taken_in_one_array_call():
     calls = []
     ratio = geometric_weights(0.3)
@@ -447,11 +456,14 @@ def test_parallelogram_identity(cfg):
 
 
 def test_functionals_evaluation_counts_are_pinned():
-    # exact counts, fixed by the adaptive decisions alone: all 513 leaves of
-    # the 1-D K = 1024 tree settle in their first GK15 panel
+    # exact counts, fixed by the adaptive decisions alone: the 513 leaves of
+    # the 1-D K = 1024 tree are read off five panel interpolants, the
+    # window's, whose estimate is over its share, and its four quarters'
+    # (one GK15 panel per leaf took 513 * 15); in 2-D every leaf settles in
+    # its first GK15 panel per axis
     one = compile_expression(parse_expression("exp(-1.238*x1)"), 1)
     cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=1024)
-    assert compute_functionals(one, cfg).evaluations == 513 * 15
+    assert compute_functionals(one, cfg).evaluations == 5 * 15
     two = compile_expression(
         parse_expression("(-0.665 + -1.677*x1 + -0.27*x1^2 + 0.187*x1^3)*(sin(5.738*x2))"), 2
     )
@@ -488,3 +500,119 @@ def test_tree_sums_add_children_level_by_level(d, K):
     values, errors = _tree_sums(*leaves, own, parents, last)
     assert values.shape == errors.shape == (K,)
     assert values.tobytes() == want[0].tobytes() and errors.tobytes() == want[1].tobytes()
+
+
+# ---------------------------------------------------------- oracle corpus
+
+
+def _exp_cell(c):
+    return lambda a, b: math.exp(c * a) * math.expm1(c * (b - a)) / c
+
+
+def _sin_cell(m):
+    return lambda a, b: 2.0 * math.sin(0.5 * m * (a + b)) * math.sin(0.5 * m * (b - a)) / m
+
+
+def _cubic_cell(coef):
+    # b^(i+1) - a^(i+1) = (b - a) * sum of a^j b^(i-j): no cancellation
+    def cell(a, b):
+        return (b - a) * math.fsum(
+            c * math.fsum(a**j * b ** (i - j) for j in range(i + 1)) / (i + 1)
+            for i, c in enumerate(coef)
+        )
+
+    return cell
+
+
+def _stairs_cell(steps):
+    return lambda a, b: math.fsum(h * max(b - max(a, p), 0.0) for p, h in steps)
+
+
+STAIRS = ((0.3171, 1.5), (0.6088, 0.7), (0.8119, 2.9))
+
+# the 1-D factor families the dyadic-kp benchmark draws, with their cell
+# integrals in closed form: name: (expression, integral over [a, b])
+ORACLE_1D = {
+    "exp-neg": ("exp(-1.977*x1)", _exp_cell(-1.977)),
+    "exp-pos": ("exp(2*x1)", _exp_cell(2.0)),
+    "sin-1": ("sin(1*x1)", _sin_cell(1.0)),
+    "sin-4.409": ("sin(4.409*x1)", _sin_cell(4.409)),
+    "sin-6": ("sin(6*x1)", _sin_cell(6.0)),
+    "cubic": ("-0.665 + -1.677*x1 + -0.27*x1^2 + 0.187*x1^3", _cubic_cell((-0.665, -1.677, -0.27, 0.187))),
+    "cubic-steep": ("2 + -2*x1 + 1.9*x1^2 + -1.999*x1^3", _cubic_cell((2.0, -2.0, 1.9, -1.999))),
+    "stairs": (" + ".join(f"{h}*(x1 >= {p})" for p, h in STAIRS), _stairs_cell(STAIRS)),
+}
+
+
+def _assert_within_errors(a, cfg, exact, ks):
+    lo, hi = cfg.family.cell_bounds(cfg.truncation)
+    for k in ks:
+        want = exact(lo[k, 0], hi[k, 0])
+        assert abs(a.values[k] - want) <= a.errors[k] + 1e-13, (k + 1, a.values[k], want)
+
+
+@pytest.mark.parametrize("name", ORACLE_1D)
+def test_1d_functionals_hold_their_errors(name):
+    # every a_k of K = 1024 within its measured error of the exact cell
+    # integral, whether read off a panel interpolant or cut at a breakpoint
+    expr, exact = ORACLE_1D[name]
+    f = compile_expression(parse_expression(expr), 1)
+    cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=1024)
+    a = compute_functionals(f, cfg)
+    assert a.errors.shape == (1024,) and (a.errors <= cfg.quad_tol).all()
+    _assert_within_errors(a, cfg, exact, range(1024))
+
+
+def test_functionals_of_2_to_the_20_cells_hold_their_errors():
+    # 2^20 cells, read off a few dozen panels through the weight tables
+    # applied 1024 rows at a time; sampled, with the first and last cells
+    cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=2**20)
+    a = compute_functionals(compile_expression(parse_expression("sin(4.409*x1)"), 1), cfg)
+    assert a.evaluations < 1000
+    ks = [*range(64), *range(64, 2**20, 997), *range(2**20 - 64, 2**20)]
+    _assert_within_errors(a, cfg, _sin_cell(4.409), ks)
+
+
+def test_inner_product_functionals_hold_their_errors():
+    # the two functionals records of `ks inner` a step against a cubic, and
+    # the inner product within the errors they carry
+    step, cubic = ORACLE_1D["stairs"], ORACLE_1D["cubic"]
+    cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=1024)
+    af, ag = (compute_functionals(compile_expression(parse_expression(e), 1), cfg) for e, _ in (step, cubic))
+    _assert_within_errors(af, cfg, step[1], range(1024))
+    _assert_within_errors(ag, cfg, cubic[1], range(1024))
+    lo, hi = cfg.family.cell_bounds(1024)
+    exact_f = np.array([step[1](u, v) for u, v in zip(lo[:, 0], hi[:, 0])])
+    exact_g = np.array([cubic[1](u, v) for u, v in zip(lo[:, 0], hi[:, 0])])
+    t = cfg.weights.term(np.arange(1, 1025))
+    bound = math.fsum(t * (np.abs(af.values) * ag.errors + np.abs(exact_g) * af.errors))
+    exact = math.fsum(t * exact_f * exact_g)
+    assert abs(k2_inner(af, ag, cfg) - exact) <= bound + 1e-13
+
+
+def test_complex_functionals_hold_their_errors():
+    # two passes, real then imaginary; each error the hypotenuse of theirs
+    def f(x):
+        return np.exp(3j * x) * (x > 0.37)
+
+    f.breakpoints = (0.37,)
+    cfg = KpConfig(DualityFamily((UNIT_WINDOW,)), truncation=1024)
+    a = compute_functionals(f, cfg)
+    assert a.values.dtype == np.complex128 and a.errors.dtype == np.float64
+
+    def exact(u, v):
+        u = max(u, 0.37)
+        return (complex(math.cos(3 * v), math.sin(3 * v)) - complex(math.cos(3 * u), math.sin(3 * u))) / 3j if v > u else 0j
+
+    _assert_within_errors(a, cfg, exact, range(1024))
+
+
+def test_2d_functionals_carry_their_errors():
+    f = compile_expression(parse_expression("exp(x1)*cos(x2)"), 2)
+    cfg = KpConfig(DualityFamily((UNIT_WINDOW, UNIT_WINDOW)), truncation=64, quad_tol=1e-8)
+    a = compute_functionals(f, cfg)
+    lo, hi = cfg.family.cell_bounds(64)
+    for k in range(64):
+        want = (math.exp(hi[k, 0]) - math.exp(lo[k, 0])) * (math.sin(hi[k, 1]) - math.sin(lo[k, 1]))
+        assert abs(a.values[k] - want) <= a.errors[k] + 1e-13, k + 1
+    assert Functionals(a.values, 0).errors is None
